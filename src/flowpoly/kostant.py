@@ -2,19 +2,23 @@
 flow counting and enumeration, exact Ehrhart polynomials by rational
 interpolation, and normalized volume read off the Ehrhart leading term.
 
-Everything here is exact integer / rational arithmetic.  The counter is a
-depth-first assignment of edge values in canonical edge order; vertices are
-processed in increasing order so all inflow into a vertex is known when its
-outgoing edges are assigned.  The memoized variant collapses states on
-(next vertex, residual netflow suffix) and must agree with the naive
-enumeration, which the tests check.
+Everything here is exact integer / rational arithmetic.  Vertices are
+processed in increasing order, so all inflow into a vertex is known when its
+outflow is split.  The naive enumeration assigns edge values one edge at a
+time.  The memoized counter (FlowCounter) splits a vertex's outflow one edge
+group at a time, a group being the parallel edges to one head; its state is
+(vertex, group, residual netflow packed into one integer with a slot width
+taken from the netflow's size), and it prunes any split that would leave
+negative flow across a cut.  Both must agree, which the tests check.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, lcm
 from typing import Iterator, Sequence
 
 from .multigraph import DirectedMultigraph, NetflowVector
@@ -36,50 +40,53 @@ class FlowInstance:
         return FlowInstance(self.graph, self.netflow.dilate(t))
 
 
-_SLOT_BITS = 16
-_SLOT_OFFSET = 1 << 15
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
-_PACK_LIMIT = _SLOT_OFFSET - 2
-
-# (interior targets, sink multiplicity) -> {b: transitions}; see FlowCounter
-_SHARED_TRANSITIONS: dict[tuple, dict[int, tuple[tuple[int, int], ...]]] = {}
-
-
 class FlowCounter:
     """Reusable exact counter for integer flows on one graph.
 
-    The memo table is keyed on (vertex position, residual netflow suffix)
-    and persists across calls, so evaluating many netflow vectors on the
-    same graph shares work.  The suffix excludes the sink: once every other
-    vertex is balanced the sink is balanced too, because netflow entries
-    sum to zero.  Suffixes are packed into one integer, 16 offset bits per
-    vertex, unless the values are too large for that, in which case a plain
-    tuple-state recursion takes over.
+    Edge groups: a vertex's out-edges to one head form a group, and the
+    groups are taken in head order.  Sending x units into a group of m
+    parallel edges can be split over them in comb(x + m - 1, m - 1) ways;
+    the last group takes whatever is left.  The recursion state is (vertex,
+    group, packed residual).  Slot 0 of the packed residual holds what the
+    vertex still has to send; slot k holds the residual netflow of the k-th
+    vertex after it, the sink included.  The memo table is keyed on that
+    state and persists across calls, so evaluating many netflow vectors on
+    the same graph shares work.
+
+    Cut pruning: the flow across the cut in front of a vertex is the sum
+    of all residuals before it, so it must never be negative.  Sending x
+    units to a head leaves the cuts past that head unchanged.  The cuts
+    between that head and the next one are still crossed by the b - x units
+    the vertex has left to send, so x >= b - (the smallest of their prefix
+    sums).  The cuts in front of a vertex's first head are checked when the
+    recursion enters the vertex, and every cut once at the root.  A pruned
+    branch always has a cut carrying negative flow, so the prune is exact on
+    any forward graph.
+
+    Slot width: a residual never exceeds the largest prefix sum of the
+    netflow and never falls below its smallest entry, so each call takes
+    the slot width from that bound.  Each slot stores its value plus half
+    its range.  Widths only grow: a call that needs wider slots than the
+    counter has drops the memo table.  Widths come in whole bytes, so the
+    growing netflows of one Ehrhart interpolation rarely drop it.
     """
 
     def __init__(self, graph: DirectedMultigraph):
         self.graph = graph
-        nv = graph.vertex_count
         lo = graph.first_vertex
-        # Per non-sink position: interior targets as (suffix slot, multiplicity)
-        # where slot indexes the residual suffix beyond the current vertex,
-        # plus the multiplicity of direct edges to the sink.
-        self._targets: list[tuple[tuple[tuple[int, int], ...], int]] = []
-        for pos in range(nv - 1):
-            counts: dict[int, int] = {}
-            for a, b in graph.edges:
-                if a - lo == pos:
-                    counts[b - lo] = counts.get(b - lo, 0) + 1
-            sink_mult = counts.pop(nv - 1, 0)
-            interior = tuple((tpos - pos - 1, mult) for tpos, mult in sorted(counts.items()))
-            self._targets.append((interior, sink_mult))
-        self._memo: dict[int, int] = {}
-        # transition lists depend only on the per-vertex target signature, so
-        # they are shared across counters (e.g. across source multiplicities)
-        self._dist: list[dict[int, tuple[tuple[int, int], ...]]] = [
-            _SHARED_TRANSITIONS.setdefault(sig, {}) for sig in self._targets
-        ]
-        self._memo_wide: dict[tuple, int] = {}
+        heads: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count - 1)]
+        for (a, b), m in sorted(Counter(graph.edges).items()):
+            heads[a - lo].append((b - a, m))
+        # per non-sink vertex, its groups in head order, each as (d, m, d2,
+        # m2, tail): head - vertex and multiplicity, the same for the next
+        # group (0, 0 after the last group), and whether the next is the last
+        self._groups = []
+        for gs in heads:
+            gs.append((0, 0))
+            self._groups.append(tuple(
+                gs[g] + gs[g + 1] + (g + 3 == len(gs),) for g in range(len(gs) - 1)
+            ))
+        self._width = 0
         self._results: dict[tuple[int, ...], int] = {}
 
     def count(self, netflow) -> int:
@@ -90,132 +97,121 @@ class FlowCounter:
         entries = NetflowVector.coerce(netflow).entries
         if len(entries) != self.graph.vertex_count:
             raise ValueError("netflow length does not match the graph")
-        supply = sum(e for e in entries if e > 0)
-        if supply + max(abs(e) for e in entries) >= _PACK_LIMIT:
-            value = self._count_wide(0, entries[:-1])
+        prefix = list(accumulate(entries))
+        if min(prefix) < 0:
+            # a cut would carry negative flow
+            value = 0
         else:
+            # a residual never exceeds the largest prefix sum, nor falls
+            # below the smallest entry; slots come in whole bytes
+            need = 8 * (max(max(prefix), -min(entries)).bit_length() // 8 + 1)
+            if need > self._width:
+                self._width = need
+                self._recursion = self._build(need)
+            width = self._width
+            off = 1 << (width - 1)
             packed = 0
-            for k, e in enumerate(entries[:-1]):
-                packed |= (e + _SLOT_OFFSET) << (_SLOT_BITS * k)
-            value = self._count(0, packed)
+            for k, e in enumerate(entries):
+                packed |= (e + off) << (width * k)
+            value = self._recursion(0, 0, packed)
         self._results[key] = value
         return value
 
-    def _count(self, pos: int, packed: int) -> int:
-        if not packed:
-            return 1
-        b = (packed & _SLOT_MASK) - _SLOT_OFFSET
-        if b < 0:
-            return 0
-        interior, sink_mult = self._targets[pos]
-        if not interior:
-            # all outflow, if any, goes straight to the sink
-            if sink_mult:
-                ways = comb(b + sink_mult - 1, sink_mult - 1)
-            elif b == 0:
-                ways = 1
+    def _build(self, width: int):
+        """The memoized recursion for slots of the given width, with a
+        fresh memo table."""
+        off = 1 << (width - 1)
+        mask = (1 << width) - 1
+        groups_at = self._groups
+        acc = list(accumulate(off << (width * k) for k in range(self.graph.vertex_count)))
+        # packed all-zero residual from each vertex on: only the zero flow is left
+        zero = acc[::-1]
+        # top bits of slots 1..d-1, all set when none of those residuals is negative
+        top_at = [0] + [a - off for a in acc[:-1]]
+        # one table per group; one for a vertex without groups, and the sink's
+        memo_at = [[{} for _ in gs or (0,)] for gs in groups_at] + [[{}]]
+
+        def cuts_hold(packed: int, d: int) -> bool:
+            """Whether slots 1..d-1 have nonnegative prefix sums."""
+            acc = 0
+            for _ in range(d - 1):
+                packed >>= width
+                acc += (packed & mask) - off
+                if acc < 0:
+                    return False
+            return True
+
+        def count(pos: int, g: int, packed: int) -> int:
+            """Flows that send the units left at the vertex at pos (slot 0)
+            into its groups g, g + 1, ..., and finish every later vertex."""
+            memo = memo_at[pos][g]
+            total = memo.get(packed)
+            if total is not None:
+                return total
+            if packed == zero[pos]:
+                memo[packed] = 1
+                return 1
+            b = (packed & mask) - off
+            groups = groups_at[pos]
+            if b <= 0 or not groups:
+                # nothing left to send, or nowhere to send it
+                total = count(pos + 1, 0, packed >> width) if b == 0 else 0
+                memo[packed] = total
+                return total
+            d, m, d2, m2, tail = groups[g]
+            if not g:
+                top = top_at[d]
+                if packed & top != top and not cuts_hold(packed, d):
+                    # a cut in front of the first head is crossed by all of b
+                    memo[packed] = 0
+                    return 0
+            if not d2:
+                # a single group takes everything
+                total = count(pos + 1, 0, (packed + (b << width * d)) >> width)
+                if m > 1:
+                    total *= comb(b + m - 1, m - 1)
+                memo[packed] = total
+                return total
+            # the cuts between this head and the next are crossed by the b - x
+            # units still to be sent: x >= -(sum of slots 1..c-1) at each cut c
+            low = 0
+            top = top_at[d2]
+            if packed & top != top:
+                rest = packed
+                acc = 0
+                for j in range(1, d2):
+                    rest >>= width
+                    acc += (rest & mask) - off
+                    if j >= d and -acc > low:
+                        low = -acc
+            total = 0
+            if tail:
+                # the next group is the last one and takes the rest
+                sh, sh2 = width * d, width * d2
+                nxt = packed - b + (low << sh) + ((b - low) << sh2)
+                step = (1 << sh) - (1 << sh2)
+                if m == m2 == 1:
+                    for _ in range(low, b + 1):
+                        total += count(pos + 1, 0, nxt >> width)
+                        nxt += step
+                else:
+                    for x in range(low, b + 1):
+                        sub = count(pos + 1, 0, nxt >> width)
+                        if sub:
+                            total += sub * comb(x + m - 1, m - 1) * comb(b - x + m2 - 1, m2 - 1)
+                        nxt += step
             else:
-                return 0
-            return ways * self._count(pos + 1, packed >> _SLOT_BITS)
-        key = (packed << 12) | pos
-        memo = self._memo
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        rest = packed >> _SLOT_BITS
-        total = 0
-        count = self._count
-        for delta, weight in self._dist[pos].get(b) or self._transitions(pos, b):
-            sub = count(pos + 1, rest + delta)
-            if sub:
-                total += weight * sub
-        memo[key] = total
-        return total
+                step = (1 << width * d) - 1
+                child = packed + low * step
+                for x in range(low, b + 1):
+                    sub = count(pos, g + 1, child)
+                    if sub:
+                        total += sub * comb(x + m - 1, m - 1) if m > 1 else sub
+                    child += step
+            memo[packed] = total
+            return total
 
-    def _transitions(self, pos: int, b: int) -> tuple[tuple[int, int], ...]:
-        """All ways to send b units out of the vertex at `pos`, grouped by
-        distinct target: (packed suffix increment, edge-level splittings)."""
-        interior, sink_mult = self._targets[pos]
-        out: list[tuple[int, int]] = []
-
-        def rec(idx: int, acc: int, remaining: int, weight: int):
-            if idx == len(interior):
-                if sink_mult:
-                    out.append((acc, weight * comb(remaining + sink_mult - 1, sink_mult - 1)))
-                elif remaining == 0:
-                    out.append((acc, weight))
-                return
-            slot, mult = interior[idx]
-            shift = _SLOT_BITS * slot
-            if idx == len(interior) - 1 and not sink_mult:
-                # last group absorbs the rest
-                rec(idx + 1, acc + (remaining << shift), 0,
-                    weight * (comb(remaining + mult - 1, mult - 1) if mult > 1 else 1))
-                return
-            for x in range(remaining + 1):
-                rec(idx + 1, acc + (x << shift), remaining - x,
-                    weight * (comb(x + mult - 1, mult - 1) if mult > 1 else 1))
-
-        rec(0, 0, b, 1)
-        result = tuple(out)
-        self._dist[pos][b] = result
-        return result
-
-    def _count_wide(self, pos: int, w: tuple[int, ...]) -> int:
-        """Tuple-state recursion for netflows too large to pack."""
-        if not w:
-            return 1
-        b = w[0]
-        if b < 0:
-            return 0
-        interior, sink_mult = self._targets[pos]
-        if not interior:
-            if sink_mult:
-                ways = comb(b + sink_mult - 1, sink_mult - 1)
-            elif b == 0:
-                ways = 1
-            else:
-                return 0
-            return ways * self._count_wide(pos + 1, w[1:])
-        key = (pos, w)
-        hit = self._memo_wide.get(key)
-        if hit is not None:
-            return hit
-        rest = w[1:]
-        total = 0
-        suffix = len(rest)
-        for delta, weight in self._wide_transitions(pos, b, suffix):
-            child = tuple(x + y for x, y in zip(rest, delta))
-            sub = self._count_wide(pos + 1, child)
-            if sub:
-                total += weight * sub
-        self._memo_wide[key] = total
-        return total
-
-    def _wide_transitions(self, pos: int, b: int, suffix: int):
-        interior, sink_mult = self._targets[pos]
-        out = []
-
-        def rec(idx: int, delta: tuple[int, ...], remaining: int, weight: int):
-            if idx == len(interior):
-                if sink_mult:
-                    out.append((delta, weight * comb(remaining + sink_mult - 1, sink_mult - 1)))
-                elif remaining == 0:
-                    out.append((delta, weight))
-                return
-            slot, mult = interior[idx]
-            if idx == len(interior) - 1 and not sink_mult:
-                grown = delta[:slot] + (remaining,) + delta[slot + 1:]
-                rec(idx + 1, grown, 0,
-                    weight * (comb(remaining + mult - 1, mult - 1) if mult > 1 else 1))
-                return
-            for x in range(remaining + 1):
-                grown = delta[:slot] + (x,) + delta[slot + 1:]
-                rec(idx + 1, grown, remaining - x,
-                    weight * (comb(x + mult - 1, mult - 1) if mult > 1 else 1))
-
-        rec(0, (0,) * suffix, b, 1)
-        return out
+        return count
 
 
 def count_flows(inst: FlowInstance, *, memoize: bool = True) -> int:
@@ -351,19 +347,9 @@ def _lagrange_basis(degree: int):
             if s != t:
                 den *= t - s
         denominators.append(den)
-    common = 1
-    for d in denominators:
-        g = _gcd(common, abs(d))
-        common = common // g * abs(d)
-    result = (numerators, denominators, common)
+    result = (numerators, denominators, lcm(*denominators))
     _LAGRANGE_BASIS[degree] = result
     return result
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def ehrhart_polynomial(inst: FlowInstance, *, counter: FlowCounter | None = None) -> EhrhartPolynomial:

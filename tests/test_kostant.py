@@ -1,6 +1,7 @@
 """Brute-force counting oracle, Ehrhart interpolation, normalized volume."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +89,84 @@ class TestCountFlows:
         )
         a = NetflowVector.completing(head)
         assert count_flows(FlowInstance(g, a)) == count_flows(FlowInstance(g, a), memoize=False)
+
+
+def doubled_triangle_count(p: int) -> int:
+    """Flows at netflow (p, 0, -p) on the 3-vertex graph with every edge
+    doubled, by the direct sum over the flow x sent from vertex 1 to 2:
+    (x+1) ways on 1->2, (p-x+1) on 1->3 and (x+1) on 2->3."""
+    return sum((x + 1) ** 2 * (p - x + 1) for x in range(p + 1))
+
+
+DOUBLED_TRIANGLE = DirectedMultigraph(3, ((1, 2), (1, 2), (1, 3), (1, 3), (2, 3), (2, 3)))
+
+
+class TestWideNetflows:
+    """Netflows far above 16 bits per residual, anchored by direct sums."""
+
+    def test_direct_sum_anchor_small(self):
+        for p in range(6):
+            a = (p, 0, -p)
+            assert doubled_triangle_count(p) == count_flows(inst(DOUBLED_TRIANGLE, a), memoize=False)
+
+    def test_wide_count_matches_direct_sum(self):
+        p = 40000  # supply + max|entry| = 80000, far above 32766
+        assert count_flows(inst(DOUBLED_TRIANGLE, (p, 0, -p))) == doubled_triangle_count(p)
+
+    def test_wide_interior_entries(self):
+        # three-vertex multigraph with a nonzero middle entry, both signs
+        g = DirectedMultigraph(3, ((1, 2), (1, 3), (1, 3), (2, 3), (2, 3), (2, 3)))
+        for p, q in ((50000, 7), (50000, -7)):
+            expected = sum(
+                comb(p - x + 1, 1) * comb(x + q + 2, 2) for x in range(max(0, -q), p + 1)
+            )
+            assert count_flows(inst(g, (p, q, -p - q))) == expected
+
+    def test_one_counter_small_wide_small(self):
+        counter = FlowCounter(DOUBLED_TRIANGLE)
+        for p in (3, 35000, 4, 3):
+            assert counter.count((p, 0, -p)) == doubled_triangle_count(p)
+
+
+@st.composite
+def forward_instances(draw):
+    """A forward multigraph on 1-5 vertices, numbered from 0 or 1, with up
+    to five vertex pairs joined by 1-3 parallel edges, in any order; a
+    non-sink vertex may have no out-edge.  The netflow may have negative
+    interior entries and negative prefix sums."""
+    nv = draw(st.integers(1, 5))
+    first = draw(st.sampled_from((0, 1)))
+    pairs = [(i + first, j + first) for i in range(nv) for j in range(i + 1, nv)]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=5, unique=True)) if pairs else []
+    edges = [pair for pair in chosen for _ in range(draw(st.integers(1, 3)))]
+    graph = DirectedMultigraph(nv, tuple(draw(st.permutations(edges))), first_vertex=first)
+    head = draw(st.lists(st.integers(-2, 3), min_size=nv - 1, max_size=nv - 1))
+    return FlowInstance(graph, NetflowVector.completing(head))
+
+
+class TestCutPruneExact:
+    """The counter against plain enumeration off the verify family."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(forward_instances())
+    def test_matches_naive_on_forward_multigraphs(self, instance):
+        counter = FlowCounter(instance.graph)
+        assert counter.count(instance.netflow) == count_flows(instance, memoize=False)
+
+    def test_first_head_past_negative_residuals(self):
+        # the only head of vertex 1 is vertex 4: the check on entering vertex
+        # 1 sums the residuals of vertices 2 and 3, not that of vertex 4,
+        # which vertex 1 supplies
+        g = DirectedMultigraph(5, ((1, 4), (2, 3), (2, 5), (3, 5), (4, 5)))
+        a = NetflowVector((5, 2, -1, -5, -1))
+        assert count_flows(FlowInstance(g, a), memoize=False) == 2
+        assert FlowCounter(g).count(a) == 2
+
+    def test_negative_prefix_sum_is_zero(self):
+        g = DirectedMultigraph(4, ((0, 1), (0, 2), (1, 3), (2, 3), (2, 3)), first_vertex=0)
+        for head in ((1, -2, 2), (0, -1, 1), (2, 1, -4)):
+            a = NetflowVector.completing(head)
+            assert FlowCounter(g).count(a) == count_flows(FlowInstance(g, a), memoize=False) == 0
 
 
 class TestEnumerateFlows:

@@ -1,6 +1,7 @@
 """Closed-form evaluators, coefficients, dominance-constrained compositions."""
 
 from itertools import product
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,31 @@ class TestLidskiiVolume:
             lidskii_volume(DirectedMultigraph(3, ((1, 2), (1, 3))), (1, 0, -1))
         with pytest.raises(ValueError, match="nice chamber"):
             lidskii_volume(complete_graph(4), (1, -1, 1, -1))
+
+
+def catalan(i: int) -> int:
+    return comb(2 * i, i) // (i + 1)
+
+
+class TestVolumeLadders:
+    """Volumes of complete-graph flow polytopes against closed forms that do
+    not use the counter."""
+
+    @pytest.mark.parametrize("nv", range(4, 10))
+    def test_chan_robbins_yuen(self, nv):
+        # unit netflow: prod_{i=1}^{nv-3} Cat(i) (Zeilberger 1999)
+        a = (1,) + (0,) * (nv - 2) + (-1,)
+        expected = prod(catalan(i) for i in range(1, nv - 2))
+        assert lidskii_volume(complete_graph(nv), a) == expected
+
+    @pytest.mark.parametrize("nv", range(4, 10))
+    def test_tesler(self, nv):
+        # all-ones netflow: C(N)! 2^C(N) / prod_{i=1}^{N} i!, N = nv - 1 and
+        # C(N) = N choose 2 (Meszaros-Morales-Rhoades)
+        n = nv - 1
+        c = comb(n, 2)
+        expected = factorial(c) * 2**c // prod(factorial(i) for i in range(1, n + 1))
+        assert lidskii_volume(complete_graph(nv), (1,) * n + (-n,)) == expected
 
 
 class TestLidskiiCount:
