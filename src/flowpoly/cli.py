@@ -10,7 +10,8 @@ Subcommands:
 
 Netflows may be given in full or without the sink entry, which is then
 inferred as minus the sum.  All output is exact: integers in decimal,
-rationals as p/q.
+rationals as p/q.  A library error (bad input, a node cap, the recursion
+limit) prints one `error: ...` line on stderr and exits with code 1.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .lidskii import lidskii_count, lidskii_count_c_form, lidskii_volume
 from .multigraph import DirectedMultigraph, GraphFormatError, NetflowVector, read_graph
 from .reduction import (
     DEFAULT_NODE_CAP,
+    LeafShapeError,
     NodeCapExceeded,
     canonical_reduction_tree,
     census_to_json,
@@ -127,19 +129,15 @@ def cmd_lidskii(args) -> int:
 def cmd_reduce(args) -> int:
     graph = _load_graph(args.graph)
     c = _parse_int_list(args.c, "c") if args.c is not None else None
-    try:
-        if args.emit == "dot":
-            if c is not None:
-                tree = reduction_tree_with_source(graph, c, node_cap=args.node_cap)
-            else:
-                tree = canonical_reduction_tree(graph, node_cap=args.node_cap)
-            print(export_dot(tree), end="")
-            return 0
-        # censuses never hold the tree in memory
-        census = leaf_census(iter_reduction_leaves(graph, c, node_cap=args.node_cap))
-    except (ValueError, NodeCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.emit == "dot":
+        if c is not None:
+            tree = reduction_tree_with_source(graph, c, node_cap=args.node_cap)
+        else:
+            tree = canonical_reduction_tree(graph, node_cap=args.node_cap)
+        print(export_dot(tree), end="")
+        return 0
+    # censuses never hold the tree in memory
+    census = leaf_census(iter_reduction_leaves(graph, c, node_cap=args.node_cap))
     if args.emit == "json":
         print(json.dumps({
             "leaf_count": sum(census.values()),
@@ -155,11 +153,7 @@ def cmd_reduce(args) -> int:
 def cmd_dissect(args) -> int:
     graph = _load_graph(args.graph)
     c = _parse_int_list(args.c, "c")
-    try:
-        cells = unimodular_dissection(graph, c, node_cap=args.node_cap)
-    except (ValueError, NodeCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cells = unimodular_dissection(graph, c, node_cap=args.node_cap)
     if args.emit == "cells":
         payload = [
             {
@@ -181,26 +175,26 @@ def cmd_dissect(args) -> int:
     return 0
 
 
+# The arguments each verify suite takes besides the family bounds; --max-netflow
+# bounds the netflow entries or the c entries.
+SUITE_ARGS = {
+    "eq2": lambda a: {"max_netflow": a.max_netflow, "corrupt": a.debug_corrupt_formula},
+    "eq1": lambda a: {"max_netflow": a.max_netflow, "corrupt": a.debug_corrupt_formula},
+    "thm41": lambda a: {"max_c": a.max_netflow, "corrupt": a.debug_corrupt_formula},
+    "census": lambda a: {"node_cap": a.node_cap},
+    "dissection": lambda a: {"max_c": a.max_netflow, "node_cap": a.node_cap,
+                             "debug_pairwise": a.debug_pairwise_disjoint},
+    "in-vector": lambda a: {"max_c": a.max_netflow},
+}
+
+
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    kwargs = {"max_vertices": args.max_vertices, "max_edges": args.max_edges}
     all_passed = True
     any_instances = 0
     for name in names:
-        fn = SUITES[name]
-        if name == "eq1":
-            result = fn(max_netflow=args.max_netflow, corrupt=args.debug_corrupt_formula, **kwargs)
-        elif name == "eq2":
-            result = fn(max_netflow=args.max_netflow, corrupt=args.debug_corrupt_formula, **kwargs)
-        elif name == "thm41":
-            result = fn(max_c=args.max_netflow, corrupt=args.debug_corrupt_formula, **kwargs)
-        else:
-            result = fn(
-                max_c=args.max_netflow,
-                node_cap=args.node_cap,
-                debug_pairwise=args.debug_pairwise_disjoint,
-                **kwargs,
-            )
+        result = SUITES[name](max_vertices=args.max_vertices, max_edges=args.max_edges,
+                              **SUITE_ARGS[name](args))
         any_instances += result.instances
         print(result.summary())
         for failure in result.failures[:3]:
@@ -270,7 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError as exc:
+        print(f"error: input too deep for the recursion limit ({exc})", file=sys.stderr)
+    except (ArithmeticError, LeafShapeError, NodeCapExceeded, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .kostant import FlowInstance, count_flows, enumerate_flows, normalized_volume_oracle
@@ -178,22 +179,13 @@ def _pivot_columns(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
             v = work[i][j]
             if v:
                 row = [a * pval - v * b for a, b in zip(work[i], prow)]
-                g = 0
-                for x in row:
-                    g = _gcd_int(g, x)
+                g = gcd(*row)
                 work[i] = [x // g for x in row] if g > 1 else row
         pivots.append(j)
         r += 1
         if r == nrows:
             break
     return tuple(pivots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class AmbientLattice:

@@ -1,24 +1,29 @@
 """Closed-form volume and lattice-point evaluators for flow polytopes in
-the nice chamber, as sums over dominance-constrained weak compositions
-weighted by flow counts at shifted netflows.
+the nice chamber, as one sum over dominance-constrained weak compositions
+with three weights.
 
-The three evaluators share the same composition set: weak compositions j of
+The composition set depends only on the graph: the weak compositions j of
 |E| - n (n the number of non-sink vertices) whose prefix sums dominate the
-shifted outdegree vector.  They differ only in the per-composition weight:
+shifted outdegree vector.  Each term is a weight times the flow count at
+the shifted netflow (j - out, 0), which also depends only on the graph.
+LidskiiTerms holds both for one graph: it checks the graph once, lists
+the compositions once, and counts each shifted netflow the first time a
+nonzero weight needs it, so a zero-weight term is never counted.  The
+three formulas differ only in the weight:
 
-  lidskii_volume        multinomial(|E|-n; j) * prod a_i^{j_i}
-  lidskii_count         prod multiset_coeff(a_i - in(i), j_i)
-  lidskii_count_c_form  prod rising_factorial_over_fact(c_i, j_i)
+  volume        multinomial(|E|-n; j) * prod a_i^{j_i}
+  count         prod multiset_coeff(a_i - in(i), j_i)
+  count_c_form  prod rising_factorial_over_fact(c_i, j_i)
 
-Each weight multiplies a flow count at netflow (j - out, 0), delegated to
-the brute-force counter so the formula side and the oracle side stay
-independent.
+lidskii_volume, lidskii_count and lidskii_count_c_form evaluate one
+netflow or c vector on a fresh LidskiiTerms; a caller with many on one
+graph keeps one.  The shifted counts come from the brute-force counter.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
-from typing import Sequence
+from math import comb, factorial, prod
+from typing import Callable, Sequence
 
 from .kostant import FlowCounter
 from .multigraph import DirectedMultigraph, NetflowVector, degree_stats
@@ -116,25 +121,79 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return result
 
 
-def _check_preconditions(graph: DirectedMultigraph, netflow: NetflowVector | None):
-    if not graph.is_connected():
-        raise ValueError("graph must be connected")
-    stats = degree_stats(graph)
-    for v, d in zip(stats.vertices[:-1], stats.outdeg[:-1]):
-        if d == 0:
-            raise ValueError(f"vertex {v} has no outgoing edge")
-    if netflow is not None:
-        if len(netflow) != graph.vertex_count:
+class LidskiiTerms:
+    """The part of the three formulas that depends only on the graph: its
+    dominant compositions and the flow count at each shifted netflow
+    (j - out, 0), counted the first time a nonzero weight needs it and kept
+    for the object's life.  Build one per graph and evaluate any number of
+    netflows or c vectors on it."""
+
+    def __init__(self, graph: DirectedMultigraph, counter: FlowCounter | None = None):
+        if not graph.is_connected():
+            raise ValueError("graph must be connected")
+        stats = degree_stats(graph)
+        for v, d in zip(stats.vertices[:-1], stats.outdeg[:-1]):
+            if d == 0:
+                raise ValueError(f"vertex {v} has no outgoing edge")
+        self.graph = graph
+        self.counter = FlowCounter(graph) if counter is None else counter
+        self.in_shift = stats.in_shift
+        self.out_shift = stats.out_shift
+        self.excess = graph.edge_count - (graph.vertex_count - 1)
+        self.compositions = dominant_compositions(self.excess, self.out_shift)
+        self._shifted: dict[tuple[int, ...], int] = {}
+
+    def shifted_count(self, j: tuple[int, ...]) -> int:
+        """Flow count at netflow (j - out, 0)."""
+        k = self._shifted.get(j)
+        if k is None:
+            netflow = tuple(ji - oi for ji, oi in zip(j, self.out_shift)) + (0,)
+            k = self._shifted[j] = self.counter.count(netflow)
+        return k
+
+    def _sum(self, weight: Callable[[tuple[int, ...]], int]) -> int:
+        total = 0
+        for j in self.compositions:
+            w = weight(j)
+            if w:
+                total += w * self.shifted_count(j)
+        return total
+
+    def _nice_entries(self, netflow) -> tuple[int, ...]:
+        a = NetflowVector.coerce(netflow)
+        if len(a) != self.graph.vertex_count:
             raise ValueError("netflow length does not match the graph")
-        if not netflow.nice_chamber:
-            bad = next(i for i, e in enumerate(netflow.entries[:-1]) if e < 0)
+        if not a.nice_chamber:
+            bad = next(i for i, e in enumerate(a.entries[:-1]) if e < 0)
             raise ValueError(f"netflow entry {bad} is negative; nice chamber required")
-    return stats
+        return a.entries
 
+    def volume(self, netflow) -> int:
+        """Normalized volume of the flow polytope at a nice-chamber netflow."""
+        a = self._nice_entries(netflow)
+        m = self.excess
 
-def _shifted_count(graph, counter, j, out_shift) -> int:
-    netflow = tuple(ji - oi for ji, oi in zip(j, out_shift)) + (0,)
-    return counter.count(netflow)
+        def weight(j):
+            power = prod(map(pow, a, j))
+            return power and power * multinomial(m, j)
+
+        return self._sum(weight)
+
+    def count(self, netflow) -> int:
+        """Number of integer flows at a nice-chamber netflow."""
+        b = tuple(ai - ii for ai, ii in zip(self._nice_entries(netflow), self.in_shift))
+        return self._sum(lambda j: prod(map(multiset_coeff, b, j)))
+
+    def count_c_form(self, c: Sequence[int]) -> int:
+        """Flow count at netflow a_i = indeg(i) - 1 + c_i, written in terms
+        of the positive vector c via rising factorials."""
+        c = tuple(int(x) for x in c)
+        if len(c) != len(self.out_shift):
+            raise ValueError(f"c must have {len(self.out_shift)} entries, got {len(c)}")
+        for i, ci in enumerate(c):
+            if ci < 1:
+                raise ValueError(f"c[{i}] = {ci} must be positive")
+        return self._sum(lambda j: prod(map(rising_factorial_over_fact, c, j)))
 
 
 def lidskii_volume(
@@ -145,20 +204,7 @@ def lidskii_volume(
 ) -> int:
     """Normalized volume of the flow polytope, by the closed formula."""
     a = NetflowVector.coerce(netflow)
-    stats = _check_preconditions(graph, a)
-    out = stats.out_shift
-    n = graph.vertex_count - 1
-    m = graph.edge_count
-    if counter is None:
-        counter = FlowCounter(graph)
-    total = 0
-    for j in dominant_compositions(m - n, out):
-        weight = multinomial(m - n, j)
-        for ai, ji in zip(a.entries, j):
-            weight *= ai**ji
-        if weight:
-            total += weight * _shifted_count(graph, counter, j, out)
-    return total
+    return LidskiiTerms(graph, counter).volume(a)
 
 
 def lidskii_count(
@@ -169,23 +215,7 @@ def lidskii_count(
 ) -> int:
     """Number of integer flows, by the closed formula."""
     a = NetflowVector.coerce(netflow)
-    stats = _check_preconditions(graph, a)
-    out = stats.out_shift
-    in_shift = stats.in_shift
-    n = graph.vertex_count - 1
-    m = graph.edge_count
-    if counter is None:
-        counter = FlowCounter(graph)
-    total = 0
-    for j in dominant_compositions(m - n, out):
-        weight = 1
-        for ai, ii, ji in zip(a.entries, in_shift, j):
-            weight *= multiset_coeff(ai - ii, ji)
-            if not weight:
-                break
-        if weight:
-            total += weight * _shifted_count(graph, counter, j, out)
-    return total
+    return LidskiiTerms(graph, counter).count(a)
 
 
 def lidskii_count_c_form(
@@ -196,26 +226,7 @@ def lidskii_count_c_form(
 ) -> int:
     """Flow count at netflow a_i = indeg(i) - 1 + c_i, written directly in
     terms of the positive vector c via rising factorials."""
-    stats = _check_preconditions(graph, None)
-    n = graph.vertex_count - 1
-    c = tuple(int(x) for x in c)
-    if len(c) != n:
-        raise ValueError(f"c must have {n} entries, got {len(c)}")
-    for i, ci in enumerate(c):
-        if ci < 1:
-            raise ValueError(f"c[{i}] = {ci} must be positive")
-    out = stats.out_shift
-    m = graph.edge_count
-    if counter is None:
-        counter = FlowCounter(graph)
-    total = 0
-    for j in dominant_compositions(m - n, out):
-        weight = 1
-        for ci, ji in zip(c, j):
-            weight *= rising_factorial_over_fact(ci, ji)
-        if weight:
-            total += weight * _shifted_count(graph, counter, j, out)
-    return total
+    return LidskiiTerms(graph, counter).count_c_form(c)
 
 
 def in_plus_c_netflow(graph: DirectedMultigraph, c: Sequence[int]) -> NetflowVector:

@@ -21,6 +21,7 @@ binom(l+r-2, l-1) of them.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -302,9 +303,9 @@ class ReductionTree:
         self.schedule = schedule
 
     def nodes(self) -> Iterator[ReductionTreeNode]:
-        queue = [self.root]
+        queue = deque([self.root])
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             yield node
             queue.extend(node.children)
 

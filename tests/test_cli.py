@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, JSON round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from flowpoly.cli import main
 from flowpoly.multigraph import complete_graph, path_graph, write_graph
 from flowpoly.reduction import census_from_json
+from flowpoly.verify import SUITES
 
 
 @pytest.fixture()
@@ -133,6 +135,17 @@ class TestReduce:
         assert code == 0
         assert out.startswith("digraph reduction_tree")
 
+    def test_dot_k5_unchanged(self, capsys, tmp_path):
+        # pins the breadth-first node order of ReductionTree.nodes(), which
+        # numbers the DOT nodes
+        path = tmp_path / "k5.graph"
+        write_graph(complete_graph(5), path)
+        code, out, _ = run(capsys, ["reduce", "--graph", str(path), "--emit", "dot"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f570f7671150e902e721b65fdedc880d2e3e8a711dd67ebfdeb6534c1ceb208c"
+        )
+
     def test_node_cap_aborts_cleanly(self, capsys, k4_file):
         code, out, err = run(capsys, ["reduce", "--graph", k4_file, "--node-cap", "2"])
         assert code == 1
@@ -193,4 +206,42 @@ class TestVerify:
              "--max-netflow", "1"],
         )
         assert code == 0
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 6
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_each_suite_runs(self, capsys, suite):
+        code, out, _ = run(
+            capsys,
+            ["verify", "--suite", suite, "--max-vertices", "3", "--max-edges", "4",
+             "--max-netflow", "2"],
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"PASS {suite} (")
+
+
+class TestErrors:
+    """Library errors end in one `error:` line on stderr and exit code 1."""
+
+    def test_recursion_limit(self, capsys, tmp_path):
+        path = tmp_path / "path3000.graph"
+        write_graph(path_graph(3000), path)
+        netflow = ",".join(["1"] + ["0"] * 2998 + ["-1"])
+        code, out, err = run(capsys, ["kostant", "--graph", str(path), "--netflow", netflow])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "recursion" in err
+
+    def test_node_cap_in_verify(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["verify", "--suite", "census", "--max-vertices", "4", "--node-cap", "1"],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "node cap" in err
+
+    def test_value_error(self, capsys, k4_file):
+        code, _, err = run(capsys, ["dissect", "--graph", k4_file, "--c", "1,0,1"])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowpoly.kostant import FlowCounter, FlowInstance, count_flows
 from flowpoly.lidskii import (
+    LidskiiTerms,
     dominant_compositions,
     dominates,
     in_plus_c_netflow,
@@ -183,6 +184,76 @@ class TestCForm:
             for c in product((1, 2, 3), repeat=n):
                 a = in_plus_c_netflow(g, c)
                 assert lidskii_count_c_form(g, c, counter=counter) == lidskii_count(g, a, counter=counter)
+
+
+class _SpyCounter(FlowCounter):
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.asked = []
+
+    def count(self, netflow):
+        self.asked.append(tuple(netflow))
+        return super().count(netflow)
+
+
+class TestLidskiiTerms:
+    def test_agrees_with_wrappers_and_counter(self):
+        # one object per graph across every netflow and c vector, so a
+        # stale or misplaced shifted count would show
+        for g in iter_family(4, 6):
+            terms = LidskiiTerms(g)
+            counter = FlowCounter(g)
+            n = g.vertex_count - 1
+            for head in product(range(3), repeat=n):
+                a = NetflowVector.completing(head)
+                count = terms.count(a)
+                assert count == lidskii_count(g, a) == counter.count(a)
+                assert terms.volume(a) == lidskii_volume(g, a)
+            for c in product((1, 2), repeat=n):
+                value = terms.count_c_form(c)
+                assert value == lidskii_count_c_form(g, c)
+                assert value == counter.count(in_plus_c_netflow(g, c))
+
+    def test_shifted_counts_match_direct(self):
+        g = complete_graph(4)
+        terms = LidskiiTerms(g)
+        assert terms.compositions == [(2, 1, 0), (3, 0, 0)]
+        counter = FlowCounter(g)
+        for j in terms.compositions:
+            shifted = tuple(ji - oi for ji, oi in zip(j, (2, 1, 0))) + (0,)
+            assert terms.shifted_count(j) == counter.count(shifted)
+
+    @pytest.mark.parametrize("nv", range(5, 9))
+    def test_zero_weights_are_never_counted(self, nv):
+        # at the unit netflow only the composition (|E|-n, 0, ..., 0) has a
+        # nonzero volume weight
+        g = complete_graph(nv)
+        spy = _SpyCounter(g)
+        a = (1,) + (0,) * (nv - 2) + (-1,)
+        assert lidskii_volume(g, a, counter=spy) == prod(catalan(i) for i in range(1, nv - 2))
+        assert len(spy.asked) == 1
+
+    def test_shifted_counts_are_kept(self):
+        g = complete_graph(5)
+        spy = _SpyCounter(g)
+        terms = LidskiiTerms(g, spy)
+        first = terms.volume((1, 1, 1, 1, -4))
+        asked = len(spy.asked)
+        assert asked == len(terms.compositions)
+        assert terms.volume((1, 1, 1, 1, -4)) == first
+        terms.count((1, 1, 1, 1, -4))
+        assert len(spy.asked) == asked
+
+    def test_per_call_checks(self):
+        terms = LidskiiTerms(complete_graph(4))
+        with pytest.raises(ValueError, match="length"):
+            terms.volume((1, -1))
+        with pytest.raises(ValueError, match="nice chamber"):
+            terms.count((1, -1, 1, -1))
+        with pytest.raises(ValueError, match="3 entries"):
+            terms.count_c_form((1, 1))
+        with pytest.raises(ValueError, match="positive"):
+            terms.count_c_form((1, 0, 1))
 
 
 @settings(deadline=None, max_examples=30)
