@@ -31,6 +31,7 @@ from .reduction import (
     NodeCapExceeded,
     canonical_reduction_tree,
     census_to_json,
+    dissection_cell_counts,
     export_dot,
     iter_reduction_leaves,
     leaf_census,
@@ -153,7 +154,6 @@ def cmd_reduce(args) -> int:
 def cmd_dissect(args) -> int:
     graph = _load_graph(args.graph)
     c = _parse_int_list(args.c, "c")
-    cells = unimodular_dissection(graph, c, node_cap=args.node_cap)
     if args.emit == "cells":
         payload = [
             {
@@ -161,17 +161,15 @@ def cmd_dissect(args) -> int:
                 "leaf_composition": list(cell.leaf_composition),
                 "vertices": [list(v) for v in cell.vertices],
             }
-            for cell in cells
+            for cell in unimodular_dissection(graph, c, node_cap=args.node_cap)
         ]
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    by_leaf: dict[tuple[int, tuple[int, ...]], int] = {}
-    for cell in cells:
-        key = (cell.leaf_index, cell.leaf_composition)
-        by_leaf[key] = by_leaf.get(key, 0) + 1
-    print(f"cells: {len(cells)}")
-    for (leaf, comp), count in sorted(by_leaf.items()):
-        print(f"  leaf {leaf} composition {comp}: {count} cells")
+    # the summary counts the cells of each leaf shape without building them
+    counts = dissection_cell_counts(graph, c, node_cap=args.node_cap)
+    print(f"cells: {sum(cells for _, _, cells in counts)}")
+    for leaf, comp, cells in counts:
+        print(f"  leaf {leaf} composition {comp}: {cells} cells")
     return 0
 
 

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .geometry import SimplexCell, path_flow_vertices
 from .multigraph import DirectedMultigraph, attach_source, degree_stats
@@ -404,10 +404,13 @@ def iter_reduction_leaves(
     c: Sequence[int] | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
+    _budget: _Budget | None = None,
 ) -> Iterator[ProvenancedGraph]:
     """Leaves of the canonical reduction tree (or its source-augmented
     variant when c is given), streamed depth first in the same order the
-    materialized tree would produce, without storing the tree."""
+    materialized tree would produce, without storing the tree.  _budget,
+    when given, replaces node_cap so that a caller's later stages draw on
+    the same budget as the walk."""
     if graph.first_vertex != 1:
         raise ValueError("expected a graph on vertices 1..n+1")
     _require_reducible(graph)
@@ -418,7 +421,7 @@ def iter_reduction_leaves(
         root = ProvenancedGraph.as_root(attach_source(graph, c))
         skip_source = True
     schedule = _schedule(root.graph)
-    budget = _Budget(node_cap)
+    budget = _Budget(node_cap) if _budget is None else _budget
     budget.spend()
 
     def walk(node: ProvenancedGraph, depth: int) -> Iterator[ProvenancedGraph]:
@@ -499,6 +502,109 @@ def zero_vertex_dissection_children(node: ProvenancedGraph, vertex: int) -> list
     return children
 
 
+class _LeafShape(NamedTuple):
+    """Zero-vertex dissection of the leaf shape (c, j), in the coordinates
+    of the shape graph's edges."""
+
+    edges: tuple[tuple[int, int], ...]
+    # per cell, per terminal edge: the shape edges it sums
+    terminals: tuple[tuple[frozenset[int], ...], ...]
+    # per cell, per vertex: the shape edges on the vertex's path
+    paths: tuple[tuple[tuple[int, ...], ...], ...]
+    # nodes made by the reductions at vertex 1, 2, ..., n
+    stage_nodes: tuple[int, ...]
+
+
+@lru_cache(maxsize=4096)
+def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> _LeafShape:
+    """Run the zero-entry reductions at the vertices 1..n in increasing
+    order on the shape graph of every source-tree leaf with composition j:
+    c_i edges (0, i) and j_i + 1 edges (i, sink), in canonical order.  The
+    cap bounds the nodes made here, so a shape too large for any run is
+    never built in full."""
+    n = len(c)
+    sink = n + 1
+    edges = tuple((0, i) for i, ci in enumerate(c, 1) for _ in range(ci)) + tuple(
+        (i, sink) for i, ji in enumerate(j, 1) for _ in range(ji + 1)
+    )
+    budget = _Budget(node_cap)
+    terminals = [ProvenancedGraph.as_root(DirectedMultigraph(n + 2, edges, first_vertex=0))]
+    stage_nodes = []
+    for vertex in range(1, n + 1):
+        nxt = []
+        for node in terminals:
+            children = zero_vertex_dissection_children(node, vertex)
+            budget.spend(len(children))
+            nxt.extend(children)
+        terminals = nxt
+        stage_nodes.append(len(terminals))
+    paths = []
+    for t in terminals:
+        summed = [sorted(s) for s in t.provenance]
+        paths.append(tuple(
+            tuple(k for e, used in enumerate(v) if used for k in summed[e])
+            for v in path_flow_vertices(t)
+        ))
+    return _LeafShape(edges, tuple(t.provenance for t in terminals), tuple(paths), tuple(stage_nodes))
+
+
+def _dissected_leaves(
+    graph: DirectedMultigraph, c: Sequence[int], node_cap: int
+) -> Iterator[tuple[int, ProvenancedGraph, tuple[int, ...], _LeafShape]]:
+    """Leaves of the source reduction tree with their index, composition
+    and shape dissection.  The walk and every leaf's share of the shape
+    nodes draw on one budget."""
+    c = tuple(int(x) for x in c)
+    budget = _Budget(node_cap)
+    for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, c, _budget=budget)):
+        composition = _leaf_composition(leaf.graph)
+        shape = _shape_dissection(c, composition, node_cap)
+        if leaf.graph.edges != shape.edges:
+            raise LeafShapeError(
+                f"leaf {leaf_index} edges differ from those of its shape c={c}, j={composition}"
+            )
+        budget.spend(sum(shape.stage_nodes))
+        yield leaf_index, leaf, composition, shape
+
+
+def _push_forward(
+    leaf: ProvenancedGraph, shape: _LeafShape
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]]]:
+    """The shape's cells in the root coordinates of one leaf, as (vertices,
+    edge_sources).  The leaf edges a terminal edge sums must have disjoint
+    provenance, as in reduce_at_vertex."""
+    sources = leaf.provenance
+    size = leaf.root.edge_count
+    united: dict[frozenset[int], frozenset[int]] = {}
+    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def unite(s: frozenset[int]) -> frozenset[int]:
+        if s not in united:
+            out: frozenset[int] = frozenset()
+            for k in sorted(s):
+                if out & sources[k]:
+                    raise ValueError(
+                        f"provenance of leaf edge {k} overlaps the edges it is summed with; "
+                        "a root edge cannot repeat along a path"
+                    )
+                out |= sources[k]
+            united[s] = out
+        return united[s]
+
+    def vector(path: tuple[int, ...]) -> tuple[int, ...]:
+        if path not in vectors:
+            vec = [0] * size
+            for k in path:
+                for d in sources[k]:
+                    vec[d] += 1
+            vectors[path] = tuple(vec)
+        return vectors[path]
+
+    for terminal, paths in zip(shape.terminals, shape.paths):
+        edge_sources = tuple(unite(s) for s in terminal)
+        yield tuple(vector(p) for p in paths), edge_sources
+
+
 def unimodular_dissection(
     graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int = DEFAULT_NODE_CAP
 ) -> list[SimplexCell]:
@@ -507,32 +613,32 @@ def unimodular_dissection(
     of the source reduction tree, then run zero-entry reductions at the
     vertices 1..n in increasing order; each terminal graph contributes one
     cell whose vertices are the path indicator flows pushed back into the
-    root's edge coordinates."""
-    n = graph.vertex_count - 1
+    root's edge coordinates.  The zero-entry reductions run once per leaf
+    shape (c, j) and reach each leaf through its provenance."""
     cells: list[SimplexCell] = []
-    budget = _Budget(node_cap)
-    for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, c, node_cap=node_cap)):
-        composition = _leaf_composition(leaf.graph)
-        terminals = [leaf]
-        for vertex in range(1, n + 1):
-            nxt = []
-            for node in terminals:
-                children = zero_vertex_dissection_children(node, vertex)
-                budget.spend(len(children))
-                nxt.extend(children)
-            terminals = nxt
-        for terminal in terminals:
-            pm = phi_map(terminal)
-            vertices = tuple(pm.apply(v) for v in path_flow_vertices(terminal))
+    for leaf_index, leaf, composition, shape in _dissected_leaves(graph, c, node_cap):
+        for vertices, edge_sources in _push_forward(leaf, shape):
             cells.append(
                 SimplexCell(
                     vertices=vertices,
                     leaf_index=leaf_index,
                     leaf_composition=composition,
-                    edge_sources=terminal.provenance,
+                    edge_sources=edge_sources,
                 )
             )
     return cells
+
+
+def dissection_cell_counts(
+    graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int = DEFAULT_NODE_CAP
+) -> list[tuple[int, tuple[int, ...], int]]:
+    """(leaf index, composition, cell count) per source-tree leaf of
+    unimodular_dissection, under the same node budget, without building
+    the cells."""
+    return [
+        (leaf_index, composition, len(shape.terminals))
+        for leaf_index, _, composition, shape in _dissected_leaves(graph, c, node_cap)
+    ]
 
 
 # --- DOT export ----------------------------------------------------------------

@@ -172,6 +172,38 @@ class TestDissect:
         dim = 13 - 5 + 1
         assert all(len(c["vertices"]) == dim + 1 for c in cells)
 
+    def test_cells_k4_unchanged(self, capsys, k4_file):
+        # pins the cells, their order and their leaves against the per-leaf
+        # dissection that preceded the leaf-shape cache
+        code, out, _ = run(
+            capsys, ["dissect", "--graph", k4_file, "--c", "3,2,2", "--emit", "cells"]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "910562c70d2377dfb8c386ff68686e4ce1caac75cc18280207ab29c0d30effc9"
+        )
+
+    def test_summary_k6_unchanged(self, capsys, tmp_path):
+        # the summary counts cells per leaf shape without building them; its
+        # output is that of counting the built cells
+        path = tmp_path / "k6.graph"
+        write_graph(complete_graph(6), path)
+        code, out, _ = run(capsys, ["dissect", "--graph", str(path), "--c", "2,2,2,2,2"])
+        assert code == 0
+        assert out.startswith("cells: 5880\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "4ad5c7c3b3788e7fb66658ba4da35a4c02f9e525cbb9410ba7933c08c6da78b2"
+        )
+
+    def test_node_cap_counts_walk_and_dissection(self, capsys, k4_file):
+        # 4 walk nodes and 60 dissection nodes: one budget for both
+        for emit in ("summary", "cells"):
+            argv = ["dissect", "--graph", k4_file, "--c", "3,2,2", "--emit", emit]
+            code, _, err = run(capsys, argv + ["--node-cap", "60"])
+            assert code == 1 and "node cap" in err
+            code, _, _ = run(capsys, argv + ["--node-cap", "64"])
+            assert code == 0
+
 
 class TestVerify:
     def test_small_bounds_pass(self, capsys):

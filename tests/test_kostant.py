@@ -1,7 +1,8 @@
 """Brute-force counting oracle, Ehrhart interpolation, normalized volume."""
 
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,13 @@ from flowpoly.kostant import (
     enumerate_flows,
     normalized_volume_oracle,
 )
-from flowpoly.multigraph import DirectedMultigraph, NetflowVector, complete_graph, path_graph
+from flowpoly.multigraph import (
+    DirectedMultigraph,
+    NetflowVector,
+    build_gm,
+    complete_graph,
+    path_graph,
+)
 from flowpoly.verify import iter_family
 
 
@@ -89,6 +96,20 @@ class TestCountFlows:
         )
         a = NetflowVector.completing(head)
         assert count_flows(FlowInstance(g, a)) == count_flows(FlowInstance(g, a), memoize=False)
+
+
+class TestBuildGmLadder:
+    """Flows on build_gm(m) split each a_i freely over m_i parallel edges,
+    so the count is prod_i binom(a_i + m_i - 1, m_i - 1)."""
+
+    def test_count_is_product_of_binomials(self):
+        for n in (1, 2, 3):
+            for m in product(range(1, 4), repeat=n):
+                g = build_gm(m)
+                for a in product(range(4), repeat=n):
+                    expected = prod(comb(ai + mi - 1, mi - 1) for ai, mi in zip(a, m))
+                    netflow = NetflowVector.completing(a)
+                    assert count_flows(FlowInstance(g, netflow)) == expected, (m, a)
 
 
 def doubled_triangle_count(p: int) -> int:

@@ -1,11 +1,15 @@
 """Noncrossing trees, reductions, reduction trees, censuses, dissection."""
 
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowpoly import reduction
+from flowpoly.geometry import SimplexCell, path_flow_vertices
 from flowpoly.kostant import FlowInstance, count_flows, enumerate_flows
+from flowpoly.lidskii import multiset_coeff
 from flowpoly.multigraph import (
     DirectedMultigraph,
     NetflowVector,
@@ -23,6 +27,7 @@ from flowpoly.reduction import (
     canonical_reduction_tree,
     census_from_json,
     census_to_json,
+    dissection_cell_counts,
     enumerate_noncrossing_trees,
     export_dot,
     iter_reduction_leaves,
@@ -33,6 +38,7 @@ from flowpoly.reduction import (
     unimodular_dissection,
     zero_vertex_dissection_children,
 )
+from flowpoly.verify import iter_family
 
 
 def worked_example_root():
@@ -332,6 +338,114 @@ class TestUnimodularDissection:
                 assert set(v) <= {0, 1}
 
 
+def reference_dissection(graph, c):
+    """Per-leaf dissection with no shape cache: every leaf of the source
+    tree runs its own zero-entry reductions at the vertices 1..n, and each
+    terminal's path indicator flows go through its own coordinate map.
+    Also returns the nodes made by those reductions."""
+    n = graph.vertex_count - 1
+    cells = []
+    nodes = 0
+    for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, c)):
+        (composition,) = leaf_census([leaf])
+        terminals = [leaf]
+        for vertex in range(1, n + 1):
+            terminals = [
+                child for node in terminals for child in zero_vertex_dissection_children(node, vertex)
+            ]
+            nodes += len(terminals)
+        for terminal in terminals:
+            pm = phi_map(terminal)
+            vertices = tuple(pm.apply(v) for v in path_flow_vertices(terminal))
+            cells.append(SimplexCell(vertices, leaf_index, composition, terminal.provenance))
+    return cells, nodes
+
+
+def catalan(i):
+    return comb(2 * i, i) // (i + 1)
+
+
+class TestShapeCache:
+    """unimodular_dissection dissects each leaf shape (c, j) once and maps
+    the cells into every leaf of that shape."""
+
+    def test_equals_reference_on_family(self):
+        instances = 0
+        for g in iter_family(4, 6):
+            for c in product((1, 2), repeat=g.vertex_count - 1):
+                assert unimodular_dissection(g, c) == reference_dissection(g, c)[0], (g.edges, c)
+                instances += 1
+        assert instances == 1488
+
+    def test_equals_reference_k5(self):
+        g, c = complete_graph(5), (3, 1, 2, 2)
+        assert unimodular_dissection(g, c) == reference_dissection(g, c)[0]
+
+    def test_cell_counts_are_multiset_products(self):
+        for g, c in ((complete_graph(4), (3, 2, 2)), (complete_graph(5), (3, 1, 2, 2)),
+                     (path_graph(3), (2, 3))):
+            counts = dissection_cell_counts(g, c)
+            for leaf_index, composition, cells in counts:
+                assert cells == prod(multiset_coeff(ci, ji) for ci, ji in zip(c, composition))
+            per_leaf = {}
+            for cell in unimodular_dissection(g, c):
+                key = (cell.leaf_index, cell.leaf_composition)
+                per_leaf[key] = per_leaf.get(key, 0) + 1
+            assert [((leaf, comp), cells) for leaf, comp, cells in counts] == list(per_leaf.items())
+
+    def test_k6_total_is_catalan_product(self):
+        counts = dissection_cell_counts(complete_graph(6), (2,) * 5)
+        assert len(counts) == 140
+        assert sum(cells for _, _, cells in counts) == prod(catalan(i) for i in range(1, 6)) == 5880
+
+    def test_leaf_edges_must_match_shape(self, monkeypatch):
+        real = iter_reduction_leaves
+
+        def reversed_leaves(graph, c, **kwargs):
+            for leaf in real(graph, c, **kwargs):
+                g = leaf.graph
+                flipped = DirectedMultigraph(g.vertex_count, g.edges[::-1], g.first_vertex)
+                yield ProvenancedGraph(flipped, leaf.provenance[::-1], leaf.root)
+
+        monkeypatch.setattr(reduction, "iter_reduction_leaves", reversed_leaves)
+        with pytest.raises(LeafShapeError):
+            unimodular_dissection(complete_graph(4), (1, 1, 1))
+        with pytest.raises(LeafShapeError):
+            dissection_cell_counts(complete_graph(4), (1, 1, 1))
+
+    def test_overlapping_provenance_rejected(self, monkeypatch):
+        # path 1 -> 2 with c = (1,): the leaf is the root, edges (0,1), (1,2),
+        # and the dissection sums them into one edge (0,2)
+        def overlapping_leaves(graph, c, **kwargs):
+            (leaf,) = iter_reduction_leaves(graph, c)
+            yield ProvenancedGraph(leaf.graph, (frozenset((0, 1)), frozenset((1,))), leaf.root)
+
+        monkeypatch.setattr(reduction, "iter_reduction_leaves", overlapping_leaves)
+        with pytest.raises(ValueError, match="overlap"):
+            unimodular_dissection(path_graph(2), (1,))
+
+
+class TestDissectionBudget:
+    """The leaf walk and the zero-entry reductions share one node budget."""
+
+    def test_walk_plus_dissection_exceed_cap(self):
+        g, c = complete_graph(4), (3, 2, 2)
+        walk = reduction_tree_with_source(g, c).node_count
+        _, dissection = reference_dissection(g, c)
+        assert (walk, dissection) == (4, 60)
+        cap = max(walk, dissection)
+        for fn in (unimodular_dissection, dissection_cell_counts):
+            with pytest.raises(NodeCapExceeded):
+                fn(g, c, node_cap=cap)
+            with pytest.raises(NodeCapExceeded):
+                fn(g, c, node_cap=walk + dissection - 1)
+            assert fn(g, c, node_cap=walk + dissection)
+
+    def test_walk_alone_exceeds_cap(self):
+        with pytest.raises(NodeCapExceeded):
+            dissection_cell_counts(complete_graph(5), (1, 1, 1, 1), node_cap=3)
+
+
 class TestDotExport:
     def test_contains_nodes_and_arcs(self):
         tree = canonical_reduction_tree(complete_graph(4))
@@ -348,8 +462,6 @@ def test_reduction_preserves_flow_counts(data):
     the parent count for nice netflows (subdivision, counted via interiors
     is not available; here we check the union property for counts at
     strictly positive netflow via inclusion of distinct images)."""
-    from flowpoly.verify import iter_family
-
     graphs = [g for g in iter_family(4, 6) if g.vertex_count >= 3]
     g = data.draw(st.sampled_from(graphs))
     node = ProvenancedGraph.as_root(g)
