@@ -538,14 +538,23 @@ def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> 
             nxt.extend(children)
         terminals = nxt
         stage_nodes.append(len(terminals))
+    # The cells repeat few distinct edge sets and paths; the cached shape
+    # keeps one object per distinct value, so that what it holds for the
+    # life of the process is small and no later run depends on which
+    # shapes an earlier one left behind.
+    shared: dict = {}
     paths = []
     for t in terminals:
         summed = [sorted(s) for s in t.provenance]
         paths.append(tuple(
-            tuple(k for e, used in enumerate(v) if used for k in summed[e])
-            for v in path_flow_vertices(t)
+            shared.setdefault(p, p)
+            for p in (
+                tuple(k for e, used in enumerate(v) if used for k in summed[e])
+                for v in path_flow_vertices(t)
+            )
         ))
-    return _LeafShape(edges, tuple(t.provenance for t in terminals), tuple(paths), tuple(stage_nodes))
+    provenance = tuple(tuple(shared.setdefault(s, s) for s in t.provenance) for t in terminals)
+    return _LeafShape(edges, provenance, tuple(paths), tuple(stage_nodes))
 
 
 def _dissected_leaves(

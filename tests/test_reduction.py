@@ -398,6 +398,15 @@ class TestShapeCache:
         assert len(counts) == 140
         assert sum(cells for _, _, cells in counts) == prod(catalan(i) for i in range(1, 6)) == 5880
 
+    def test_cached_shape_shares_repeated_values(self):
+        # The cache outlives every call; repeated edge sets and paths are
+        # held once, so what a run leaves in it stays small.
+        shape = reduction._shape_dissection((2,) * 5, (0, 1, 1, 1, 2), reduction.DEFAULT_NODE_CAP)
+        assert len(shape.terminals) == prod(multiset_coeff(2, k) for k in (0, 1, 1, 1, 2))
+        for part in (shape.terminals, shape.paths):
+            held = [value for cell in part for value in cell]
+            assert len({id(value) for value in held}) == len(set(held)) < len(held)
+
     def test_leaf_edges_must_match_shape(self, monkeypatch):
         real = iter_reduction_leaves
 
