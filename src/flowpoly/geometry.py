@@ -204,25 +204,6 @@ class AmbientLattice:
             raise ArithmeticError("degenerate lattice basis")
 
 
-def simplex_is_unimodular(
-    vertices: Sequence[Sequence[int]], lattice_basis: Sequence[Sequence[int]]
-) -> bool:
-    """True when the simplex spanned by the vertices is a smallest simplex
-    of the lattice generated by the given basis rows."""
-    d = len(lattice_basis)
-    if len(vertices) != d + 1:
-        raise ValueError(f"simplex has {len(vertices)} vertices, lattice rank is {d}")
-    if d == 0:
-        return True
-    pivots = _pivot_columns(lattice_basis)
-    if len(pivots) != d:
-        raise ValueError("lattice basis rows are dependent")
-    base = abs(_det_bareiss([[row[j] for j in pivots] for row in lattice_basis]))
-    v0 = vertices[0]
-    diff_rows = [[v[j] - v0[j] for j in pivots] for v in vertices[1:]]
-    return abs(_det_bareiss(diff_rows)) == base
-
-
 def is_unimodular(
     cell: SimplexCell, ambient: FlowInstance, *, lattice: AmbientLattice | None = None
 ) -> bool:

@@ -13,7 +13,7 @@ three formulas differ only in the weight:
 
   volume        multinomial(|E|-n; j) * prod a_i^{j_i}
   count         prod multiset_coeff(a_i - in(i), j_i)
-  count_c_form  prod rising_factorial_over_fact(c_i, j_i)
+  count_c_form  prod multiset_coeff(c_i, j_i)
 
 lidskii_volume, lidskii_count and lidskii_count_c_form evaluate one
 netflow or c vector on a fresh LidskiiTerms; a caller with many on one
@@ -32,6 +32,7 @@ from .multigraph import DirectedMultigraph, NetflowVector, degree_stats
 def multiset_coeff(n: int, k: int) -> int:
     """binom(n+k-1, k) in the generalized sense n(n+1)...(n+k-1) / k!.
 
+    It is also the c-form weight c(c+1)...(c+j-1) / j! at n = c, k = j.
     For n >= 1 this counts multisets of size k from n types.  For n <= 0 it
     is zero when the rising product crosses zero and signed otherwise
     (e.g. n=-1, k=1 gives -1); those signed values are exactly what keeps
@@ -48,22 +49,6 @@ def multiset_coeff(n: int, k: int) -> int:
     for t in range(k):
         prod *= n + t
     return prod // factorial(k)
-
-
-def rising_factorial_over_fact(c: int, j: int) -> int:
-    """c(c+1)...(c+j-1) / j!, the rising factorial normalized by j!.
-    Identical to multiset_coeff(c, j) for every integer c (cross-asserted in
-    the tests); kept as its own entry point because the c-form count
-    evaluator is stated in these terms."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    prod = 1
-    for t in range(j):
-        prod *= c + t
-    quot, rem = divmod(prod, factorial(j))
-    if rem:
-        raise ArithmeticError(f"rising factorial {prod} not divisible by {j}!")
-    return quot
 
 
 def dominates(parts: Sequence[int], lower: Sequence[int]) -> bool:
@@ -193,7 +178,7 @@ class LidskiiTerms:
         for i, ci in enumerate(c):
             if ci < 1:
                 raise ValueError(f"c[{i}] = {ci} must be positive")
-        return self._sum(lambda j: prod(map(rising_factorial_over_fact, c, j)))
+        return self._sum(lambda j: prod(map(multiset_coeff, c, j)))
 
 
 def lidskii_volume(

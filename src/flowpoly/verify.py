@@ -3,11 +3,14 @@
 The family for a given bound is every connected multigraph on 3 up to
 max_vertices vertices with at most max_edges edges, per-pair multiplicity
 at most mult_cap, and at least one outgoing edge at every non-sink vertex.
-Each suite walks the family, compares a closed-form evaluator against the
-brute-force counter (or runs the full dissection reports), and collects
-counterexamples.  The formula side keeps one LidskiiTerms per graph, so the
-graph checks, the dominant compositions and the shifted counts are done
-once per graph rather than once per instance.
+One family walk, _run_family, serves every suite: it counts the
+instances and collects the counterexamples.  A suite gives it a title
+and, per graph, a generator over its parameter box that compares a
+closed-form evaluator against the brute-force counter (or runs the full
+dissection reports) and yields None for a passing instance or the
+counterexample's fields.  The formula side keeps one LidskiiTerms per
+graph, so the graph checks, the dominant compositions and the shifted
+counts are done once per graph rather than once per instance.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .lidskii import LidskiiTerms, in_plus_c_netflow
 # the evaluators stay importable from this module
 from .lidskii import lidskii_count, lidskii_count_c_form, lidskii_volume  # noqa: F401
 from .multigraph import DirectedMultigraph, NetflowVector
-from .reduction import DEFAULT_NODE_CAP, canonical_reduction_tree, leaf_census
+from .reduction import DEFAULT_NODE_CAP, iter_reduction_leaves, leaf_census
 
 
 def iter_family(
@@ -74,124 +77,98 @@ def _graph_payload(graph: DirectedMultigraph) -> dict:
     return {"vertices": graph.vertex_count, "edges": [list(e) for e in graph.edges]}
 
 
+def _box(graph: DirectedMultigraph, low: int, high: int):
+    """Every vector of graph.vertex_count - 1 entries in low..high."""
+    return product(range(low, high + 1), repeat=graph.vertex_count - 1)
+
+
+def _run_family(
+    title: str,
+    max_vertices: int,
+    max_edges: int,
+    instances: Callable[[DirectedMultigraph], Iterator[dict | None]],
+) -> SuiteResult:
+    """Walk the family; instances(graph) yields None for each passing
+    instance and the counterexample's fields for each failing one."""
+    result = SuiteResult(title)
+    for graph in iter_family(max_vertices, max_edges):
+        for failure in instances(graph):
+            result.instances += 1
+            if failure is not None:
+                result.failures.append({"graph": _graph_payload(graph), **failure})
+    return result
+
+
 def run_eq2_suite(
-    max_vertices: int = 5,
-    max_edges: int = 8,
-    max_netflow: int = 3,
-    *,
-    corrupt: bool = False,
-    progress: Callable[[int], None] | None = None,
+    max_vertices: int = 5, max_edges: int = 8, max_netflow: int = 3, *, corrupt: bool = False
 ) -> SuiteResult:
     """Closed-form lattice-point count against the brute-force count, over
     every nice-chamber netflow with entries 0..max_netflow."""
-    result = SuiteResult("eq2 (lattice-point formula)")
-    for graph in iter_family(max_vertices, max_edges):
+
+    def instances(graph):
         terms = LidskiiTerms(graph)
-        n = graph.vertex_count - 1
-        for head in product(range(max_netflow + 1), repeat=n):
+        for head in _box(graph, 0, max_netflow):
             a = NetflowVector.completing(head)
-            formula = terms.count(a)
-            if corrupt:
-                formula += 1
+            formula = terms.count(a) + int(corrupt)
             direct = terms.counter.count(a)
-            result.instances += 1
-            if formula != direct:
-                result.failures.append(
-                    {"graph": _graph_payload(graph), "netflow": list(a.entries),
-                     "formula": formula, "count": direct}
-                )
-            if progress and result.instances % 50000 == 0:
-                progress(result.instances)
-    return result
+            yield None if formula == direct else {
+                "netflow": list(a.entries), "formula": formula, "count": direct}
+
+    return _run_family("eq2 (lattice-point formula)", max_vertices, max_edges, instances)
 
 
 def run_eq1_suite(
-    max_vertices: int = 5,
-    max_edges: int = 8,
-    max_netflow: int = 3,
-    *,
-    corrupt: bool = False,
-    progress: Callable[[int], None] | None = None,
+    max_vertices: int = 5, max_edges: int = 8, max_netflow: int = 3, *, corrupt: bool = False
 ) -> SuiteResult:
     """Closed-form volume against the Ehrhart-interpolation volume, over
     strictly positive netflows with entries 1..max_netflow."""
-    result = SuiteResult("eq1 (volume formula)")
-    for graph in iter_family(max_vertices, max_edges):
+
+    def instances(graph):
         terms = LidskiiTerms(graph)
-        n = graph.vertex_count - 1
-        for head in product(range(1, max_netflow + 1), repeat=n):
+        for head in _box(graph, 1, max_netflow):
             a = NetflowVector.completing(head)
-            formula = terms.volume(a)
-            if corrupt:
-                formula += 1
+            formula = terms.volume(a) + int(corrupt)
             oracle = normalized_volume_oracle(FlowInstance(graph, a), counter=terms.counter)
-            result.instances += 1
-            if formula != oracle:
-                result.failures.append(
-                    {"graph": _graph_payload(graph), "netflow": list(a.entries),
-                     "formula": formula, "volume": oracle}
-                )
-            if progress and result.instances % 20000 == 0:
-                progress(result.instances)
-    return result
+            yield None if formula == oracle else {
+                "netflow": list(a.entries), "formula": formula, "volume": oracle}
+
+    return _run_family("eq1 (volume formula)", max_vertices, max_edges, instances)
 
 
 def run_thm41_suite(
-    max_vertices: int = 5,
-    max_edges: int = 8,
-    max_c: int = 3,
-    *,
-    corrupt: bool = False,
-    progress: Callable[[int], None] | None = None,
+    max_vertices: int = 5, max_edges: int = 8, max_c: int = 3, *, corrupt: bool = False
 ) -> SuiteResult:
     """Rising-factorial form of the count formula against the brute-force
     count at netflow indeg-1+c, over c with entries 1..max_c."""
-    result = SuiteResult("thm41 (c-form count formula)")
-    for graph in iter_family(max_vertices, max_edges):
+
+    def instances(graph):
         terms = LidskiiTerms(graph)
-        n = graph.vertex_count - 1
-        for c in product(range(1, max_c + 1), repeat=n):
-            formula = terms.count_c_form(c)
-            if corrupt:
-                formula += 1
+        for c in _box(graph, 1, max_c):
+            formula = terms.count_c_form(c) + int(corrupt)
             direct = terms.counter.count(in_plus_c_netflow(graph, c))
-            result.instances += 1
-            if formula != direct:
-                result.failures.append(
-                    {"graph": _graph_payload(graph), "c": list(c),
-                     "formula": formula, "count": direct}
-                )
-            if progress and result.instances % 20000 == 0:
-                progress(result.instances)
-    return result
+            yield None if formula == direct else {
+                "c": list(c), "formula": formula, "count": direct}
+
+    return _run_family("thm41 (c-form count formula)", max_vertices, max_edges, instances)
 
 
 def run_census_suite(
-    max_vertices: int = 5,
-    max_edges: int = 7,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    progress: Callable[[int], None] | None = None,
+    max_vertices: int = 5, max_edges: int = 7, *, node_cap: int = DEFAULT_NODE_CAP
 ) -> SuiteResult:
     """Canonical reduction tree leaf census against the flow counts at the
     shifted netflows: for each dominant composition j there must be exactly
-    count(j - out, 0) leaves of shape j+1."""
-    result = SuiteResult("census (reduction-tree leaves)")
-    for graph in iter_family(max_vertices, max_edges):
+    count(j - out, 0) leaves of shape j+1.  One instance per graph; the
+    leaves are streamed, not kept in a tree."""
+
+    def instances(graph):
         terms = LidskiiTerms(graph)
         expected = {j: k for j in terms.compositions if (k := terms.shifted_count(j))}
-        tree = canonical_reduction_tree(graph, node_cap=node_cap)
-        census = leaf_census(tree)
-        result.instances += 1
-        if census != expected:
-            result.failures.append(
-                {"graph": _graph_payload(graph),
-                 "census": {str(k): v for k, v in census.items()},
-                 "expected": {str(k): v for k, v in expected.items()}}
-            )
-        if progress and result.instances % 500 == 0:
-            progress(result.instances)
-    return result
+        census = leaf_census(iter_reduction_leaves(graph, node_cap=node_cap))
+        yield None if census == expected else {
+            "census": {str(k): v for k, v in census.items()},
+            "expected": {str(k): v for k, v in expected.items()}}
+
+    return _run_family("census (reduction-tree leaves)", max_vertices, max_edges, instances)
 
 
 def run_dissection_suite(
@@ -201,54 +178,35 @@ def run_dissection_suite(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
     debug_pairwise: bool = False,
-    progress: Callable[[int], None] | None = None,
 ) -> SuiteResult:
     """Full dissection reports plus the cell-count formula
-    sum_j prod_i rising(c_i, j_i)/j_i! * count(j - out, 0)."""
-    result = SuiteResult("dissection (unimodular cells)")
-    for graph in iter_family(max_vertices, max_edges):
+    sum_j prod_i multiset_coeff(c_i, j_i) * count(j - out, 0)."""
+
+    def instances(graph):
         terms = LidskiiTerms(graph)
-        n = graph.vertex_count - 1
-        for c in product(range(1, max_c + 1), repeat=n):
+        for c in _box(graph, 1, max_c):
             expected_cells = terms.count_c_form(c)
             report = verify_dissection(graph, c, node_cap=node_cap, debug_pairwise=debug_pairwise)
             cell_count = next(
                 ch.details["cells"] for ch in report.checks if ch.name == "cell_count_equals_flow_count"
             )
-            result.instances += 1
-            if not report.passed or cell_count != expected_cells:
-                result.failures.append(
-                    {"graph": _graph_payload(graph), "c": list(c),
-                     "cells": cell_count, "expected_cells": expected_cells,
-                     "report": report.to_json()}
-                )
-            if progress and result.instances % 2000 == 0:
-                progress(result.instances)
-    return result
+            yield None if report.passed and cell_count == expected_cells else {
+                "c": list(c), "cells": cell_count, "expected_cells": expected_cells,
+                "report": report.to_json()}
+
+    return _run_family("dissection (unimodular cells)", max_vertices, max_edges, instances)
 
 
-def run_in_vector_suite(
-    max_vertices: int = 5,
-    max_edges: int = 6,
-    max_c: int = 3,
-    *,
-    progress: Callable[[int], None] | None = None,
-) -> SuiteResult:
+def run_in_vector_suite(max_vertices: int = 5, max_edges: int = 6, max_c: int = 3) -> SuiteResult:
     """Restriction bijection between flows of the graph and of its
     source-augmented form, over c with entries 1..max_c."""
-    result = SuiteResult("in-vector (restriction bijection)")
-    for graph in iter_family(max_vertices, max_edges):
-        n = graph.vertex_count - 1
-        for c in product(range(1, max_c + 1), repeat=n):
+
+    def instances(graph):
+        for c in _box(graph, 1, max_c):
             report = verify_in_vector_bijection(graph, c)
-            result.instances += 1
-            if not report.passed:
-                result.failures.append(
-                    {"graph": _graph_payload(graph), "c": list(c), "report": report.to_json()}
-                )
-            if progress and result.instances % 5000 == 0:
-                progress(result.instances)
-    return result
+            yield None if report.passed else {"c": list(c), "report": report.to_json()}
+
+    return _run_family("in-vector (restriction bijection)", max_vertices, max_edges, instances)
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

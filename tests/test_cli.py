@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import flowpoly.verify
 from flowpoly.cli import main
 from flowpoly.multigraph import complete_graph, path_graph, write_graph
 from flowpoly.reduction import census_from_json
@@ -23,6 +24,11 @@ def path3_file(tmp_path):
     path = tmp_path / "path3.graph"
     write_graph(path_graph(3), path)
     return str(path)
+
+
+def _failing_report(report):
+    report.add("spoiled", False)
+    return report
 
 
 def run(capsys, argv):
@@ -206,6 +212,12 @@ class TestDissect:
 
 
 class TestVerify:
+    # instances at bounds 3/4/2: 12 graphs times a box of 3^2 netflows (eq2)
+    # or 2^2 netflows or c vectors, and one per graph for census
+    INSTANCES = {"eq2": 108, "eq1": 48, "thm41": 48, "census": 12, "dissection": 48,
+                 "in-vector": 48}
+    SMALL = ["--max-vertices", "3", "--max-edges", "4", "--max-netflow", "2"]
+
     def test_small_bounds_pass(self, capsys):
         code, out, _ = run(
             capsys,
@@ -215,14 +227,18 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
 
-    def test_corrupt_formula_detected(self, capsys):
+    @pytest.mark.parametrize("suite", ["eq2", "eq1", "thm41"])
+    def test_corrupt_formula_detected(self, capsys, suite):
         code, out, _ = run(
             capsys,
-            ["verify", "--suite", "eq2", "--max-vertices", "3", "--max-edges", "4",
+            ["verify", "--suite", suite, "--max-vertices", "3", "--max-edges", "4",
              "--max-netflow", "1", "--debug-corrupt-formula"],
         )
         assert code == 1
         assert "FAIL" in out and "counterexample" in out
+        result = SUITES[suite](3, 4, 1, corrupt=True)
+        assert result.instances and len(result.failures) == result.instances
+        assert all(failure["graph"]["vertices"] == 3 for failure in result.failures)
 
     def test_empty_family_warns(self, capsys):
         code, out, _ = run(
@@ -242,14 +258,34 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_each_suite_runs(self, capsys, suite):
-        code, out, _ = run(
-            capsys,
-            ["verify", "--suite", suite, "--max-vertices", "3", "--max-edges", "4",
-             "--max-netflow", "2"],
-        )
+        code, out, _ = run(capsys, ["verify", "--suite", suite, *self.SMALL])
         assert code == 0
         lines = out.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"PASS {suite} (")
+        assert lines[0].endswith(f": {self.INSTANCES[suite]} instances")
+
+    @pytest.mark.parametrize("suite, side, spoil", [
+        ("census", "leaf_census", lambda census: {**census, (9,): 1}),
+        ("dissection", "verify_dissection", _failing_report),
+        ("in-vector", "verify_in_vector_bijection", _failing_report),
+    ], ids=["census", "dissection", "in-vector"])
+    def test_spoiled_side_fails_once(self, capsys, monkeypatch, suite, side, spoil):
+        real = getattr(flowpoly.verify, side)
+        calls = []
+
+        def spoiled_first(*args, **kwargs):
+            calls.append(None)
+            value = real(*args, **kwargs)
+            return spoil(value) if len(calls) == 1 else value
+
+        monkeypatch.setattr(flowpoly.verify, side, spoiled_first)
+        code, out, _ = run(capsys, ["verify", "--suite", suite, *self.SMALL])
+        assert code == 1
+        summary, counterexample = out.splitlines()
+        assert summary.startswith(f"FAIL {suite} (")
+        assert summary.endswith(f": {self.INSTANCES[suite]} instances, 1 failures")
+        failure = json.loads(counterexample.removeprefix("  counterexample: "))
+        assert failure["graph"] == {"vertices": 3, "edges": [[1, 3], [2, 3]]}
 
 
 class TestErrors:

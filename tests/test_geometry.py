@@ -12,7 +12,6 @@ from flowpoly.geometry import (
     integral_kernel_basis,
     is_unimodular,
     path_flow_vertices,
-    simplex_is_unimodular,
     unit_source_sink_netflow,
     verify_dissection,
     verify_in_vector_bijection,
@@ -170,14 +169,17 @@ def _solve(rows, rhs):
 
 
 class TestUnimodularity:
+    # two parallel edges 1 -> 2: the flow polytope at netflow (t, -t) is a
+    # segment of lattice length t in a rank-one lattice
+    PARALLEL = DirectedMultigraph(2, ((1, 2), (1, 2)))
+
     def test_standard_simplex(self):
-        for d in (1, 2, 3):
-            identity = [tuple(1 if i == j else 0 for j in range(d)) for i in range(d)]
-            verts = [(0,) * d] + identity
-            assert simplex_is_unimodular(verts, identity)
+        ambient = FlowInstance(self.PARALLEL, (1, -1))
+        assert is_unimodular(SimplexCell(vertices=((1, 0), (0, 1))), ambient)
 
     def test_doubled_segment(self):
-        assert not simplex_is_unimodular([(0,), (2,)], [(1,)])
+        ambient = FlowInstance(self.PARALLEL, (2, -2))
+        assert not is_unimodular(SimplexCell(vertices=((2, 0), (0, 2))), ambient)
 
     def test_dissection_cells_unimodular(self):
         g = complete_graph(4)

@@ -17,7 +17,6 @@ from flowpoly.lidskii import (
     lidskii_volume,
     multinomial,
     multiset_coeff,
-    rising_factorial_over_fact,
 )
 from flowpoly.multigraph import DirectedMultigraph, NetflowVector, complete_graph, path_graph
 from flowpoly.verify import iter_family
@@ -28,6 +27,10 @@ class TestMultisetCoeff:
         assert multiset_coeff(3, 2) == 6
         assert multiset_coeff(5, 0) == 1
         assert multiset_coeff(1, 3) == 1
+        assert multiset_coeff(1, 2) == 1
+        assert multiset_coeff(3, 3) == 10
+        for c in (-4, 0, 1, 7):
+            assert multiset_coeff(c, 0) == 1
 
     def test_generalized_values(self):
         # rising-factorial reading; signed for negative first argument
@@ -40,23 +43,6 @@ class TestMultisetCoeff:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             multiset_coeff(2, -1)
-
-    def test_matches_rising_factorial(self):
-        for c in range(0, 21):
-            for j in range(0, 21):
-                assert multiset_coeff(c, j) == rising_factorial_over_fact(c, j)
-
-    @given(st.integers(-30, 30), st.integers(0, 12))
-    def test_matches_rising_factorial_everywhere(self, c, j):
-        assert multiset_coeff(c, j) == rising_factorial_over_fact(c, j)
-
-
-class TestRisingFactorial:
-    def test_examples(self):
-        assert rising_factorial_over_fact(1, 2) == 1
-        assert rising_factorial_over_fact(3, 3) == 10
-        for c in (-4, 0, 1, 7):
-            assert rising_factorial_over_fact(c, 0) == 1
 
 
 class TestDominantCompositions:
