@@ -27,10 +27,6 @@ class TestMultisetCoeff:
         assert multiset_coeff(3, 2) == 6
         assert multiset_coeff(5, 0) == 1
         assert multiset_coeff(1, 3) == 1
-        assert multiset_coeff(1, 2) == 1
-        assert multiset_coeff(3, 3) == 10
-        for c in (-4, 0, 1, 7):
-            assert multiset_coeff(c, 0) == 1
 
     def test_generalized_values(self):
         # rising-factorial reading; signed for negative first argument
@@ -43,6 +39,15 @@ class TestMultisetCoeff:
     def test_rejects_negative_k(self):
         with pytest.raises(ValueError):
             multiset_coeff(2, -1)
+
+
+class TestRisingFactorial:
+    # rising factorial c(c+1)...(c+j-1) / j!, read through multiset_coeff
+    def test_examples(self):
+        assert multiset_coeff(1, 2) == 1
+        assert multiset_coeff(3, 3) == 10
+        for c in (-4, 0, 1, 7):
+            assert multiset_coeff(c, 0) == 1
 
 
 class TestDominantCompositions:
