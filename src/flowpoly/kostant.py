@@ -1,6 +1,6 @@
 """Ground-truth lattice-point machinery for flow polytopes: brute-force
-flow counting and enumeration, exact Ehrhart polynomials by rational
-interpolation, and normalized volume read off the Ehrhart leading term.
+flow counting and enumeration, and exact Ehrhart polynomials and
+normalized volumes from the forward differences of the dilated counts.
 
 Everything here is exact integer / rational arithmetic.  Vertices are
 processed in increasing order, so all inflow into a vertex is known when its
@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .multigraph import DirectedMultigraph, NetflowVector
@@ -68,7 +68,7 @@ class FlowCounter:
     the slot width from that bound.  Each slot stores its value plus half
     its range.  Widths only grow: a call that needs wider slots than the
     counter has drops the memo table.  Widths come in whole bytes, so the
-    growing netflows of one Ehrhart interpolation rarely drop it.
+    growing netflows of one Ehrhart difference table rarely drop it.
     """
 
     def __init__(self, graph: DirectedMultigraph):
@@ -320,43 +320,10 @@ class EhrhartPolynomial:
         return EhrhartPolynomial(tuple(Fraction(s) for s in strings))
 
 
-_LAGRANGE_BASIS: dict[int, tuple[list[list[int]], list[int], int]] = {}
-
-
-def _lagrange_basis(degree: int):
-    """Numerator polynomials and denominators for interpolation at nodes
-    0..degree, plus the common denominator, all integer."""
-    cached = _LAGRANGE_BASIS.get(degree)
-    if cached is not None:
-        return cached
-    nodes = range(degree + 1)
-    numerators = []
-    denominators = []
-    for t in nodes:
-        poly = [1]
-        for s in nodes:
-            if s == t:
-                continue
-            poly = [
-                (-s) * (poly[k] if k < len(poly) else 0) + (poly[k - 1] if k else 0)
-                for k in range(len(poly) + 1)
-            ]
-        numerators.append(poly)
-        den = 1
-        for s in nodes:
-            if s != t:
-                den *= t - s
-        denominators.append(den)
-    result = (numerators, denominators, lcm(*denominators))
-    _LAGRANGE_BASIS[degree] = result
-    return result
-
-
-def ehrhart_polynomial(inst: FlowInstance, *, counter: FlowCounter | None = None) -> EhrhartPolynomial:
-    """Unique polynomial of degree at most |E| - |V| + 1 matching the flow
-    counts of the dilated netflow at t = 0, 1, ..., that bound, via exact
-    rational Lagrange interpolation.  Infeasible instances give the zero
-    polynomial."""
+def _count_differences(inst: FlowInstance, counter: FlowCounter | None) -> list[int]:
+    """Forward differences of the dilated flow counts L(t) at 0, of order
+    k = 0..|E| - |V| + 1, so that L(t) = sum_k diffs[k] * C(t, k).  Empty
+    for an empty polytope."""
     graph = inst.graph
     if not graph.is_connected():
         raise ValueError("ehrhart_polynomial requires a connected graph")
@@ -365,27 +332,36 @@ def ehrhart_polynomial(inst: FlowInstance, *, counter: FlowCounter | None = None
         counter = FlowCounter(graph)
     if counter.count(inst.netflow) == 0:
         # empty polytope; the dilates are empty too
-        return EhrhartPolynomial(())
-    values = [counter.count(inst.netflow.dilate(t)) for t in range(bound + 1)]
-    numerators, denominators, common = _lagrange_basis(bound)
-    coeffs = []
-    for k in range(bound + 1):
-        num = 0
-        for t in range(bound + 1):
-            num += values[t] * numerators[t][k] * (common // denominators[t])
-        coeffs.append(Fraction(num, common))
+        return []
+    row = [counter.count(inst.netflow.dilate(t)) for t in range(bound + 1)]
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return diffs
+
+
+def ehrhart_polynomial(inst: FlowInstance, *, counter: FlowCounter | None = None) -> EhrhartPolynomial:
+    """Unique polynomial of degree at most |E| - |V| + 1 matching the flow
+    counts of the dilated netflow at t = 0, 1, ..., that bound, expanded
+    from the binomial basis C(t, k) of their difference table.  Infeasible
+    instances give the zero polynomial."""
+    diffs = _count_differences(inst, counter)
+    coeffs = [Fraction(0)] * len(diffs)
+    falling = [1]  # t (t - 1) ... (t - k + 1), low degree first
+    for k, d in enumerate(diffs):
+        for m, f in enumerate(falling):
+            coeffs[m] += Fraction(d * f, factorial(k))
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
     return EhrhartPolynomial(tuple(coeffs))
 
 
 def normalized_volume_oracle(inst: FlowInstance, *, counter: FlowCounter | None = None) -> int:
-    """d! times the Ehrhart leading coefficient, d the actual degree, which
-    is the volume normalized so a smallest lattice simplex has volume 1.
-    A point gives 1, an empty polytope 0."""
-    poly = ehrhart_polynomial(inst, counter=counter)
-    if poly.is_zero:
-        return 0
-    d = poly.degree
-    vol = poly.leading_coefficient * factorial(d)
-    if vol.denominator != 1 or vol.numerator < 0:
+    """The highest nonzero forward difference of the dilated flow counts,
+    which is d! times the Ehrhart leading coefficient, d the actual degree:
+    the volume normalized so a smallest lattice simplex has volume 1.  A
+    point gives 1, an empty polytope 0."""
+    vol = next((d for d in reversed(_count_differences(inst, counter)) if d), 0)
+    if vol < 0:
         raise ArithmeticError(f"normalized volume came out as {vol}, expected a nonnegative integer")
-    return vol.numerator
+    return vol

@@ -26,7 +26,7 @@ from math import comb, factorial, prod
 from typing import Callable, Sequence
 
 from .kostant import FlowCounter
-from .multigraph import DirectedMultigraph, NetflowVector, degree_stats
+from .multigraph import DirectedMultigraph, NetflowVector, checked_degree_stats, degree_stats
 
 
 def multiset_coeff(n: int, k: int) -> int:
@@ -114,12 +114,7 @@ class LidskiiTerms:
     netflows or c vectors on it."""
 
     def __init__(self, graph: DirectedMultigraph, counter: FlowCounter | None = None):
-        if not graph.is_connected():
-            raise ValueError("graph must be connected")
-        stats = degree_stats(graph)
-        for v, d in zip(stats.vertices[:-1], stats.outdeg[:-1]):
-            if d == 0:
-                raise ValueError(f"vertex {v} has no outgoing edge")
+        stats = checked_degree_stats(graph)
         self.graph = graph
         self.counter = FlowCounter(graph) if counter is None else counter
         self.in_shift = stats.in_shift

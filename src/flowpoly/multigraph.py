@@ -172,6 +172,18 @@ def degree_stats(graph: DirectedMultigraph) -> DegreeStats:
     )
 
 
+def checked_degree_stats(graph: DirectedMultigraph) -> DegreeStats:
+    """degree_stats of a graph that the closed formulas and the reductions
+    accept: connected, with an out-edge at every non-sink vertex."""
+    if not graph.is_connected():
+        raise ValueError("graph must be connected")
+    stats = degree_stats(graph)
+    for v, d in zip(stats.vertices[:-1], stats.outdeg[:-1]):
+        if d == 0:
+            raise ValueError(f"vertex {v} has no outgoing edge")
+    return stats
+
+
 def build_gm(m: Sequence[int]) -> DirectedMultigraph:
     """Graph on vertices 1..n+1 with m[i] parallel edges from vertex i+1 to
     the sink n+1."""

@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .geometry import SimplexCell, path_flow_vertices
-from .multigraph import DirectedMultigraph, attach_source, degree_stats
+from .multigraph import DirectedMultigraph, attach_source, checked_degree_stats
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -333,18 +333,20 @@ class _Budget:
             )
 
 
-def _require_reducible(graph: DirectedMultigraph) -> None:
-    if not graph.is_connected():
-        raise ValueError("graph must be connected")
-    stats = degree_stats(graph)
-    for v, d in zip(stats.vertices[:-1], stats.outdeg[:-1]):
-        if d == 0:
-            raise ValueError(f"vertex {v} has no outgoing edge")
+def _reduction_root(graph: DirectedMultigraph, c: Sequence[int] | None) -> ProvenancedGraph:
+    """Root of the canonical reduction tree, or of its source-augmented
+    variant when c is given."""
+    if graph.first_vertex != 1:
+        raise ValueError("expected a graph on vertices 1..n+1")
+    checked_degree_stats(graph)
+    return ProvenancedGraph.as_root(graph if c is None else attach_source(graph, c))
 
 
-def _expansions(node: ProvenancedGraph, vertex: int, skip_source: bool):
+def _expansions(node: ProvenancedGraph, vertex: int):
+    """One child per noncrossing tree over the full incident edge multisets
+    at the vertex, in enumeration order; source edges are never reduced."""
     graph = node.graph
-    inc = _ordered_incident(graph, vertex, incoming=True, skip_source=skip_source)
+    inc = _ordered_incident(graph, vertex, incoming=True, skip_source=graph.first_vertex == 0)
     out = _ordered_incident(graph, vertex, incoming=False)
     for tree in enumerate_noncrossing_trees(len(inc) + 1, len(out)):
         yield ReductionStep(vertex, inc, out, tree), reduce_at_vertex(node, vertex, inc, out, tree)
@@ -355,22 +357,31 @@ def _schedule(graph: DirectedMultigraph) -> tuple[int, ...]:
     return tuple(range(graph.last_vertex - 1, 1, -1))
 
 
-def _build_tree(root: ProvenancedGraph, skip_source: bool, node_cap: int) -> ReductionTree:
+def _walk(node, schedule: Sequence[int], expand, budget: _Budget, depth: int = 0, step=None):
+    """Depth-first walk from node that reduces the nodes at depth d at
+    schedule[d]: yields (depth, step, node) for node and then for every
+    node below it, children in the order expand(node, vertex) gives them.
+    Each child spends one unit of the budget."""
+    yield depth, step, node
+    if depth < len(schedule):
+        for child_step, child in expand(node, schedule[depth]):
+            budget.spend()
+            yield from _walk(child, schedule, expand, budget, depth + 1, child_step)
+
+
+def _build_tree(graph: DirectedMultigraph, c: Sequence[int] | None, node_cap: int) -> ReductionTree:
+    root = _reduction_root(graph, c)
+    schedule = _schedule(root.graph)
     budget = _Budget(node_cap)
     budget.spend()
-    root_node = ReductionTreeNode(root)
-    level = [root_node]
-    schedule = _schedule(root.graph)
-    for vertex in schedule:
-        next_level = []
-        for nd in level:
-            for step, child_pg in _expansions(nd.graph, vertex, skip_source):
-                budget.spend()
-                child = ReductionTreeNode(child_pg, nd, step)
-                nd.children.append(child)
-                next_level.append(child)
-        level = next_level
-    return ReductionTree(root_node, schedule)
+    path: list[ReductionTreeNode] = []  # from the root to the last node made
+    for depth, step, pg in _walk(root, schedule, _expansions, budget):
+        del path[depth:]
+        node = ReductionTreeNode(pg, path[-1] if path else None, step)
+        if path:
+            path[-1].children.append(node)
+        path.append(node)
+    return ReductionTree(path[0], schedule)
 
 
 def canonical_reduction_tree(
@@ -379,10 +390,7 @@ def canonical_reduction_tree(
     """Reduction tree using the full incoming and outgoing edge multisets at
     vertices n, n-1, ..., 2, each ordered by decreasing edge length.  All
     leaves have every edge pointing at the sink."""
-    if graph.first_vertex != 1:
-        raise ValueError("canonical reduction expects a graph on vertices 1..n+1")
-    _require_reducible(graph)
-    return _build_tree(ProvenancedGraph.as_root(graph), skip_source=False, node_cap=node_cap)
+    return _build_tree(graph, None, node_cap)
 
 
 def reduction_tree_with_source(
@@ -392,11 +400,7 @@ def reduction_tree_with_source(
     Incoming multisets exclude the source edges, so deleting everything
     incident to the source at each node recovers the plain canonical tree
     node for node."""
-    if graph.first_vertex != 1:
-        raise ValueError("expected a graph on vertices 1..n+1")
-    _require_reducible(graph)
-    root = ProvenancedGraph.as_root(attach_source(graph, c))
-    return _build_tree(root, skip_source=True, node_cap=node_cap)
+    return _build_tree(graph, c, node_cap)
 
 
 def iter_reduction_leaves(
@@ -411,28 +415,13 @@ def iter_reduction_leaves(
     materialized tree would produce, without storing the tree.  _budget,
     when given, replaces node_cap so that a caller's later stages draw on
     the same budget as the walk."""
-    if graph.first_vertex != 1:
-        raise ValueError("expected a graph on vertices 1..n+1")
-    _require_reducible(graph)
-    if c is None:
-        root = ProvenancedGraph.as_root(graph)
-        skip_source = False
-    else:
-        root = ProvenancedGraph.as_root(attach_source(graph, c))
-        skip_source = True
+    root = _reduction_root(graph, c)
     schedule = _schedule(root.graph)
     budget = _Budget(node_cap) if _budget is None else _budget
     budget.spend()
-
-    def walk(node: ProvenancedGraph, depth: int) -> Iterator[ProvenancedGraph]:
+    for depth, _, node in _walk(root, schedule, _expansions, budget):
         if depth == len(schedule):
             yield node
-            return
-        for _, child in _expansions(node, schedule[depth], skip_source):
-            budget.spend()
-            yield from walk(child, depth + 1)
-
-    yield from walk(root, 0)
 
 
 # --- leaf censuses -----------------------------------------------------------
@@ -502,6 +491,11 @@ def zero_vertex_dissection_children(node: ProvenancedGraph, vertex: int) -> list
     return children
 
 
+def _dissection_children(node: ProvenancedGraph, vertex: int):
+    """zero_vertex_dissection_children as the walk's (step, child) pairs."""
+    return ((None, child) for child in zero_vertex_dissection_children(node, vertex))
+
+
 class _LeafShape(NamedTuple):
     """Zero-vertex dissection of the leaf shape (c, j), in the coordinates
     of the shape graph's edges."""
@@ -511,8 +505,8 @@ class _LeafShape(NamedTuple):
     terminals: tuple[tuple[frozenset[int], ...], ...]
     # per cell, per vertex: the shape edges on the vertex's path
     paths: tuple[tuple[tuple[int, ...], ...], ...]
-    # nodes made by the reductions at vertex 1, 2, ..., n
-    stage_nodes: tuple[int, ...]
+    # nodes made by the reductions at vertices 1..n
+    nodes: int
 
 
 @lru_cache(maxsize=4096)
@@ -528,16 +522,12 @@ def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> 
         (i, sink) for i, ji in enumerate(j, 1) for _ in range(ji + 1)
     )
     budget = _Budget(node_cap)
-    terminals = [ProvenancedGraph.as_root(DirectedMultigraph(n + 2, edges, first_vertex=0))]
-    stage_nodes = []
-    for vertex in range(1, n + 1):
-        nxt = []
-        for node in terminals:
-            children = zero_vertex_dissection_children(node, vertex)
-            budget.spend(len(children))
-            nxt.extend(children)
-        terminals = nxt
-        stage_nodes.append(len(terminals))
+    root = ProvenancedGraph.as_root(DirectedMultigraph(n + 2, edges, first_vertex=0))
+    terminals = [
+        node
+        for depth, _, node in _walk(root, range(1, n + 1), _dissection_children, budget)
+        if depth == n
+    ]
     # The cells repeat few distinct edge sets and paths; the cached shape
     # keeps one object per distinct value, so that what it holds for the
     # life of the process is small and no later run depends on which
@@ -554,7 +544,7 @@ def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> 
             )
         ))
     provenance = tuple(tuple(shared.setdefault(s, s) for s in t.provenance) for t in terminals)
-    return _LeafShape(edges, provenance, tuple(paths), tuple(stage_nodes))
+    return _LeafShape(edges, provenance, tuple(paths), budget.used)
 
 
 def _dissected_leaves(
@@ -572,7 +562,7 @@ def _dissected_leaves(
             raise LeafShapeError(
                 f"leaf {leaf_index} edges differ from those of its shape c={c}, j={composition}"
             )
-        budget.spend(sum(shape.stage_nodes))
+        budget.spend(shape.nodes)
         yield leaf_index, leaf, composition, shape
 
 

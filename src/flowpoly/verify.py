@@ -120,8 +120,8 @@ def run_eq2_suite(
 def run_eq1_suite(
     max_vertices: int = 5, max_edges: int = 8, max_netflow: int = 3, *, corrupt: bool = False
 ) -> SuiteResult:
-    """Closed-form volume against the Ehrhart-interpolation volume, over
-    strictly positive netflows with entries 1..max_netflow."""
+    """Closed-form volume against the volume from the Ehrhart difference
+    table, over strictly positive netflows with entries 1..max_netflow."""
 
     def instances(graph):
         terms = LidskiiTerms(graph)

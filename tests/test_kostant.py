@@ -1,5 +1,6 @@
-"""Brute-force counting oracle, Ehrhart interpolation, normalized volume."""
+"""Brute-force counting oracle, Ehrhart polynomial, normalized volume."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
@@ -7,6 +8,7 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowpoly import kostant
 from flowpoly.kostant import (
     EhrhartPolynomial,
     FlowCounter,
@@ -14,6 +16,7 @@ from flowpoly.kostant import (
     count_flows,
     ehrhart_polynomial,
     enumerate_flows,
+    iter_flows,
     normalized_volume_oracle,
 )
 from flowpoly.multigraph import (
@@ -258,6 +261,21 @@ class TestEhrhart:
         poly = ehrhart_polynomial(inst(complete_graph(4), (1, 0, 0, -1)))
         assert EhrhartPolynomial.from_strings(poly.coefficient_strings()) == poly
 
+    def test_family_digest_pinned(self):
+        # Polynomials and oracle volumes over a family grid, empty polytopes
+        # included, hashed; the digest was taken from the Lagrange
+        # interpolation that the difference table replaced.
+        lines = []
+        for g in iter_family(4, 6):
+            for head in product(range(-1, 3), repeat=g.vertex_count - 1):
+                instance = FlowInstance(g, NetflowVector.completing(head))
+                poly = ehrhart_polynomial(instance)
+                vol = normalized_volume_oracle(instance)
+                lines.append(f"{g.edges} {head} {poly.coefficient_strings()} {vol}\n")
+        assert len(lines) == 11648
+        digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+        assert digest == "592c4f2582b42a4e7ceba6b0e22bde6030cd7a31e31fad18693422081c80fd20"
+
 
 class TestNormalizedVolume:
     def test_k4_unit(self):
@@ -273,8 +291,28 @@ class TestNormalizedVolume:
     def test_empty_volume_zero(self):
         assert normalized_volume_oracle(inst(path_graph(3), (0, -1, 1))) == 0
 
+    def test_negative_top_difference_raises(self, monkeypatch):
+        monkeypatch.setattr(kostant, "_count_differences", lambda inst, counter: [1, -2, 0])
+        with pytest.raises(ArithmeticError, match="nonnegative"):
+            normalized_volume_oracle(inst(complete_graph(4), (1, 0, 0, -1)))
+
     def test_parallel_edge_permutation_invariance(self):
         a = (2, 1, 0, -3)
         g1 = DirectedMultigraph(4, ((1, 2), (1, 4), (1, 4), (2, 4), (2, 4), (3, 4)))
         g2 = DirectedMultigraph(4, ((1, 4), (1, 4), (1, 2), (2, 4), (2, 4), (3, 4)))
         assert normalized_volume_oracle(inst(g1, a)) == normalized_volume_oracle(inst(g2, a))
+
+
+def test_eq2_family_counts_match_enumeration():
+    """The eq2 suite compares the closed formula with FlowCounter; this
+    anchors FlowCounter on the same instances with the enumerator, which
+    shares no code with it."""
+    instances = 0
+    for g in iter_family(4, 7):
+        counter = FlowCounter(g)
+        for head in product(range(3), repeat=g.vertex_count - 1):
+            a = NetflowVector.completing(head)
+            expected = sum(1 for _ in iter_flows(FlowInstance(g, a)))
+            assert counter.count(a) == expected, (g.edges, head)
+            instances += 1
+    assert instances == 7434

@@ -1,5 +1,6 @@
 """Noncrossing trees, reductions, reduction trees, censuses, dissection."""
 
+from functools import partial
 from itertools import product
 from math import comb, prod
 
@@ -250,6 +251,49 @@ class TestSourceTree:
     def test_path_single_leaf(self):
         tree = reduction_tree_with_source(path_graph(3), (1, 1))
         assert len(tree.leaves()) == 1
+
+
+def walked_trees():
+    """(graph, c, build) for the plain K5 tree and the source tree of K4 at
+    c = (3, 2, 2); build takes the tree's keyword arguments."""
+    k5, k4 = complete_graph(5), complete_graph(4)
+    return (
+        (k5, None, partial(canonical_reduction_tree, k5)),
+        (k4, (3, 2, 2), partial(reduction_tree_with_source, k4, (3, 2, 2))),
+    )
+
+
+class TestOneWalk:
+    """The materialized trees and the leaf stream come from one walk."""
+
+    def test_tree_leaves_equal_streamed_leaves(self):
+        for g, c, build in walked_trees():
+            leaves = [n.graph for n in build().leaves()]
+            assert len(leaves) > 1
+            assert leaves == list(iter_reduction_leaves(g, c))
+
+    def test_parent_links_and_schedule(self):
+        for _, _, build in walked_trees():
+            tree = build()
+            assert tree.root.parent is None and tree.root.step is None
+            for node in tree.nodes():
+                if node is tree.root:
+                    continue
+                assert any(child is node for child in node.parent.children)
+                depth, up = 0, node
+                while up.parent is not None:
+                    depth, up = depth + 1, up.parent
+                assert node.step.vertex == tree.schedule[depth - 1]
+
+    def test_node_cap_is_exact(self):
+        for g, c, build in walked_trees():
+            count = build().node_count
+            assert build(node_cap=count).node_count == count
+            assert list(iter_reduction_leaves(g, c, node_cap=count))
+            with pytest.raises(NodeCapExceeded):
+                build(node_cap=count - 1)
+            with pytest.raises(NodeCapExceeded):
+                list(iter_reduction_leaves(g, c, node_cap=count - 1))
 
 
 class TestLeafCensus:
