@@ -75,10 +75,10 @@ def _netflow_for(graph: DirectedMultigraph, text: str) -> NetflowVector:
 def _load_graph(path: str) -> DirectedMultigraph:
     try:
         return read_graph(path)
-    except FileNotFoundError:
-        raise SystemExit(f"graph file not found: {path}")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot read graph file {path}: {exc.strerror}")
     except GraphFormatError as exc:
-        raise SystemExit(f"{path}: {exc}")
+        raise SystemExit(f"error: {path}: {exc}")
 
 
 def _emit(args, payload: dict, human: str) -> None:

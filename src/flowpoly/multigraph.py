@@ -40,6 +40,16 @@ class DirectedMultigraph:
             if a >= b:
                 raise ValueError(f"edge {k} = ({a},{b}) must satisfy tail < head")
 
+    @classmethod
+    def _from_checked(
+        cls, vertex_count: int, edges: tuple[tuple[int, int], ...], first_vertex: int
+    ) -> "DirectedMultigraph":
+        """A graph from parts that already satisfy __post_init__'s checks,
+        stored as they are: int pairs in range with tail < head."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(vertex_count=vertex_count, edges=edges, first_vertex=first_vertex)
+        return graph
+
     @property
     def last_vertex(self) -> int:
         return self.first_vertex + self.vertex_count - 1

@@ -25,6 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .geometry import SimplexCell, path_flow_vertices
@@ -142,6 +143,20 @@ class ProvenancedGraph:
             if min(s) < 0 or max(s) >= limit:
                 raise ValueError(f"edge {k} references root edges outside 0..{limit - 1}")
 
+    @classmethod
+    def _from_checked(
+        cls,
+        graph: DirectedMultigraph,
+        provenance: tuple[frozenset[int], ...],
+        root: DirectedMultigraph,
+    ) -> "ProvenancedGraph":
+        """A node from parts that already satisfy __post_init__'s checks,
+        stored as they are: one nonempty frozenset of root edge indices per
+        edge."""
+        node = object.__new__(cls)
+        node.__dict__.update(graph=graph, provenance=provenance, root=root)
+        return node
+
     @staticmethod
     def as_root(graph: DirectedMultigraph) -> "ProvenancedGraph":
         return ProvenancedGraph(graph, tuple(frozenset((e,)) for e in range(graph.edge_count)), graph)
@@ -204,17 +219,25 @@ def reduce_at_vertex(
     """Single reduction: delete the chosen incoming/outgoing edges at the
     vertex and add, per tree edge, the sum edge tail(I_p) -> head(O_q); the
     appended left vertex keeps an out-edge as itself.  Provenance sets are
-    united and must be disjoint."""
+    united and must be disjoint.
+
+    The child is built from the node's checked parts without a second
+    check: kept edges and their provenance are shared with the node, and a
+    sum edge tail(I_p) -> head(O_q) runs from below the vertex to above it,
+    with the union of two disjoint, nonempty, in-range sets, once the
+    checks on the arguments below have passed."""
     graph = node.graph
+    edges = graph.edges
+    provenance = node.provenance
     if not (graph.first_vertex < vertex < graph.last_vertex):
         raise ValueError(f"vertex {vertex} is not interior")
     incoming = tuple(int(i) for i in incoming)
     outgoing = tuple(int(i) for i in outgoing)
     for idx in incoming:
-        if not (0 <= idx < graph.edge_count) or graph.edges[idx][1] != vertex:
+        if not (0 <= idx < len(edges)) or edges[idx][1] != vertex:
             raise ValueError(f"edge {idx} is not an incoming edge at vertex {vertex}")
     for idx in outgoing:
-        if not (0 <= idx < graph.edge_count) or graph.edges[idx][0] != vertex:
+        if not (0 <= idx < len(edges)) or edges[idx][0] != vertex:
             raise ValueError(f"edge {idx} is not an outgoing edge at vertex {vertex}")
     if len(set(incoming)) != len(incoming) or len(set(outgoing)) != len(outgoing):
         raise ValueError("repeated edge index")
@@ -224,33 +247,28 @@ def reduce_at_vertex(
             f"|I|+1={len(incoming) + 1}, |O|={len(outgoing)}"
         )
     removed = set(incoming) | set(outgoing)
-    kept = [
-        (graph.edges[k], node.provenance[k])
-        for k in range(graph.edge_count)
-        if k not in removed
-    ]
+    combined = [item for k, item in enumerate(zip(edges, provenance)) if k not in removed]
     appended = tree.left_size
-    new = []
     for p, q in tree.edges:
         out_idx = outgoing[q - 1]
         if p == appended:
-            new.append((graph.edges[out_idx], node.provenance[out_idx]))
+            combined.append((edges[out_idx], provenance[out_idx]))
         else:
             in_idx = incoming[p - 1]
-            s_in = node.provenance[in_idx]
-            s_out = node.provenance[out_idx]
+            s_in = provenance[in_idx]
+            s_out = provenance[out_idx]
             if s_in & s_out:
                 raise ValueError(
                     f"provenance sets of edges {in_idx} and {out_idx} overlap; "
                     "a root edge cannot repeat along a path"
                 )
-            new.append(((graph.edges[in_idx][0], graph.edges[out_idx][1]), s_in | s_out))
-    combined = sorted(kept + new, key=lambda item: item[0])
-    edges = tuple(e for e, _ in combined)
-    provenance = tuple(s for _, s in combined)
-    return ProvenancedGraph(
-        DirectedMultigraph(graph.vertex_count, edges, graph.first_vertex),
-        provenance,
+            combined.append(((edges[in_idx][0], edges[out_idx][1]), s_in | s_out))
+    # stable: parallel edges keep their order, kept ones before new ones
+    combined.sort(key=itemgetter(0))
+    child_edges, child_provenance = zip(*combined)
+    return ProvenancedGraph._from_checked(
+        DirectedMultigraph._from_checked(graph.vertex_count, child_edges, graph.first_vertex),
+        child_provenance,
         node.root,
     )
 

@@ -1,13 +1,25 @@
 """Command-line interface: outputs, exit codes, JSON round trips."""
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flowpoly.verify
 from flowpoly.cli import main
-from flowpoly.multigraph import complete_graph, path_graph, write_graph
+from flowpoly.multigraph import (
+    GraphFormatError,
+    complete_graph,
+    format_graph,
+    parse_graph,
+    path_graph,
+    write_graph,
+)
 from flowpoly.reduction import census_from_json
 from flowpoly.verify import SUITES
 
@@ -29,6 +41,12 @@ def path3_file(tmp_path):
 def _failing_report(report):
     report.add("spoiled", False)
     return report
+
+
+def reversed_graph_text(nv):
+    """The complete graph's file with its edge lines in reverse order."""
+    header, *edges = format_graph(complete_graph(nv)).splitlines()
+    return "\n".join([header, *reversed(edges)]) + "\n"
 
 
 def run(capsys, argv):
@@ -57,6 +75,11 @@ class TestKostant:
     def test_bad_netflow_length(self, k4_file):
         with pytest.raises(SystemExit):
             main(["kostant", "--graph", k4_file, "--netflow", "1,0"])
+
+    @pytest.mark.parametrize("name", ["missing.graph", "."])
+    def test_unreadable_graph_file(self, tmp_path, name):
+        with pytest.raises(SystemExit, match="^error: cannot read graph file .*: [A-Z]"):
+            main(["reduce", "--graph", str(tmp_path / name)])
 
     def test_bad_graph_file(self, tmp_path):
         bad = tmp_path / "bad.graph"
@@ -152,6 +175,18 @@ class TestReduce:
             "f570f7671150e902e721b65fdedc880d2e3e8a711dd67ebfdeb6534c1ceb208c"
         )
 
+    def test_dot_k5_reversed_edges_unchanged(self, capsys, tmp_path):
+        # a root whose edges are not in canonical order: its first child is
+        # sorted by the merge in reduce_at_vertex.  The DOT labels list edge
+        # multisets, so this equals the digest of the canonical K5 file.
+        path = tmp_path / "k5.graph"
+        path.write_text(reversed_graph_text(5))
+        code, out, _ = run(capsys, ["reduce", "--graph", str(path), "--emit", "dot"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f570f7671150e902e721b65fdedc880d2e3e8a711dd67ebfdeb6534c1ceb208c"
+        )
+
     def test_node_cap_aborts_cleanly(self, capsys, k4_file):
         code, out, err = run(capsys, ["reduce", "--graph", k4_file, "--node-cap", "2"])
         assert code == 1
@@ -199,6 +234,19 @@ class TestDissect:
         assert out.startswith("cells: 5880\n")
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "4ad5c7c3b3788e7fb66658ba4da35a4c02f9e525cbb9410ba7933c08c6da78b2"
+        )
+
+    def test_cells_k4_reversed_edges_unchanged(self, capsys, tmp_path):
+        # the cells' coordinates follow the provenance of parallel edges, so
+        # this digest pins the stable order of the merge in reduce_at_vertex
+        path = tmp_path / "k4.graph"
+        path.write_text(reversed_graph_text(4))
+        code, out, _ = run(
+            capsys, ["dissect", "--graph", str(path), "--c", "3,2,2", "--emit", "cells"]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9dd53dda913c92be74738b4ee3b8466cf1d513866f270645e5212494597ec0bd"
         )
 
     def test_node_cap_counts_walk_and_dissection(self, capsys, k4_file):
@@ -313,3 +361,66 @@ class TestErrors:
         code, _, err = run(capsys, ["dissect", "--graph", k4_file, "--c", "1,0,1"])
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Graph file text: arbitrary text, or a header and edge lines of small
+# integers mixed with lines of tokens that int() reads in surprising ways or
+# not at all.  The integers stay small, so a parsed graph is small and its
+# reduction is quick.
+SMALL_INT = st.integers(-1, 6).map(str)
+TOKEN_LINE = st.lists(
+    st.one_of(SMALL_INT, st.sampled_from(["0", "-0", "+2", "1_0", "\u0663", "1.5", "x", "#"])),
+    max_size=4,
+).map(" ".join)
+EDGE_LINE = st.tuples(
+    st.integers(0, 4).map(str), st.integers(2, 6).map(str), st.sampled_from(["", "", "", "2", "0"])
+).map(" ".join)
+GRAPH_TEXT = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+    st.tuples(
+        st.one_of(st.integers(1, 6).map(str), st.integers(1, 6).map("0 {}".format), TOKEN_LINE),
+        # mostly edge lines, so that some files parse and reach the reduction
+        st.lists(st.one_of(EDGE_LINE, EDGE_LINE, EDGE_LINE, EDGE_LINE, TOKEN_LINE), max_size=8),
+    ).map(lambda parts: "\n".join([parts[0], *parts[1]])),
+)
+
+
+class TestGraphFileFuzz:
+    """Any graph file text gives a graph or a clean error."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(GRAPH_TEXT)
+    def test_parse_graph(self, text):
+        try:
+            graph = parse_graph(text)
+        except GraphFormatError:
+            return
+        assert parse_graph(format_graph(graph)) == graph
+
+    @settings(deadline=None, max_examples=60)
+    @given(GRAPH_TEXT)
+    def test_reduce_exits_cleanly(self, text):
+        try:
+            small = parse_graph(text).vertex_count <= 8
+        except GraphFormatError:
+            small = True
+        if not small:  # arbitrary text may name a huge vertex range
+            return
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.graph"
+            path.write_text(text, encoding="utf-8")
+            argv = ["reduce", "--graph", str(path), "--node-cap", "300"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    # the interpreter prints a message code on stderr, exit 1
+                    assert isinstance(exc.code, str)
+                    code = 1
+                    err.write(exc.code + "\n")
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code == 1
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -1,8 +1,11 @@
 """Lattice bases, unimodularity certificates, membership, reports."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+
+from flowpoly import reduction
 
 from flowpoly.geometry import (
     AmbientLattice,
@@ -254,6 +257,25 @@ class TestVerifyDissection:
         assert report.passed
         names = [c.name for c in report.checks]
         assert "pairwise_interiors_disjoint" in names
+
+    def test_spoiled_repeated_vertex_reported_at_its_cell(self, monkeypatch):
+        # membership is tested once per distinct point; a spoiled copy of a
+        # point that passed in earlier cells is still caught, in its own cell
+        g, c = complete_graph(4), (3, 2, 2)
+        cells = unimodular_dissection(g, c)
+        last = len(cells) - 1
+        earlier = {v for cell in cells[:last] for v in cell.vertices}
+        k = next(k for k, v in enumerate(cells[last].vertices) if v in earlier)
+        # minus twice a kernel vector: in the affine span, off the polytope
+        w = AmbientLattice(attach_source(g, c)).basis[0]
+        bad = tuple(x - 2 * y for x, y in zip(cells[last].vertices[k], w))
+        vertices = list(cells[last].vertices)
+        vertices[k] = bad
+        spoiled = cells[:last] + [replace(cells[last], vertices=tuple(vertices))]
+        monkeypatch.setattr(reduction, "unimodular_dissection", lambda *a, **kw: spoiled)
+        check = verify_dissection(g, c).checks[0]
+        assert check.name == "cell_vertices_in_polytope" and not check.passed
+        assert check.details["counterexample"] == {"cell": 21, "vertex": list(bad)}
 
     def test_report_round_trip(self):
         report = verify_dissection(path_graph(3), (2, 1))

@@ -145,6 +145,62 @@ class TestReduceAtVertex:
                 assert child.graph.edge_count == expected
 
 
+def assert_fully_valid(node):
+    """The node equals its rebuild through the public, checking
+    constructors, and every provenance set orders into its root path."""
+    g = node.graph
+    rebuilt = ProvenancedGraph(
+        DirectedMultigraph(g.vertex_count, g.edges, g.first_vertex), node.provenance, node.root
+    )
+    assert rebuilt == node
+    assert all(type(s) is frozenset for s in node.provenance)
+    assert node.provenance_paths_ok()
+
+
+class TestChildrenFromCheckedParts:
+    """reduce_at_vertex builds its children without rechecking the parts
+    they inherit; every child must still pass the full checks."""
+
+    def test_canonical_tree_k5(self):
+        tree = canonical_reduction_tree(complete_graph(5))
+        for node in tree.nodes():
+            assert_fully_valid(node.graph)
+        assert tree.node_count == 15
+
+    def test_source_tree_k6(self):
+        tree = reduction_tree_with_source(complete_graph(6), (2,) * 5)
+        for node in tree.nodes():
+            assert_fully_valid(node.graph)
+        assert len(tree.leaves()) == 140
+
+    def test_shape_dissection_k4(self):
+        g, c = complete_graph(4), (3, 2, 2)
+        n = len(c)
+        terminals = 0
+        for composition in leaf_census(iter_reduction_leaves(g, c)):
+            shape = reduction._shape_dissection(c, composition, reduction.DEFAULT_NODE_CAP)
+            root = ProvenancedGraph.as_root(DirectedMultigraph(n + 2, shape.edges, 0))
+            budget = reduction._Budget(reduction.DEFAULT_NODE_CAP)
+            walk = reduction._walk(root, range(1, n + 1), reduction._dissection_children, budget)
+            made = []
+            for depth, _, node in walk:
+                assert_fully_valid(node)
+                if depth == n:
+                    made.append(node)
+            assert [t.provenance for t in made] == list(shape.terminals)
+            terminals += len(made)
+        assert terminals == 22
+
+    def test_children_share_parent_parts(self):
+        node = ProvenancedGraph.as_root(complete_graph(4))
+        inc, out = node.graph.in_edges_at(3), node.graph.out_edges_at(3)
+        (tree, *_) = enumerate_noncrossing_trees(len(inc) + 1, len(out))
+        child = reduce_at_vertex(node, 3, inc, out, tree)
+        for k in set(range(node.graph.edge_count)) - set(inc) - set(out):
+            assert any(e is node.graph.edges[k] for e in child.graph.edges)
+            assert any(s is node.provenance[k] for s in child.provenance)
+
+
 class TestPhiMap:
     def test_root_is_identity(self):
         node = ProvenancedGraph.as_root(complete_graph(4))
