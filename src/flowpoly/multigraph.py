@@ -85,6 +85,10 @@ class DirectedMultigraph:
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected multigraph."""
+        # a connected graph has a spanning tree; this also refuses a huge
+        # vertex range with few edges before any set is built for it
+        if self.edge_count < self.vertex_count - 1:
+            return False
         if self.vertex_count == 1:
             return True
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}

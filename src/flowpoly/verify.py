@@ -11,12 +11,21 @@ dissection reports) and yields None for a passing instance or the
 counterexample's fields.  The formula side keeps one LidskiiTerms per
 graph, so the graph checks, the dominant compositions and the shifted
 counts are done once per graph rather than once per instance.
+
+No state is shared across graphs, so _run_family splits the family
+round-robin by graph index over forked worker processes, one per usable
+CPU (the FLOWPOLY_WORKERS environment variable caps the count; 1 runs
+serially, in this process).  The results are merged in graph order, so a
+SuiteResult, and a raised error, are those of a serial run.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .geometry import verify_dissection, verify_in_vector_bijection
@@ -82,21 +91,112 @@ def _box(graph: DirectedMultigraph, low: int, high: int):
     return product(range(low, high + 1), repeat=graph.vertex_count - 1)
 
 
-def _run_family(
-    title: str,
-    max_vertices: int,
-    max_edges: int,
-    instances: Callable[[DirectedMultigraph], Iterator[dict | None]],
-) -> SuiteResult:
+Instances = Callable[[DirectedMultigraph], Iterator[dict | None]]
+# A share's result: its instance count, its (graph index, counterexample)
+# pairs and the first error it raised with the graph index, or None.
+Share = tuple[int, list[tuple[int, dict]], tuple[int, Exception] | None]
+
+
+def _worker_count(graphs: int) -> int:
+    """Processes to split a family of `graphs` graphs over: the usable CPUs,
+    at most FLOWPOLY_WORKERS when it is set, and at most one per graph.  1
+    where os.fork is missing or other threads run in this process, which a
+    fork would copy in whatever state they are in."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:
+        usable = os.cpu_count() or 1
+    env = os.environ.get("FLOWPOLY_WORKERS")
+    if env is not None:
+        try:
+            wanted = int(env)
+        except ValueError:
+            wanted = 0
+        if wanted < 1:
+            raise ValueError(f"FLOWPOLY_WORKERS={env!r} is not a positive integer")
+        usable = min(usable, wanted)
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        return 1
+    return max(1, min(usable, graphs))
+
+
+def _run_share(graphs: list[DirectedMultigraph], start: int, step: int, instances: Instances) -> Share:
+    """Run the instances of graphs[start::step], stopping at the first error."""
+    count, failures = 0, []
+    for index in range(start, len(graphs), step):
+        graph = graphs[index]
+        try:
+            for failure in instances(graph):
+                count += 1
+                if failure is not None:
+                    failures.append((index, {"graph": _graph_payload(graph), **failure}))
+        except Exception as exc:  # handed to _run_family, which re-raises it
+            return count, failures, (index, exc)
+    return count, failures, None
+
+
+def _run_shares(graphs: list[DirectedMultigraph], workers: int, instances: Instances) -> list[Share]:
+    """Run share 0 here and shares 1..workers-1 in forked children, each of
+    which sends its share back pickled through a pipe; one worker forks
+    nothing.  Every child is reaped before this returns or raises; on an
+    error or an interrupt the ones still running are killed first."""
+    import pickle
+    import signal
+
+    running: dict[int, int] = {}  # child pid -> the read end of its pipe
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # os._exit never returns into the caller's code, so the child
+                # flushes none of its buffered output and runs no exit hooks
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(_run_share(graphs, k, workers, instances), pipe,
+                                    pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            running[pid] = read_fd
+            os.close(write_fd)
+        shares = [_run_share(graphs, 0, workers, instances)]
+        for pid, read_fd in list(running.items()):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            os.close(read_fd)
+            del running[pid]
+            if status != 0 or not data:
+                raise RuntimeError(
+                    f"verify worker exited with status {os.waitstatus_to_exitcode(status)} "
+                    "without a result")
+            # bytes a forked copy of this process wrote
+            shares.append(pickle.loads(data))
+        return shares
+    finally:
+        for pid, read_fd in running.items():
+            os.kill(pid, signal.SIGKILL)
+            os.close(read_fd)
+            os.waitpid(pid, 0)
+
+
+def _run_family(title: str, max_vertices: int, max_edges: int, instances: Instances) -> SuiteResult:
     """Walk the family; instances(graph) yields None for each passing
-    instance and the counterexample's fields for each failing one."""
-    result = SuiteResult(title)
-    for graph in iter_family(max_vertices, max_edges):
-        for failure in instances(graph):
-            result.instances += 1
-            if failure is not None:
-                result.failures.append({"graph": _graph_payload(graph), **failure})
-    return result
+    instance and the counterexample's fields for each failing one.  The
+    graphs are split over _worker_count processes; the counterexamples come
+    back in graph order, and of the errors raised the one at the smallest
+    graph index, the one a serial walk stops at, is raised here."""
+    graphs = list(iter_family(max_vertices, max_edges))
+    shares = _run_shares(graphs, _worker_count(len(graphs)), instances)
+    errors = [error for _, _, error in shares if error is not None]
+    if errors:
+        raise min(errors, key=itemgetter(0))[1]
+    failures = sorted(chain.from_iterable(failures for _, failures, _ in shares), key=itemgetter(0))
+    return SuiteResult(title, sum(count for count, _, _ in shares), [f for _, f in failures])
 
 
 def run_eq2_suite(

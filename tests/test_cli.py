@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import flowpoly.verify
 from flowpoly.cli import main
 from flowpoly.multigraph import (
+    DirectedMultigraph,
     GraphFormatError,
     complete_graph,
     format_graph,
@@ -20,8 +23,8 @@ from flowpoly.multigraph import (
     path_graph,
     write_graph,
 )
-from flowpoly.reduction import census_from_json
-from flowpoly.verify import SUITES
+from flowpoly.reduction import NodeCapExceeded, census_from_json
+from flowpoly.verify import SUITES, iter_family, run_in_vector_suite
 
 
 @pytest.fixture()
@@ -312,12 +315,18 @@ class TestVerify:
         assert len(lines) == 1 and lines[0].startswith(f"PASS {suite} (")
         assert lines[0].endswith(f": {self.INSTANCES[suite]} instances")
 
-    @pytest.mark.parametrize("suite, side, spoil", [
+    SPOILED_SIDES = [
         ("census", "leaf_census", lambda census: {**census, (9,): 1}),
         ("dissection", "verify_dissection", _failing_report),
         ("in-vector", "verify_in_vector_bijection", _failing_report),
-    ], ids=["census", "dissection", "in-vector"])
+    ]
+
+    @pytest.mark.parametrize("suite, side, spoil", SPOILED_SIDES,
+                             ids=["census", "dissection", "in-vector"])
     def test_spoiled_side_fails_once(self, capsys, monkeypatch, suite, side, spoil):
+        # the call counter lives in one process: each worker would spoil its
+        # own first call
+        monkeypatch.setenv("FLOWPOLY_WORKERS", "1")
         real = getattr(flowpoly.verify, side)
         calls = []
 
@@ -334,6 +343,98 @@ class TestVerify:
         assert summary.endswith(f": {self.INSTANCES[suite]} instances, 1 failures")
         failure = json.loads(counterexample.removeprefix("  counterexample: "))
         assert failure["graph"] == {"vertices": 3, "edges": [[1, 3], [2, 3]]}
+
+    @pytest.mark.parametrize("suite, side, spoil", SPOILED_SIDES,
+                             ids=["census", "dissection", "in-vector"])
+    def test_spoiled_side_fails_once_in_parallel(self, capsys, monkeypatch, workers, suite,
+                                                 side, spoil):
+        # spoils the first instance of the first family graph, whichever
+        # process runs it
+        workers(2)
+        first = DirectedMultigraph(3, ((1, 3), (2, 3)))
+        real = getattr(flowpoly.verify, side)
+
+        def spoiled_first(arg, *args, **kwargs):
+            if side == "leaf_census":  # the leaves of one graph's tree
+                arg = list(arg)
+                hit = arg[0].root == first
+            else:  # the graph and c
+                hit = (arg, tuple(args[0])) == (first, (1, 1))
+            value = real(arg, *args, **kwargs)
+            return spoil(value) if hit else value
+
+        monkeypatch.setattr(flowpoly.verify, side, spoiled_first)
+        code, out, _ = run(capsys, ["verify", "--suite", suite, *self.SMALL])
+        assert code == 1
+        summary, counterexample = out.splitlines()
+        assert summary.startswith(f"FAIL {suite} (")
+        assert summary.endswith(f": {self.INSTANCES[suite]} instances, 1 failures")
+        failure = json.loads(counterexample.removeprefix("  counterexample: "))
+        assert failure["graph"] == {"vertices": 3, "edges": [[1, 3], [2, 3]]}
+
+
+class TestWorkerErrors:
+    """An error in a worker's share of the family reaches the caller as it
+    does in a serial run; the workers fixture checks that no child is left."""
+
+    ARGV = ["verify", "--suite", "in-vector", "--max-vertices", "3", "--max-edges", "4",
+            "--max-netflow", "1"]
+
+    def spoil(self, monkeypatch, actions):
+        """Run actions[i]() before checking family graph i; with two workers
+        graph 1 is in the child's share and graphs 0 and 2 in the parent's."""
+        graphs = list(iter_family(3, 4))
+        real = flowpoly.verify.verify_in_vector_bijection
+
+        def spoiled(graph, c):
+            for index, action in actions.items():
+                if graph == graphs[index]:
+                    action()
+            return real(graph, c)
+
+        monkeypatch.setattr(flowpoly.verify, "verify_in_vector_bijection", spoiled)
+
+    def test_first_error_by_graph_index(self, capsys, monkeypatch, workers):
+        def raiser(exc):
+            def action():
+                raise exc
+            return action
+
+        self.spoil(monkeypatch, {1: raiser(NodeCapExceeded("node cap 7 exceeded at graph 1")),
+                                 2: raiser(ValueError("graph 2"))})
+        outcomes = []
+        for n in (1, 2):
+            workers(n)
+            with pytest.raises(Exception) as caught:
+                run_in_vector_suite(3, 4, 1)
+            outcomes.append((type(caught.value), str(caught.value), run(capsys, self.ARGV)))
+        assert outcomes[0] == outcomes[1] == (
+            NodeCapExceeded, "node cap 7 exceeded at graph 1",
+            (1, "", "error: node cap 7 exceeded at graph 1\n"))
+
+    def test_worker_dying_without_a_result(self, monkeypatch, workers):
+        workers(2)
+        self.spoil(monkeypatch, {1: lambda: os._exit(3)})
+        with pytest.raises(RuntimeError, match="exited with status 3 without a result"):
+            run_in_vector_suite(3, 4, 1)
+
+    def test_interrupt_kills_the_workers(self, monkeypatch, workers):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        workers(2)
+        self.spoil(monkeypatch, {1: lambda: time.sleep(60), 2: interrupt})
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_in_vector_suite(3, 4, 1)
+        assert time.monotonic() - start < 30
+
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    def test_bad_worker_count(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("FLOWPOLY_WORKERS", value)
+        code, out, err = run(capsys, self.ARGV)
+        assert (code, out) == (1, "")
+        assert err == f"error: FLOWPOLY_WORKERS={value!r} is not a positive integer\n"
 
 
 class TestErrors:
@@ -356,6 +457,13 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "node cap" in err
+
+    def test_huge_vertex_range_with_one_edge(self, capsys, tmp_path):
+        # refused by its edge count, before any per-vertex set is built
+        path = tmp_path / "sparse.graph"
+        path.write_text("1000000\n1 2\n")
+        code, out, err = run(capsys, ["reduce", "--graph", str(path)])
+        assert (code, out, err) == (1, "", "error: graph must be connected\n")
 
     def test_value_error(self, capsys, k4_file):
         code, _, err = run(capsys, ["dissect", "--graph", k4_file, "--c", "1,0,1"])

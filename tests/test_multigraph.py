@@ -1,5 +1,6 @@
 """Graph representations, degree statistics, constructions, file format."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,20 @@ class TestDirectedMultigraph:
         assert complete_graph(4).is_connected()
         assert not DirectedMultigraph(4, ((1, 2), (3, 4))).is_connected()
         assert DirectedMultigraph(1, ()).is_connected()
+
+    def test_too_few_edges_are_disconnected_at_once(self):
+        # a connected graph has a spanning tree of vertex_count - 1 edges;
+        # fewer edges answer False before any per-vertex set is built
+        assert not DirectedMultigraph(3, ((1, 2),)).is_connected()
+        assert path_graph(5).is_connected()
+        sparse = DirectedMultigraph(10**6, ((1, 2),))
+        tracemalloc.start()
+        try:
+            assert not sparse.is_connected()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
 
 
 class TestDegreeStats:
