@@ -277,6 +277,32 @@ class TestVerifyDissection:
         assert check.name == "cell_vertices_in_polytope" and not check.passed
         assert check.details["counterexample"] == {"cell": 21, "vertex": list(bad)}
 
+    @staticmethod
+    def pairwise_counterexample(monkeypatch, spoiled):
+        monkeypatch.setattr(reduction, "unimodular_dissection", lambda *a, **kw: spoiled)
+        check = verify_dissection(complete_graph(4), (3, 2, 2), debug_pairwise=True).checks[-1]
+        assert check.name == "pairwise_interiors_disjoint" and not check.passed
+        return check.details["counterexample"]
+
+    def test_spoiled_duplicate_cell(self, monkeypatch):
+        cells = unimodular_dissection(complete_graph(4), (3, 2, 2))
+        found = self.pairwise_counterexample(monkeypatch, cells + [cells[5]])
+        assert found == {"reason": "duplicate cell", "cells": [5, 22]}
+
+    def test_spoiled_apex_on_the_same_side_of_a_shared_facet(self, monkeypatch):
+        # reflect the apex of a facet neighbour of cell 0 through cell 0's
+        # apex: a lattice point of the affine span on cell 0's side
+        cells = unimodular_dissection(complete_graph(4), (3, 2, 2))
+        first = set(cells[0].vertices)
+        b = next(j for j, cell in enumerate(cells) if len(first & set(cell.vertices)) == len(first) - 1)
+        (apex_a,) = first - set(cells[b].vertices)
+        (apex_b,) = set(cells[b].vertices) - first
+        moved = tuple(2 * x - y for x, y in zip(apex_a, apex_b))
+        vertices = tuple(moved if v == apex_b else v for v in cells[b].vertices)
+        cells[b] = replace(cells[b], vertices=vertices)
+        found = self.pairwise_counterexample(monkeypatch, cells)
+        assert found == {"reason": "cells on the same side of a shared facet", "cells": [0, b]}
+
     def test_report_round_trip(self):
         report = verify_dissection(path_graph(3), (2, 1))
         assert VerificationReport.from_json(report.to_json()) == report
