@@ -41,21 +41,28 @@ from .reduction import (
 from .verify import SUITES
 
 
-def _default_node_cap() -> int:
-    env = os.environ.get("FLOWPOLY_NODE_CAP")
-    if env is None:
-        return DEFAULT_NODE_CAP
+def _node_cap(flag: str | None) -> int:
+    """The --node-cap flag, else FLOWPOLY_NODE_CAP, else the library
+    default; a positive integer."""
+    name, text = "--node-cap", flag
+    if text is None:
+        name, text = "FLOWPOLY_NODE_CAP", os.environ.get("FLOWPOLY_NODE_CAP")
+        if text is None:
+            return DEFAULT_NODE_CAP
     try:
-        return int(env)
+        cap = int(text)
     except ValueError:
-        raise SystemExit(f"FLOWPOLY_NODE_CAP={env!r} is not an integer")
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{name}={text!r} is not a positive integer")
+    return cap
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
-        raise SystemExit(f"could not parse {what} {text!r}; expected comma-separated integers")
+        raise ValueError(f"could not parse {what} {text!r}; expected comma-separated integers")
 
 
 def _netflow_for(graph: DirectedMultigraph, text: str) -> NetflowVector:
@@ -63,11 +70,11 @@ def _netflow_for(graph: DirectedMultigraph, text: str) -> NetflowVector:
     nv = graph.vertex_count
     if len(entries) == nv:
         if sum(entries) != 0:
-            raise SystemExit(f"netflow {entries} does not sum to zero")
+            raise ValueError(f"netflow {entries} does not sum to zero")
         return NetflowVector(entries)
     if len(entries) == nv - 1:
         return NetflowVector.completing(entries)
-    raise SystemExit(
+    raise ValueError(
         f"netflow needs {nv} entries (or {nv - 1} with the sink inferred), got {len(entries)}"
     )
 
@@ -76,9 +83,9 @@ def _load_graph(path: str) -> DirectedMultigraph:
     try:
         return read_graph(path)
     except OSError as exc:
-        raise SystemExit(f"error: cannot read graph file {path}: {exc.strerror}")
+        raise ValueError(f"cannot read graph file {path}: {exc.strerror}") from exc
     except GraphFormatError as exc:
-        raise SystemExit(f"error: {path}: {exc}")
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -99,10 +106,7 @@ def cmd_kostant(args) -> int:
 def cmd_ehrhart(args) -> int:
     graph = _load_graph(args.graph)
     netflow = _netflow_for(graph, args.netflow)
-    try:
-        poly = ehrhart_polynomial(FlowInstance(graph, netflow))
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    poly = ehrhart_polynomial(FlowInstance(graph, netflow))
     strings = poly.coefficient_strings()
     _emit(args, {"coefficients": strings}, ", ".join(strings) if strings else "0")
     return 0
@@ -110,19 +114,16 @@ def cmd_ehrhart(args) -> int:
 
 def cmd_lidskii(args) -> int:
     graph = _load_graph(args.graph)
-    try:
-        if args.mode == "c-form":
-            if args.c is None:
-                raise SystemExit("--mode c-form requires --c")
-            value = lidskii_count_c_form(graph, _parse_int_list(args.c, "c"))
-        else:
-            if args.netflow is None:
-                raise SystemExit(f"--mode {args.mode} requires --netflow")
-            netflow = _netflow_for(graph, args.netflow)
-            fn = lidskii_volume if args.mode == "volume" else lidskii_count
-            value = fn(graph, netflow)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    if args.mode == "c-form":
+        if args.c is None:
+            raise ValueError("--mode c-form requires --c")
+        value = lidskii_count_c_form(graph, _parse_int_list(args.c, "c"))
+    else:
+        if args.netflow is None:
+            raise ValueError(f"--mode {args.mode} requires --netflow")
+        netflow = _netflow_for(graph, args.netflow)
+        fn = lidskii_volume if args.mode == "volume" else lidskii_count
+        value = fn(graph, netflow)
     _emit(args, {"mode": args.mode, "value": value}, str(value))
     return 0
 
@@ -210,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "unimodular dissections of flow polytopes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    node_cap = _default_node_cap()
 
     p = sub.add_parser("kostant", help="count integer flows")
     p.add_argument("--graph", required=True)
@@ -237,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--c", help="attach a source with these edge multiplicities first")
     p.add_argument("--emit", choices=["census", "json", "dot"], default="census")
-    p.add_argument("--node-cap", type=int, default=node_cap)
+    p.add_argument("--node-cap")
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("dissect", help="unimodular dissection of the augmented polytope")
     p.add_argument("--graph", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--emit", choices=["summary", "cells"], default="summary")
-    p.add_argument("--node-cap", type=int, default=node_cap)
+    p.add_argument("--node-cap")
     p.set_defaults(fn=cmd_dissect)
 
     p = sub.add_parser("verify", help="exhaustive identity suites")
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=4)
     p.add_argument("--max-edges", type=int, default=6)
     p.add_argument("--max-netflow", type=int, default=2)
-    p.add_argument("--node-cap", type=int, default=node_cap)
+    p.add_argument("--node-cap")
     p.add_argument("--debug-pairwise-disjoint", action="store_true")
     p.add_argument("--debug-corrupt-formula", action="store_true",
                    help="perturb the formula side to confirm the suite detects errors")
@@ -263,6 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "node_cap" in vars(args):
+            args.node_cap = _node_cap(args.node_cap)
         return args.fn(args)
     except RecursionError as exc:
         print(f"error: input too deep for the recursion limit ({exc})", file=sys.stderr)

@@ -4,17 +4,18 @@ membership, and the verification reports that tie the dissection pipeline
 back to the brute-force counts.
 
 The affine span of a flow polytope is a coset of the integer kernel of the
-incidence matrix.  A basis of that kernel lattice is computed once per
-ambient instance by integer column reduction (Hermite style); a simplex is
-unimodular exactly when its edge vectors, written in that basis, have
-determinant +-1.
+incidence matrix.  That matrix is totally unimodular, so the fundamental
+cycles of any spanning forest are a basis of the kernel lattice: a lattice
+vector is fixed by its entries on the cotree edges (those left out of the
+forest), and any integer entries there extend to one.  Cotree entries are
+therefore lattice coordinates, and a simplex is unimodular exactly when its
+edge vectors, restricted to the cotree, have determinant +-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Sequence
 
 from .kostant import FlowInstance, count_flows, enumerate_flows, normalized_volume_oracle
@@ -23,7 +24,6 @@ from .multigraph import (
     NetflowVector,
     apply_incidence,
     attach_source,
-    incidence_matrix,
 )
 from .lidskii import in_plus_c_netflow
 
@@ -79,61 +79,6 @@ def path_flow_vertices(node) -> list[tuple[int, ...]]:
 # --- integer linear algebra -------------------------------------------------
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, next_x = 1, 0
-    y, next_y = 0, 1
-    g, next_g = a, b
-    while next_g:
-        q = g // next_g
-        x, next_x = next_x, x - q * next_x
-        y, next_y = next_y, y - q * next_y
-        g, next_g = next_g, g - q * next_g
-    return x, y, g
-
-
-def integral_kernel_basis(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of {z integer : M z = 0} spanning the whole integer kernel
-    lattice, via unimodular column operations."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    cols = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
-    trans = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]
-    fixed = 0
-    for row in range(nrows):
-        pivot = None
-        for j in range(fixed, ncols):
-            if cols[j][row] == 0:
-                continue
-            if pivot is None:
-                pivot = j
-                continue
-            a, b = cols[pivot][row], cols[j][row]
-            x, y, g = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            cp, cj = cols[pivot], cols[j]
-            tp, tj = trans[pivot], trans[j]
-            for i in range(nrows):
-                u, v = cp[i], cj[i]
-                cp[i] = x * u + y * v
-                cj[i] = -bg * u + ag * v
-            for i in range(ncols):
-                u, v = tp[i], tj[i]
-                tp[i] = x * u + y * v
-                tj[i] = -bg * u + ag * v
-        if pivot is not None:
-            cols[fixed], cols[pivot] = cols[pivot], cols[fixed]
-            trans[fixed], trans[pivot] = trans[pivot], trans[fixed]
-            fixed += 1
-    basis = []
-    for j in range(fixed, ncols):
-        vec = trans[j]
-        lead = next((x for x in vec if x != 0), 0)
-        if lead < 0:
-            vec = [-x for x in vec]
-        basis.append(tuple(vec))
-    return basis
-
-
 def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     n = len(rows)
     if n == 0:
@@ -158,50 +103,41 @@ def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _pivot_columns(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Column indices making the row set invertible, by integer
-    fraction-free elimination."""
-    if not rows:
-        return ()
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        piv = next((i for i in range(r, nrows) if work[i][j] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        pval = prow[j]
-        for i in range(r + 1, nrows):
-            v = work[i][j]
-            if v:
-                row = [a * pval - v * b for a, b in zip(work[i], prow)]
-                g = gcd(*row)
-                work[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(j)
-        r += 1
-        if r == nrows:
-            break
-    return tuple(pivots)
-
-
 class AmbientLattice:
     """Lattice of the affine span of a flow polytope on a fixed graph,
-    presented by a basis of the integer kernel of the incidence matrix."""
+    presented by the cotree of a spanning forest grown over the edges in
+    order: the edges that close a cycle, one lattice coordinate each."""
 
     def __init__(self, graph: DirectedMultigraph):
         self.graph = graph
-        self.basis = integral_kernel_basis(incidence_matrix(graph))
-        self.dim = len(self.basis)
-        self.pivot_cols = _pivot_columns(self.basis)
-        if len(self.pivot_cols) != self.dim:
-            raise ArithmeticError("kernel basis is not full rank")
-        self.base_det = abs(_det_bareiss([[b[j] for j in self.pivot_cols] for b in self.basis]))
-        if self.dim and self.base_det == 0:
-            raise ArithmeticError("degenerate lattice basis")
+        root = list(range(graph.last_vertex + 1))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        cotree = []
+        for e, (a, b) in enumerate(graph.edges):
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                cotree.append(e)
+            else:
+                root[ra] = rb
+        self.cotree = tuple(cotree)
+        self.dim = len(cotree)
+
+
+def _lattice_coordinates(
+    lattice: AmbientLattice, ref: Sequence[int], point: Sequence[int]
+) -> tuple[int, ...] | None:
+    """Lattice coordinates of point - ref, its cotree entries; None when the
+    difference leaves the affine span."""
+    diff = [a - b for a, b in zip(point, ref)]
+    if any(apply_incidence(lattice.graph, diff)):
+        return None
+    return tuple(diff[j] for j in lattice.cotree)
 
 
 def is_unimodular(
@@ -214,16 +150,10 @@ def is_unimodular(
     verts = cell.vertices
     if len(verts) != lat.dim + 1:
         raise ValueError(f"cell has {len(verts)} vertices, ambient span needs {lat.dim + 1}")
-    if lat.dim == 0:
-        return True
-    v0 = verts[0]
-    zero = (0,) * lat.graph.vertex_count
-    for v in verts[1:]:
-        diff = tuple(a - b for a, b in zip(v, v0))
-        if apply_incidence(lat.graph, diff) != zero:
-            raise ValueError("cell vertices do not lie in one affine span fiber")
-    rows = [[v[j] - v0[j] for j in lat.pivot_cols] for v in verts[1:]]
-    return abs(_det_bareiss(rows)) == lat.base_det
+    rows = [_lattice_coordinates(lat, verts[0], v) for v in verts[1:]]
+    if None in rows:
+        raise ValueError("cell vertices do not lie in one affine span fiber")
+    return abs(_det_bareiss(rows)) == 1
 
 
 def contains_flow(inst: FlowInstance, point: Sequence) -> bool:
@@ -363,41 +293,12 @@ def verify_dissection(
     return report
 
 
-def _lattice_coordinates(lattice: AmbientLattice, ref: Sequence[int], point: Sequence[int]):
-    """Coordinates of point - ref in the kernel lattice basis; exact, raises
-    if the difference is not a lattice vector."""
-    pivots = lattice.pivot_cols
-    d = lattice.dim
-    rhs = [Fraction(point[j] - ref[j]) for j in pivots]
-    mat = [[Fraction(lattice.basis[i][j]) for i in range(d)] for j in pivots]
-    # solve mat * x = rhs by Gaussian elimination
-    for col in range(d):
-        piv = next(i for i in range(col, d) if mat[i][col] != 0)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        rhs[col] *= inv
-        for i in range(d):
-            if i != col and mat[i][col] != 0:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[col])]
-                rhs[i] -= f * rhs[col]
-    coords = []
-    for x in rhs:
-        if x.denominator != 1:
-            raise ArithmeticError("point difference is not a lattice vector")
-        coords.append(x.numerator)
-    return tuple(coords)
-
-
 def _pairwise_interior_check(cells: Sequence[SimplexCell], lattice: AmbientLattice):
     """Shared-facet scan: duplicate cells, facets claimed by three or more
     cells, and facet-sharing pairs whose opposite vertices land on the same
     side of the facet hyperplane are reported as interior overlaps."""
     if not cells:
         return None
-    d = lattice.dim
     ref = cells[0].vertices[0]
     coord_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -405,6 +306,8 @@ def _pairwise_interior_check(cells: Sequence[SimplexCell], lattice: AmbientLatti
         got = coord_cache.get(v)
         if got is None:
             got = _lattice_coordinates(lattice, ref, v)
+            if got is None:
+                raise ArithmeticError("point difference is not a lattice vector")
             coord_cache[v] = got
         return got
 

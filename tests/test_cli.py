@@ -75,20 +75,22 @@ class TestKostant:
         code, out, _ = run(capsys, ["kostant", "--graph", path3_file, "--netflow", "0,-1,1"])
         assert code == 0 and out.strip() == "0"
 
-    def test_bad_netflow_length(self, k4_file):
-        with pytest.raises(SystemExit):
-            main(["kostant", "--graph", k4_file, "--netflow", "1,0"])
+    def test_bad_netflow_length(self, capsys, k4_file):
+        assert run(capsys, ["kostant", "--graph", k4_file, "--netflow", "1,0"]) == (
+            1, "", "error: netflow needs 4 entries (or 3 with the sink inferred), got 2\n")
 
-    @pytest.mark.parametrize("name", ["missing.graph", "."])
-    def test_unreadable_graph_file(self, tmp_path, name):
-        with pytest.raises(SystemExit, match="^error: cannot read graph file .*: [A-Z]"):
-            main(["reduce", "--graph", str(tmp_path / name)])
+    @pytest.mark.parametrize("name, reason", [("missing.graph", "No such file or directory"),
+                                              (".", "Is a directory")], ids=["missing.graph", "."])
+    def test_unreadable_graph_file(self, capsys, tmp_path, name, reason):
+        path = tmp_path / name
+        assert run(capsys, ["reduce", "--graph", str(path)]) == (
+            1, "", f"error: cannot read graph file {path}: {reason}\n")
 
-    def test_bad_graph_file(self, tmp_path):
+    def test_bad_graph_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.graph"
         bad.write_text("3\n1 two\n")
-        with pytest.raises(SystemExit, match="line 2"):
-            main(["kostant", "--graph", str(bad), "--netflow", "1,0,-1"])
+        assert run(capsys, ["kostant", "--graph", str(bad), "--netflow", "1,0,-1"]) == (
+            1, "", f"error: {bad}: line 2: 'two' is not an integer\n")
 
 
 class TestEhrhart:
@@ -110,11 +112,11 @@ class TestEhrhart:
         code, out, _ = run(capsys, ["ehrhart", "--graph", str(f), "--netflow", "1"])
         assert code == 0 and out.strip() == "1"
 
-    def test_disconnected_rejected(self, tmp_path):
+    def test_disconnected_rejected(self, capsys, tmp_path):
         f = tmp_path / "disc.graph"
         f.write_text("4\n1 2\n3 4\n")
-        with pytest.raises(SystemExit, match="connected"):
-            main(["ehrhart", "--graph", str(f), "--netflow", "1,-1,1"])
+        assert run(capsys, ["ehrhart", "--graph", str(f), "--netflow", "1,-1,1"]) == (
+            1, "", "error: ehrhart_polynomial requires a connected graph\n")
 
 
 class TestLidskii:
@@ -134,9 +136,9 @@ class TestLidskii:
         code, out, _ = run(capsys, ["lidskii", "--graph", k4_file, "--mode", "c-form", "--c", "3,2,2"])
         assert code == 0 and out.strip() == "22"
 
-    def test_c_form_requires_c(self, k4_file):
-        with pytest.raises(SystemExit):
-            main(["lidskii", "--graph", k4_file, "--mode", "c-form", "--netflow", "1,0,0"])
+    def test_c_form_requires_c(self, capsys, k4_file):
+        argv = ["lidskii", "--graph", k4_file, "--mode", "c-form", "--netflow", "1,0,0"]
+        assert run(capsys, argv) == (1, "", "error: --mode c-form requires --c\n")
 
 
 class TestReduce:
@@ -470,6 +472,28 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("env, argv, message", [
+        ({}, ["kostant", "--netflow", "1,x"],
+         "could not parse netflow '1,x'; expected comma-separated integers"),
+        ({}, ["lidskii", "--mode", "volume", "--netflow=-1,0,0"],
+         "netflow entry 0 is negative; nice chamber required"),
+        ({"FLOWPOLY_NODE_CAP": "x"}, ["verify"], "FLOWPOLY_NODE_CAP='x' is not a positive integer"),
+        ({"FLOWPOLY_NODE_CAP": "-5"}, ["verify"],
+         "FLOWPOLY_NODE_CAP='-5' is not a positive integer"),
+        ({}, ["reduce", "--node-cap", "0"], "--node-cap='0' is not a positive integer"),
+        ({}, ["dissect", "--c", "1,1,1", "--node-cap", "-5"],
+         "--node-cap='-5' is not a positive integer"),
+        ({"FLOWPOLY_NODE_CAP": "x"}, ["verify", "--node-cap", "x"],
+         "--node-cap='x' is not a positive integer"),
+    ], ids=["netflow not integers", "volume outside the chamber", "env cap not an integer",
+            "env cap negative", "cap zero", "cap negative", "cap over env"])
+    def test_bad_input(self, capsys, monkeypatch, k4_file, env, argv, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        if argv[0] != "verify":
+            argv = [argv[0], "--graph", k4_file, *argv[1:]]
+        assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
 
 # Graph file text: arbitrary text, or a header and edge lines of small
 # integers mixed with lines of tokens that int() reads in surprising ways or
@@ -520,13 +544,7 @@ class TestGraphFileFuzz:
             path.write_text(text, encoding="utf-8")
             argv = ["reduce", "--graph", str(path), "--node-cap", "300"]
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as exc:
-                    # the interpreter prints a message code on stderr, exit 1
-                    assert isinstance(exc.code, str)
-                    code = 1
-                    err.write(exc.code + "\n")
+                code = main(argv)
         if code == 0:
             assert err.getvalue() == ""
         else:

@@ -1,5 +1,7 @@
 """Lattice bases, unimodularity certificates, membership, reports."""
 
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,7 +14,6 @@ from flowpoly.geometry import (
     SimplexCell,
     VerificationReport,
     contains_flow,
-    integral_kernel_basis,
     is_unimodular,
     path_flow_vertices,
     unit_source_sink_netflow,
@@ -20,13 +21,13 @@ from flowpoly.geometry import (
     verify_in_vector_bijection,
     verify_integral_equivalence,
 )
-from flowpoly.kostant import FlowInstance
+from flowpoly.kostant import FlowInstance, enumerate_flows
 from flowpoly.multigraph import (
     DirectedMultigraph,
     NetflowVector,
+    apply_incidence,
     attach_source,
     complete_graph,
-    incidence_matrix,
     path_graph,
 )
 from flowpoly.reduction import (
@@ -41,24 +42,29 @@ from flowpoly.reduction import (
 
 def fundamental_cycle_basis(graph):
     """Independent reference lattice basis: fundamental cycles of a spanning
-    tree, one vector per non-tree edge."""
-    parent = {graph.first_vertex: (None, None)}
-    order = [graph.first_vertex]
+    forest, grown breadth first from each vertex not yet reached, one vector
+    per non-forest edge."""
+    parent = {}
     tree_edges = set()
-    while order:
-        v = order.pop(0)
-        for e, (a, b) in enumerate(graph.edges):
-            if e in tree_edges:
-                continue
-            w = None
-            if a == v and b not in parent:
-                w = b
-            elif b == v and a not in parent:
-                w = a
-            if w is not None:
-                parent[w] = (v, e)
-                tree_edges.add(e)
-                order.append(w)
+    for start in graph.vertices:
+        if start in parent:
+            continue
+        parent[start] = (None, None)
+        order = [start]
+        while order:
+            v = order.pop(0)
+            for e, (a, b) in enumerate(graph.edges):
+                if e in tree_edges:
+                    continue
+                w = None
+                if a == v and b not in parent:
+                    w = b
+                elif b == v and a not in parent:
+                    w = a
+                if w is not None:
+                    parent[w] = (v, e)
+                    tree_edges.add(e)
+                    order.append(w)
     vectors = []
     for e, (a, b) in enumerate(graph.edges):
         if e in tree_edges:
@@ -105,44 +111,46 @@ class TestPathFlowVertices:
         assert path_flow_vertices(node) == [(1, 1)]
 
 
-class TestKernelBasis:
-    def test_path_trivial_kernel(self):
-        assert integral_kernel_basis(incidence_matrix(path_graph(4))) == []
-
-    def test_k4_rank_and_membership(self):
-        m = incidence_matrix(complete_graph(4))
-        basis = integral_kernel_basis(m)
-        assert len(basis) == 6 - 4 + 1
-        for vec in basis:
-            assert all(sum(row[j] * vec[j] for j in range(6)) == 0 for row in m)
-
-    def test_spans_full_integer_kernel(self):
-        # both bases must express each other integrally
-        for graph in (complete_graph(4), complete_graph(5),
-                      DirectedMultigraph(3, ((1, 2), (1, 2), (2, 3), (2, 3)))):
-            ours = integral_kernel_basis(incidence_matrix(graph))
-            reference = fundamental_cycle_basis(graph)
-            assert len(ours) == len(reference)
-            assert _integrally_equivalent(ours, reference)
+DOUBLED_PATH = DirectedMultigraph(3, ((1, 2), (1, 2), (2, 3), (2, 3)))
+DISCONNECTED = DirectedMultigraph(4, ((1, 2), (1, 2), (3, 4), (3, 4)))
 
 
-def _integrally_equivalent(basis_a, basis_b):
-    """Each vector of either basis has integer coordinates in the other."""
-    return _integer_span(basis_a, basis_b) and _integer_span(basis_b, basis_a)
+class TestAmbientLattice:
+    def test_path_trivial_lattice(self):
+        lattice = AmbientLattice(path_graph(4))
+        assert (lattice.dim, lattice.cotree) == (0, ())
+
+    @pytest.mark.parametrize(
+        "graph",
+        [complete_graph(4), complete_graph(5), DOUBLED_PATH,
+         attach_source(complete_graph(4), (3, 2, 2)), DISCONNECTED],
+        ids=["K4", "K5", "doubled path", "augmented K4", "disconnected"],
+    )
+    def test_cotree_entries_are_coordinates_of_a_reference_basis(self, graph):
+        # a lattice basis restricted to the cotree has determinant +-1
+        # exactly when cotree entries are coordinates of the whole lattice
+        lattice = AmbientLattice(graph)
+        reference = fundamental_cycle_basis(graph)
+        assert lattice.dim == len(reference)
+        assert abs(_det([[vec[j] for j in lattice.cotree] for vec in reference])) == 1
 
 
-def _integer_span(basis, vectors):
-    if not basis:
-        return not vectors
-    cols = len(basis[0])
-    for target in vectors:
-        # solve sum x_i basis_i = target over the rationals
-        rows = [[Fraction(basis[i][j]) for i in range(len(basis))] for j in range(cols)]
-        rhs = [Fraction(t) for t in target]
-        sol = _solve(rows, rhs)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            return False
-    return True
+def _det(rows):
+    """Determinant by exact elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for j in range(len(m)):
+        piv = next((i for i in range(j, len(m)) if m[i][j] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != j:
+            m[j], m[piv] = m[piv], m[j]
+            det = -det
+        det *= m[j][j]
+        for i in range(j + 1, len(m)):
+            f = m[i][j] / m[j][j]
+            m[i] = [x - f * y for x, y in zip(m[i], m[j])]
+    return det
 
 
 def _solve(rows, rhs):
@@ -183,6 +191,48 @@ class TestUnimodularity:
     def test_doubled_segment(self):
         ambient = FlowInstance(self.PARALLEL, (2, -2))
         assert not is_unimodular(SimplexCell(vertices=((2, 0), (0, 2))), ambient)
+
+    def test_disconnected_ambient_graph(self):
+        ambient = FlowInstance(DISCONNECTED, (1, -1, 1, -1))
+        assert AmbientLattice(DISCONNECTED).dim == 2
+        assert is_unimodular(
+            SimplexCell(vertices=((1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 1))), ambient
+        )
+        ambient = FlowInstance(DISCONNECTED, (2, -2, 1, -1))
+        assert not is_unimodular(
+            SimplexCell(vertices=((2, 0, 1, 0), (0, 2, 1, 0), (2, 0, 0, 1))), ambient
+        )
+
+    def test_vertices_off_one_fiber_raise(self):
+        ambient = FlowInstance(DISCONNECTED, (1, -1, 1, -1))
+        cell = SimplexCell(vertices=((1, 0, 1, 0), (0, 1, 1, 0), (1, 0, 1, 1)))
+        with pytest.raises(ValueError, match="fiber"):
+            is_unimodular(cell, ambient)
+
+    def test_random_flow_simplices_against_reference_basis(self):
+        # k + 1 lattice points of a random flow polytope, k its dimension:
+        # unimodular exactly when their edge vectors, solved in the reference
+        # basis, have determinant +-1
+        rng = random.Random(9)
+        seen = Counter()
+        for _ in range(400):
+            nv = rng.randint(2, 5)
+            pairs = [(a, b) for a in range(1, nv + 1) for b in range(a + 1, nv + 1)]
+            edges = sorted(rng.choice(pairs) for _ in range(rng.randint(1, 6)))
+            graph = DirectedMultigraph(nv, tuple(edges))
+            flow = [rng.randint(0, 2) for _ in edges]
+            ambient = FlowInstance(graph, apply_incidence(graph, flow))
+            reference = fundamental_cycle_basis(graph)
+            points = enumerate_flows(ambient)
+            if len(points) <= len(reference):
+                continue
+            verts = rng.sample(points, len(reference) + 1)
+            columns = [[Fraction(vec[j]) for vec in reference] for j in range(len(edges))]
+            coords = [_solve(columns, [x - y for x, y in zip(v, verts[0])]) for v in verts[1:]]
+            det = abs(_det(coords))
+            assert is_unimodular(SimplexCell(vertices=tuple(verts)), ambient) == (det == 1)
+            seen[min(det, 2)] += 1
+        assert min(seen[0], seen[1], seen[2]) >= 20, seen
 
     def test_dissection_cells_unimodular(self):
         g = complete_graph(4)
@@ -267,7 +317,7 @@ class TestVerifyDissection:
         earlier = {v for cell in cells[:last] for v in cell.vertices}
         k = next(k for k, v in enumerate(cells[last].vertices) if v in earlier)
         # minus twice a kernel vector: in the affine span, off the polytope
-        w = AmbientLattice(attach_source(g, c)).basis[0]
+        w = fundamental_cycle_basis(attach_source(g, c))[0]
         bad = tuple(x - 2 * y for x, y in zip(cells[last].vertices[k], w))
         vertices = list(cells[last].vertices)
         vertices[k] = bad
@@ -294,7 +344,8 @@ class TestVerifyDissection:
         # apex: a lattice point of the affine span on cell 0's side
         cells = unimodular_dissection(complete_graph(4), (3, 2, 2))
         first = set(cells[0].vertices)
-        b = next(j for j, cell in enumerate(cells) if len(first & set(cell.vertices)) == len(first) - 1)
+        b = next(j for j, cell in enumerate(cells)
+                 if len(first & set(cell.vertices)) == len(first) - 1)
         (apex_a,) = first - set(cells[b].vertices)
         (apex_b,) = set(cells[b].vertices) - first
         moved = tuple(2 * x - y for x, y in zip(apex_a, apex_b))
