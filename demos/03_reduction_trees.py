@@ -18,7 +18,6 @@ from flowpoly import (
     leaf_census,
     normalized_volume_oracle,
     phi_map,
-    reduction_tree_with_source,
 )
 
 k4 = complete_graph(4)
@@ -60,7 +59,7 @@ print(f"  sum {total} = root volume {normalized_volume_oracle(FlowInstance(k4, a
 print()
 
 # the same tree built over the source-augmented graph, leaf for leaf
-augmented = reduction_tree_with_source(k4, (3, 2, 2))
+augmented = canonical_reduction_tree(k4, (3, 2, 2))
 print(f"source-augmented tree has the same census: {leaf_census(augmented)}")
 
 if len(sys.argv) > 1:

@@ -35,7 +35,6 @@ from .reduction import (
     export_dot,
     iter_reduction_leaves,
     leaf_census,
-    reduction_tree_with_source,
     unimodular_dissection,
 )
 from .verify import SUITES
@@ -60,7 +59,7 @@ def _node_cap(flag: str | None) -> int:
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+        return tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise ValueError(f"could not parse {what} {text!r}; expected comma-separated integers")
 
@@ -132,10 +131,7 @@ def cmd_reduce(args) -> int:
     graph = _load_graph(args.graph)
     c = _parse_int_list(args.c, "c") if args.c is not None else None
     if args.emit == "dot":
-        if c is not None:
-            tree = reduction_tree_with_source(graph, c, node_cap=args.node_cap)
-        else:
-            tree = canonical_reduction_tree(graph, node_cap=args.node_cap)
+        tree = canonical_reduction_tree(graph, c, node_cap=args.node_cap)
         print(export_dot(tree), end="")
         return 0
     # censuses never hold the tree in memory

@@ -110,23 +110,8 @@ class AmbientLattice:
 
     def __init__(self, graph: DirectedMultigraph):
         self.graph = graph
-        root = list(range(graph.last_vertex + 1))
-
-        def find(v: int) -> int:
-            while root[v] != v:
-                root[v] = root[root[v]]
-                v = root[v]
-            return v
-
-        cotree = []
-        for e, (a, b) in enumerate(graph.edges):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                cotree.append(e)
-            else:
-                root[ra] = rb
-        self.cotree = tuple(cotree)
-        self.dim = len(cotree)
+        self.cotree = graph.cotree()
+        self.dim = len(self.cotree)
 
 
 def _lattice_coordinates(
@@ -200,9 +185,6 @@ class VerificationReport:
 
     def add(self, name: str, passed: bool, **details) -> None:
         self.checks.append(CheckResult(name, bool(passed), _jsonable(details)))
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
 
     def to_json(self) -> dict:
         return {

@@ -5,7 +5,7 @@ normalized volumes from the forward differences of the dilated counts.
 Everything here is exact integer / rational arithmetic.  Vertices are
 processed in increasing order, so all inflow into a vertex is known when its
 outflow is split.  The naive enumeration assigns edge values one edge at a
-time.  The memoized counter (FlowCounter) splits a vertex's outflow one edge
+time.  The counter (FlowCounter) splits a vertex's outflow one edge
 group at a time, a group being the parallel edges to one head; its state is
 (vertex, group, residual netflow packed into one integer with a slot width
 taken from the netflow's size), and it prunes any split that would leave
@@ -118,8 +118,8 @@ class FlowCounter:
         return value
 
     def _build(self, width: int):
-        """The memoized recursion for slots of the given width, with a
-        fresh memo table."""
+        """The recursion for slots of the given width, with a fresh memo
+        table."""
         off = 1 << (width - 1)
         mask = (1 << width) - 1
         groups_at = self._groups
@@ -214,13 +214,11 @@ class FlowCounter:
         return count
 
 
-def count_flows(inst: FlowInstance, *, memoize: bool = True) -> int:
+def count_flows(inst: FlowInstance) -> int:
     """Number of integer flows: nonnegative integer edge values whose net
     outflow at each vertex matches the netflow entry.  Returns 0 for
     infeasible instances; works for netflows outside the nice chamber."""
-    if memoize:
-        return FlowCounter(inst.graph).count(inst.netflow)
-    return sum(1 for _ in iter_flows(inst))
+    return FlowCounter(inst.graph).count(inst.netflow)
 
 
 def iter_flows(inst: FlowInstance) -> Iterator[tuple[int, ...]]:

@@ -12,6 +12,7 @@ copies, which makes every derived construction reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 
@@ -83,27 +84,36 @@ class DirectedMultigraph:
     def is_canonical(self) -> bool:
         return list(self.edges) == sorted(self.edges)
 
+    def cotree(self) -> tuple[int, ...]:
+        """Indices of the edges that close a cycle when a spanning forest
+        is grown over the edges in order; every other edge joins two trees
+        of the forest."""
+        lo = self.first_vertex
+        root = list(range(self.vertex_count))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
+
+        cotree = []
+        for e, (a, b) in enumerate(self.edges):
+            ra, rb = find(a - lo), find(b - lo)
+            if ra == rb:
+                cotree.append(e)
+            else:
+                root[ra] = rb
+        return tuple(cotree)
+
     def is_connected(self) -> bool:
-        """Connectivity of the underlying undirected multigraph."""
+        """Connectivity of the underlying undirected multigraph: its
+        spanning forest is a tree."""
         # a connected graph has a spanning tree; this also refuses a huge
-        # vertex range with few edges before any set is built for it
+        # vertex range with few edges before the forest is grown
         if self.edge_count < self.vertex_count - 1:
             return False
-        if self.vertex_count == 1:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {self.first_vertex}
-        stack = [self.first_vertex]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.vertex_count
+        return self.edge_count - len(self.cotree()) == self.vertex_count - 1
 
     def same_multigraph(self, other: "DirectedMultigraph") -> bool:
         """Equality as unlabeled edge multisets over the same vertex set."""
@@ -159,12 +169,6 @@ class DegreeStats:
     indeg: tuple[int, ...]
     out_shift: tuple[int, ...]  # outdeg - 1, per non-sink vertex
     in_shift: tuple[int, ...]   # indeg - 1, per non-sink vertex
-
-    def outdeg_of(self, v: int) -> int:
-        return self.outdeg[self.vertices.index(v)]
-
-    def indeg_of(self, v: int) -> int:
-        return self.indeg[self.vertices.index(v)]
 
 
 def degree_stats(graph: DirectedMultigraph) -> DegreeStats:
@@ -326,15 +330,9 @@ def format_graph(graph: DirectedMultigraph) -> str:
         lines = [f"0 {graph.last_vertex}"]
     else:
         lines = [f"{graph.last_vertex}"]
-    k = 0
-    edges = graph.edges
-    while k < len(edges):
-        run = 1
-        while k + run < len(edges) and edges[k + run] == edges[k]:
-            run += 1
-        a, b = edges[k]
+    for (a, b), group in groupby(graph.edges):
+        run = len(list(group))
         lines.append(f"{a} {b} {run}" if run > 1 else f"{a} {b}")
-        k += run
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -63,35 +63,25 @@ class NoncrossingTree:
             raise ValueError(problem)
 
     def structure_error(self) -> str | None:
+        """None for a noncrossing spanning tree, else what is wrong.  Those
+        trees are the staircases: in sorted order the edges run from (1,1)
+        to (l,r), and each one is one step right or down, (0,1) or (1,0),
+        from the one before."""
         l, r = self.left_size, self.right_size
         if l < 1 or r < 1:
             return "both sides must be nonempty"
-        if len(set(self.edges)) != len(self.edges):
-            return "repeated tree edge"
-        if len(self.edges) != l + r - 1:
-            return f"spanning tree on {l}+{r} vertices needs {l + r - 1} edges, got {len(self.edges)}"
         for p, q in self.edges:
             if not (1 <= p <= l and 1 <= q <= r):
                 return f"tree edge ({p},{q}) out of range"
-        for p, q in self.edges:
-            for t, u in self.edges:
-                if p < t and q > u:
-                    return f"edges ({p},{q}) and ({t},{u}) cross"
-        # connectivity via union-find over l + r vertices
-        parent = list(range(l + r))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for p, q in self.edges:
-            a, b = find(p - 1), find(l + q - 1)
-            if a != b:
-                parent[a] = b
-        if len({find(x) for x in range(l + r)}) != 1:
-            return "tree is not connected"
+        for (p, q), (t, u) in zip(self.edges, self.edges[1:]):
+            if (p, q) == (t, u):
+                return "repeated tree edge"
+            if u < q:
+                return f"edges ({p},{q}) and ({t},{u}) cross"
+            if t - p + u - q != 1:
+                return f"tree edges ({p},{q}) and ({t},{u}) are not one step apart"
+        if self.edges[:1] != ((1, 1),) or self.edges[-1:] != ((l, r),):
+            return f"tree edges must run from (1,1) to ({l},{r})"
         return None
 
     def edges_at_left(self, p: int) -> int:
@@ -387,7 +377,18 @@ def _walk(node, schedule: Sequence[int], expand, budget: _Budget, depth: int = 0
             yield from _walk(child, schedule, expand, budget, depth + 1, child_step)
 
 
-def _build_tree(graph: DirectedMultigraph, c: Sequence[int] | None, node_cap: int) -> ReductionTree:
+def canonical_reduction_tree(
+    graph: DirectedMultigraph,
+    c: Sequence[int] | None = None,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> ReductionTree:
+    """Reduction tree using the full incoming and outgoing edge multisets at
+    vertices n, n-1, ..., 2, each ordered by decreasing edge length.  All
+    leaves have every edge pointing at the sink.  When c is given the tree
+    is rooted at the source-augmented graph and the incoming multisets
+    exclude the source edges, so deleting everything incident to the source
+    at each node recovers the plain tree node for node."""
     root = _reduction_root(graph, c)
     schedule = _schedule(root.graph)
     budget = _Budget(node_cap)
@@ -400,25 +401,6 @@ def _build_tree(graph: DirectedMultigraph, c: Sequence[int] | None, node_cap: in
             path[-1].children.append(node)
         path.append(node)
     return ReductionTree(path[0], schedule)
-
-
-def canonical_reduction_tree(
-    graph: DirectedMultigraph, *, node_cap: int = DEFAULT_NODE_CAP
-) -> ReductionTree:
-    """Reduction tree using the full incoming and outgoing edge multisets at
-    vertices n, n-1, ..., 2, each ordered by decreasing edge length.  All
-    leaves have every edge pointing at the sink."""
-    return _build_tree(graph, None, node_cap)
-
-
-def reduction_tree_with_source(
-    graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int = DEFAULT_NODE_CAP
-) -> ReductionTree:
-    """Canonical-style reduction tree rooted at the source-augmented graph.
-    Incoming multisets exclude the source edges, so deleting everything
-    incident to the source at each node recovers the plain canonical tree
-    node for node."""
-    return _build_tree(graph, c, node_cap)
 
 
 def iter_reduction_leaves(
@@ -663,32 +645,25 @@ def dissection_cell_counts(
 
 def _edge_label(graph: DirectedMultigraph) -> str:
     parts = []
-    k = 0
-    edges = graph.edge_multiset()
-    while k < len(edges):
-        run = 1
-        while k + run < len(edges) and edges[k + run] == edges[k]:
-            run += 1
-        a, b = edges[k]
+    for (a, b), group in groupby(graph.edge_multiset()):
+        run = len(list(group))
         parts.append(f"{a}→{b}" + (f" ×{run}" if run > 1 else ""))
-        k += run
     return ", ".join(parts)
 
 
 def export_dot(tree: ReductionTree) -> str:
     """Graphviz rendering: one box per tree node labeled with its edge
-    multiset, reduction metadata (vertex, chosen tree) on each arc."""
-    lines = ["digraph reduction_tree {", "  node [shape=box];"]
+    multiset, reduction metadata (vertex, chosen tree) on each arc.  Nodes
+    are numbered breadth first; a parent is numbered before its children,
+    so each node's arc is written as the node is numbered."""
+    boxes: list[str] = []
+    arcs: list[str] = []
     ids: dict[int, int] = {}
     for k, node in enumerate(tree.nodes()):
         ids[id(node)] = k
-        lines.append(f'  n{k} [label="{_edge_label(node.graph.graph)}"];')
-    for node in tree.nodes():
-        for child in node.children:
-            step = child.step
+        boxes.append(f'  n{k} [label="{_edge_label(node.graph.graph)}"];')
+        if node.parent is not None:
+            step = node.step
             tlabel = ",".join(f"({p},{q})" for p, q in step.tree.edges)
-            lines.append(
-                f'  n{ids[id(node)]} -> n{ids[id(child)]} [label="i={step.vertex} T={tlabel}"];'
-            )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            arcs.append(f'  n{ids[id(node.parent)]} -> n{k} [label="i={step.vertex} T={tlabel}"];')
+    return "\n".join(["digraph reduction_tree {", "  node [shape=box];", *boxes, *arcs, "}"]) + "\n"

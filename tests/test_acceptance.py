@@ -16,7 +16,6 @@ from flowpoly.reduction import (
     leaf_census,
     phi_map,
     reduce_at_vertex,
-    reduction_tree_with_source,
 )
 from flowpoly.verify import (
     run_census_suite,
@@ -124,7 +123,7 @@ def test_criterion_8_phi_lattice_fidelity():
     for node in canonical_reduction_tree(k4).nodes():
         if not verify_integral_equivalence(node.graph, (1, 1, 1, -3)).passed:
             ok = False
-    for node in reduction_tree_with_source(k4, (3, 2, 2)).nodes():
+    for node in canonical_reduction_tree(k4, (3, 2, 2)).nodes():
         if not verify_integral_equivalence(node.graph, (1, 0, 0, 0, -1)).passed:
             ok = False
 

@@ -475,6 +475,14 @@ class TestErrors:
     @pytest.mark.parametrize("env, argv, message", [
         ({}, ["kostant", "--netflow", "1,x"],
          "could not parse netflow '1,x'; expected comma-separated integers"),
+        ({}, ["kostant", "--netflow", "1,,0,-1"],
+         "could not parse netflow '1,,0,-1'; expected comma-separated integers"),
+        ({}, ["kostant", "--netflow", "1,0,0,-1,"],
+         "could not parse netflow '1,0,0,-1,'; expected comma-separated integers"),
+        ({}, ["dissect", "--c", "1,,1"], "could not parse c '1,,1'; expected comma-separated integers"),
+        ({}, ["lidskii", "--mode", "c-form", "--c", "1,1,1,"],
+         "could not parse c '1,1,1,'; expected comma-separated integers"),
+        ({}, ["reduce", "--c", ",1,1,1"], "could not parse c ',1,1,1'; expected comma-separated integers"),
         ({}, ["lidskii", "--mode", "volume", "--netflow=-1,0,0"],
          "netflow entry 0 is negative; nice chamber required"),
         ({"FLOWPOLY_NODE_CAP": "x"}, ["verify"], "FLOWPOLY_NODE_CAP='x' is not a positive integer"),
@@ -485,8 +493,10 @@ class TestErrors:
          "--node-cap='-5' is not a positive integer"),
         ({"FLOWPOLY_NODE_CAP": "x"}, ["verify", "--node-cap", "x"],
          "--node-cap='x' is not a positive integer"),
-    ], ids=["netflow not integers", "volume outside the chamber", "env cap not an integer",
-            "env cap negative", "cap zero", "cap negative", "cap over env"])
+    ], ids=["netflow not integers", "netflow empty token", "netflow trailing comma",
+            "c empty token", "c trailing comma", "c leading comma", "volume outside the chamber",
+            "env cap not an integer", "env cap negative", "cap zero", "cap negative",
+            "cap over env"])
     def test_bad_input(self, capsys, monkeypatch, k4_file, env, argv, message):
         for name, value in env.items():
             monkeypatch.setenv(name, value)

@@ -35,7 +35,6 @@ from flowpoly.reduction import (
     NoncrossingTree,
     canonical_reduction_tree,
     reduce_at_vertex,
-    reduction_tree_with_source,
     unimodular_dissection,
 )
 
@@ -390,7 +389,7 @@ class TestVerifyIntegralEquivalence:
             assert verify_integral_equivalence(leaf.graph, (1, 1, 1, -3)).passed
 
     def test_source_tree_nodes(self):
-        tree = reduction_tree_with_source(complete_graph(4), (3, 2, 2))
+        tree = canonical_reduction_tree(complete_graph(4), (3, 2, 2))
         for node in tree.nodes():
             assert verify_integral_equivalence(node.graph, (1, 0, 0, 0, -1)).passed
 

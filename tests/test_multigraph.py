@@ -2,6 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,69 @@ class TestDirectedMultigraph:
         assert peak < 10_000
 
 
+def bfs_components(vertices, edges):
+    """Connected components of the underlying undirected multigraph by
+    breadth-first search; the tests' own reference."""
+    neighbours = {v: [] for v in vertices}
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen, components = set(), 0
+    for start in vertices:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        queue = [start]
+        for v in queue:
+            for w in neighbours[v]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    return components
+
+
+def small_multigraphs():
+    """Every multigraph on 2-5 vertices with edge multiplicities at most 2
+    and at most 7 edges, disconnected ones included, in canonical and in
+    reversed edge order, on 1..k and on the 0-based vertices of the source
+    form."""
+    for nv in range(2, 6):
+        pairs = list(combinations(range(1, nv + 1), 2))
+        for mult in product(range(3), repeat=len(pairs)):
+            if sum(mult) > 7:
+                continue
+            edges = [pair for pair, m in zip(pairs, mult) for _ in range(m)]
+            for order in (edges, edges[::-1]):
+                yield DirectedMultigraph(nv, tuple(order))
+                shifted = tuple((a - 1, b - 1) for a, b in order)
+                yield DirectedMultigraph(nv, shifted, first_vertex=0)
+
+
+class TestSpanningForest:
+    def test_connectivity_matches_reference_bfs(self):
+        graphs = connected = 0
+        for g in small_multigraphs():
+            components = bfs_components(g.vertices, g.edges)
+            assert g.is_connected() == (components == 1), g
+            graphs += 1
+            connected += components == 1
+        assert 0 < connected < graphs
+
+    def test_cotree_complement_is_a_spanning_forest(self):
+        for g in small_multigraphs():
+            cotree = set(g.cotree())
+            forest = [e for k, e in enumerate(g.edges) if k not in cotree]
+            components = bfs_components(g.vertices, g.edges)
+            assert bfs_components(g.vertices, forest) == components
+            assert len(forest) == g.vertex_count - components
+
+    def test_cotree_follows_edge_order(self):
+        g = DirectedMultigraph(3, ((1, 2), (2, 3), (1, 2), (1, 3)))
+        assert g.cotree() == (2, 3)
+        assert DirectedMultigraph(1, ()).cotree() == ()
+
+
 class TestDegreeStats:
     def test_complete_graph(self):
         stats = degree_stats(complete_graph(4))
@@ -102,7 +166,7 @@ class TestDegreeStats:
     def test_gm_indegree(self):
         g = build_gm((4, 1, 1))
         stats = degree_stats(g)
-        assert stats.indeg_of(4) == 6
+        assert stats.indeg[-1] == 6
         assert len(stats.in_shift) == 3  # sink excluded
 
     def test_degree_sums(self):

@@ -35,7 +35,6 @@ from flowpoly.reduction import (
     leaf_census,
     phi_map,
     reduce_at_vertex,
-    reduction_tree_with_source,
     unimodular_dissection,
     zero_vertex_dissection_children,
 )
@@ -81,6 +80,67 @@ class TestNoncrossingTrees:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             NoncrossingTree(2, 2, ((1, 1), (1, 1), (2, 2)))
+
+
+def is_noncrossing_spanning_tree(left_size, right_size, edges):
+    """The definition read literally: left_size + right_size - 1 distinct
+    in-range edges, no two of them crossing, joining all the vertices."""
+    l, r = left_size, right_size
+    if len(set(edges)) != len(edges) or len(edges) != l + r - 1:
+        return False
+    if not all(1 <= p <= l and 1 <= q <= r for p, q in edges):
+        return False
+    if any(p < t and q > u for p, q in edges for t, u in edges):
+        return False
+    reached = {("left", 1)}
+    grew = True
+    while grew:
+        grew = False
+        for p, q in edges:
+            ends = {("left", p), ("right", q)}
+            if len(ends & reached) == 1:
+                reached |= ends
+                grew = True
+    return len(reached) == l + r
+
+
+class TestStaircaseRule:
+    """The one-pass staircase check against the definition."""
+
+    def test_every_edge_subset_up_to_four_a_side(self):
+        checked = accepted = 0
+        for l in range(1, 5):
+            for r in range(1, 5):
+                grid = [(p, q) for p in range(1, l + 1) for q in range(1, r + 1)]
+                trees = set()
+                for mask in range(1 << len(grid)):
+                    edges = tuple(e for k, e in enumerate(grid) if mask >> k & 1)
+                    try:
+                        NoncrossingTree(l, r, edges)
+                        valid = True
+                    except ValueError:
+                        valid = False
+                    assert valid == is_noncrossing_spanning_tree(l, r, edges), (l, r, edges)
+                    if valid:
+                        trees.add(edges)
+                    checked += 1
+                assert trees == {t.edges for t in enumerate_noncrossing_trees(l, r)}
+                accepted += len(trees)
+        assert (checked, accepted) == (74954, 69)
+
+    @pytest.mark.parametrize("left_size, right_size, edges, message", [
+        (2, 2, ((1, 1), (1, 2), (2, 3)), "tree edge (2,3) out of range"),
+        (2, 2, ((1, 1), (1, 1), (2, 2)), "repeated tree edge"),
+        (2, 2, ((1, 1), (1, 2), (2, 1)), "edges (1,2) and (2,1) cross"),
+        (2, 2, ((1, 1), (2, 2)), "tree edges (1,1) and (2,2) are not one step apart"),
+        (2, 2, ((1, 2), (2, 2)), "tree edges must run from (1,1) to (2,2)"),
+        (1, 1, (), "tree edges must run from (1,1) to (1,1)"),
+        (0, 1, (), "both sides must be nonempty"),
+    ], ids=["out of range", "repeated", "crossing", "gap", "missing corner", "empty", "empty side"])
+    def test_messages(self, left_size, right_size, edges, message):
+        with pytest.raises(ValueError) as info:
+            NoncrossingTree(left_size, right_size, edges)
+        assert str(info.value) == message
 
 
 class TestReduceAtVertex:
@@ -168,7 +228,7 @@ class TestChildrenFromCheckedParts:
         assert tree.node_count == 15
 
     def test_source_tree_k6(self):
-        tree = reduction_tree_with_source(complete_graph(6), (2,) * 5)
+        tree = canonical_reduction_tree(complete_graph(6), (2,) * 5)
         for node in tree.nodes():
             assert_fully_valid(node.graph)
         assert len(tree.leaves()) == 140
@@ -285,7 +345,7 @@ class TestCanonicalTree:
 
 class TestSourceTree:
     def test_k4_322_leaves(self):
-        tree = reduction_tree_with_source(complete_graph(4), (3, 2, 2))
+        tree = canonical_reduction_tree(complete_graph(4), (3, 2, 2))
         leaves = [n.graph.graph for n in tree.leaves()]
         assert len(leaves) == 2
         expected = sorted(
@@ -299,13 +359,13 @@ class TestSourceTree:
     def test_stripping_source_recovers_plain_tree(self):
         k4 = complete_graph(4)
         plain = list(canonical_reduction_tree(k4).nodes())
-        augmented = list(reduction_tree_with_source(k4, (3, 2, 2)).nodes())
+        augmented = list(canonical_reduction_tree(k4, (3, 2, 2)).nodes())
         assert len(plain) == len(augmented)
         for p, q in zip(plain, augmented):
             assert strip_source(q.graph.graph).edge_multiset() == p.graph.graph.edge_multiset()
 
     def test_path_single_leaf(self):
-        tree = reduction_tree_with_source(path_graph(3), (1, 1))
+        tree = canonical_reduction_tree(path_graph(3), (1, 1))
         assert len(tree.leaves()) == 1
 
 
@@ -315,7 +375,7 @@ def walked_trees():
     k5, k4 = complete_graph(5), complete_graph(4)
     return (
         (k5, None, partial(canonical_reduction_tree, k5)),
-        (k4, (3, 2, 2), partial(reduction_tree_with_source, k4, (3, 2, 2))),
+        (k4, (3, 2, 2), partial(canonical_reduction_tree, k4, (3, 2, 2))),
     )
 
 
@@ -358,7 +418,7 @@ class TestLeafCensus:
         assert leaf_census(tree) == {(2, 1, 0): 1, (3, 0, 0): 1}
 
     def test_k4_with_source(self):
-        tree = reduction_tree_with_source(complete_graph(4), (3, 2, 2))
+        tree = canonical_reduction_tree(complete_graph(4), (3, 2, 2))
         assert leaf_census(tree) == {(2, 1, 0): 1, (3, 0, 0): 1}
 
     def test_path(self):
@@ -369,7 +429,7 @@ class TestLeafCensus:
         streamed = leaf_census(iter_reduction_leaves(k4))
         assert streamed == leaf_census(canonical_reduction_tree(k4))
         streamed_c = leaf_census(iter_reduction_leaves(k4, (2, 1, 1)))
-        assert streamed_c == leaf_census(reduction_tree_with_source(k4, (2, 1, 1)))
+        assert streamed_c == leaf_census(canonical_reduction_tree(k4, (2, 1, 1)))
 
     def test_bad_leaf_shape(self):
         with pytest.raises(LeafShapeError):
@@ -539,7 +599,7 @@ class TestDissectionBudget:
 
     def test_walk_plus_dissection_exceed_cap(self):
         g, c = complete_graph(4), (3, 2, 2)
-        walk = reduction_tree_with_source(g, c).node_count
+        walk = canonical_reduction_tree(g, c).node_count
         _, dissection = reference_dissection(g, c)
         assert (walk, dissection) == (4, 60)
         cap = max(walk, dissection)
