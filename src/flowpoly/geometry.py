@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .kostant import FlowInstance, count_flows, enumerate_flows, normalized_volume_oracle
 from .multigraph import (
@@ -50,30 +50,50 @@ class SimplexCell:
         object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
 
 
+def _paths(graph: DirectedMultigraph) -> Iterator[tuple[int, ...]]:
+    """The directed first-to-last-vertex paths of a graph, each as the
+    tuple of its edge indices from first to last, depth first with
+    out-edges in index order.  The walk keeps its own stack, so a path may
+    be longer than the interpreter's recursion limit."""
+    edges = graph.edges
+    out_edges: list[list[int]] = [[] for _ in graph.vertices]
+    for k, (a, _) in enumerate(edges):
+        out_edges[a - graph.first_vertex].append(k)
+    target = graph.last_vertex
+    if graph.first_vertex == target:
+        yield ()
+        return
+    used: list[int] = []
+    stack = [iter(out_edges[0])]
+    while stack:
+        e = next(stack[-1], None)
+        if e is None:
+            stack.pop()
+            if used:
+                used.pop()
+            continue
+        head = edges[e][1]
+        used.append(e)
+        if head == target:
+            yield tuple(used)
+            used.pop()
+        else:
+            stack.append(iter(out_edges[head - graph.first_vertex]))
+
+
 def path_flow_vertices(node) -> list[tuple[int, ...]]:
     """Indicator flows of the directed first-to-last-vertex paths of a
     graph, one 0/1 vector per path.  For unit source/sink netflow these are
     exactly the polytope's vertices.  Accepts a graph or any object with a
     .graph attribute."""
     graph: DirectedMultigraph = getattr(node, "graph", node)
-    target = graph.last_vertex
-    out: list[tuple[int, ...]] = []
-    used: list[int] = []
-
-    def walk(v: int):
-        if v == target:
-            vec = [0] * graph.edge_count
-            for e in used:
-                vec[e] = 1
-            out.append(tuple(vec))
-            return
-        for e in graph.out_edges_at(v):
-            used.append(e)
-            walk(graph.edges[e][1])
-            used.pop()
-
-    walk(graph.first_vertex)
-    return out
+    vectors = []
+    for path in _paths(graph):
+        vec = [0] * graph.edge_count
+        for e in path:
+            vec[e] = 1
+        vectors.append(tuple(vec))
+    return vectors
 
 
 # --- integer linear algebra -------------------------------------------------

@@ -275,7 +275,11 @@ def apply_incidence(graph: DirectedMultigraph, flow: Sequence) -> tuple:
 # First line: either "k" (vertices 1..k) or "0 k" (vertices 0..k).
 # Each following line: "tail head [multiplicity]".  Blank lines and text
 # after "#" are ignored.  The writer groups consecutive identical edges, so
-# parse(format(g)) == g for every graph.
+# parse(format(g)) == g for every graph.  A file may ask for at most
+# _MAX_EDGES edges in all, multiplicities included; the reader refuses more
+# before it expands the line that would pass the limit.
+
+_MAX_EDGES = 100_000
 
 
 def parse_graph(text: str) -> DirectedMultigraph:
@@ -308,6 +312,8 @@ def parse_graph(text: str) -> DirectedMultigraph:
         mult = _parse_int(parts[2], lineno) if len(parts) == 3 else 1
         if mult < 1:
             raise GraphFormatError(f"line {lineno}: multiplicity must be positive")
+        if len(edges) + mult > _MAX_EDGES:
+            raise GraphFormatError(f"line {lineno}: the file asks for more than {_MAX_EDGES} edges")
         edges.extend([(tail, head)] * mult)
     if header is None:
         raise GraphFormatError("line 1: missing header line")

@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import SimplexCell, path_flow_vertices
+from .geometry import SimplexCell, _paths
 from .multigraph import DirectedMultigraph, attach_source, checked_degree_stats
 
 DEFAULT_NODE_CAP = 10**6
@@ -199,52 +199,55 @@ def phi_map(node: ProvenancedGraph) -> PhiMap:
     return PhiMap(node.root.edge_count, node.graph.edge_count, node.provenance)
 
 
-def reduce_at_vertex(
-    node: ProvenancedGraph,
-    vertex: int,
-    incoming: Sequence[int],
-    outgoing: Sequence[int],
-    tree: NoncrossingTree,
-) -> ProvenancedGraph:
-    """Single reduction: delete the chosen incoming/outgoing edges at the
-    vertex and add, per tree edge, the sum edge tail(I_p) -> head(O_q); the
-    appended left vertex keeps an out-edge as itself.  Provenance sets are
-    united and must be disjoint.
+class _Expansion:
+    """The part of a reduction at one vertex that all of a node's children
+    share: the argument checks, the kept edges with their provenance, and
+    each sum edge with its united provenance, built the first time a tree
+    uses it so that sibling children hold the same tuple and frozenset.
 
-    The child is built from the node's checked parts without a second
-    check: kept edges and their provenance are shared with the node, and a
-    sum edge tail(I_p) -> head(O_q) runs from below the vertex to above it,
-    with the union of two disjoint, nonempty, in-range sets, once the
-    checks on the arguments below have passed."""
-    graph = node.graph
-    edges = graph.edges
-    provenance = node.provenance
-    if not (graph.first_vertex < vertex < graph.last_vertex):
-        raise ValueError(f"vertex {vertex} is not interior")
-    incoming = tuple(int(i) for i in incoming)
-    outgoing = tuple(int(i) for i in outgoing)
-    for idx in incoming:
-        if not (0 <= idx < len(edges)) or edges[idx][1] != vertex:
-            raise ValueError(f"edge {idx} is not an incoming edge at vertex {vertex}")
-    for idx in outgoing:
-        if not (0 <= idx < len(edges)) or edges[idx][0] != vertex:
-            raise ValueError(f"edge {idx} is not an outgoing edge at vertex {vertex}")
-    if len(set(incoming)) != len(incoming) or len(set(outgoing)) != len(outgoing):
-        raise ValueError("repeated edge index")
-    if tree.left_size != len(incoming) + 1 or tree.right_size != len(outgoing):
-        raise ValueError(
-            f"tree shape ({tree.left_size},{tree.right_size}) does not match "
-            f"|I|+1={len(incoming) + 1}, |O|={len(outgoing)}"
-        )
-    removed = set(incoming) | set(outgoing)
-    combined = [item for k, item in enumerate(zip(edges, provenance)) if k not in removed]
-    appended = tree.left_size
-    for p, q in tree.edges:
-        out_idx = outgoing[q - 1]
-        if p == appended:
-            combined.append((edges[out_idx], provenance[out_idx]))
+    A child is built from the node's checked parts without a second check:
+    kept edges and their provenance are shared with the node, and a sum
+    edge tail(I_p) -> head(O_q) runs from below the vertex to above it,
+    with the union of two disjoint, nonempty, in-range sets."""
+
+    __slots__ = ("node", "incoming", "outgoing", "kept", "_tree_edges")
+
+    def __init__(
+        self, node: ProvenancedGraph, vertex: int, incoming: Sequence[int], outgoing: Sequence[int]
+    ):
+        graph = node.graph
+        edges = graph.edges
+        if not (graph.first_vertex < vertex < graph.last_vertex):
+            raise ValueError(f"vertex {vertex} is not interior")
+        incoming = tuple(int(i) for i in incoming)
+        outgoing = tuple(int(i) for i in outgoing)
+        for idx in incoming:
+            if not (0 <= idx < len(edges)) or edges[idx][1] != vertex:
+                raise ValueError(f"edge {idx} is not an incoming edge at vertex {vertex}")
+        for idx in outgoing:
+            if not (0 <= idx < len(edges)) or edges[idx][0] != vertex:
+                raise ValueError(f"edge {idx} is not an outgoing edge at vertex {vertex}")
+        if len(set(incoming)) != len(incoming) or len(set(outgoing)) != len(outgoing):
+            raise ValueError("repeated edge index")
+        removed = set(incoming) | set(outgoing)
+        self.node = node
+        self.incoming = incoming
+        self.outgoing = outgoing
+        self.kept = [item for k, item in enumerate(zip(edges, node.provenance)) if k not in removed]
+        self._tree_edges: dict[tuple[int, int], tuple] = {}
+
+    def _tree_edge(self, pq: tuple[int, int]) -> tuple:
+        """(edge, provenance) for tree edge (p, q), kept for later trees:
+        out-edge O_q itself at the appended left vertex, else the sum edge
+        tail(I_p) -> head(O_q)."""
+        p, q = pq
+        edges = self.node.graph.edges
+        provenance = self.node.provenance
+        out_idx = self.outgoing[q - 1]
+        if p > len(self.incoming):
+            item = edges[out_idx], provenance[out_idx]
         else:
-            in_idx = incoming[p - 1]
+            in_idx = self.incoming[p - 1]
             s_in = provenance[in_idx]
             s_out = provenance[out_idx]
             if s_in & s_out:
@@ -252,29 +255,66 @@ def reduce_at_vertex(
                     f"provenance sets of edges {in_idx} and {out_idx} overlap; "
                     "a root edge cannot repeat along a path"
                 )
-            combined.append(((edges[in_idx][0], edges[out_idx][1]), s_in | s_out))
-    # stable: parallel edges keep their order, kept ones before new ones
-    combined.sort(key=itemgetter(0))
-    child_edges, child_provenance = zip(*combined)
-    return ProvenancedGraph._from_checked(
-        DirectedMultigraph._from_checked(graph.vertex_count, child_edges, graph.first_vertex),
-        child_provenance,
-        node.root,
-    )
+            item = (edges[in_idx][0], edges[out_idx][1]), s_in | s_out
+        self._tree_edges[pq] = item
+        return item
+
+    def child(self, tree: NoncrossingTree) -> ProvenancedGraph:
+        if tree.left_size != len(self.incoming) + 1 or tree.right_size != len(self.outgoing):
+            raise ValueError(
+                f"tree shape ({tree.left_size},{tree.right_size}) does not match "
+                f"|I|+1={len(self.incoming) + 1}, |O|={len(self.outgoing)}"
+            )
+        built = self._tree_edges
+        combined = self.kept + [built.get(pq) or self._tree_edge(pq) for pq in tree.edges]
+        # stable: parallel edges keep their order, kept ones before new ones
+        combined.sort(key=itemgetter(0))
+        child_edges, child_provenance = zip(*combined)
+        graph = self.node.graph
+        return ProvenancedGraph._from_checked(
+            DirectedMultigraph._from_checked(graph.vertex_count, child_edges, graph.first_vertex),
+            child_provenance,
+            self.node.root,
+        )
+
+
+def reduce_at_vertex(
+    node: ProvenancedGraph,
+    vertex: int,
+    incoming: Sequence[int],
+    outgoing: Sequence[int],
+    tree: NoncrossingTree,
+    *,
+    _expansion: _Expansion | None = None,
+) -> ProvenancedGraph:
+    """Single reduction: delete the chosen incoming/outgoing edges at the
+    vertex and add, per tree edge, the sum edge tail(I_p) -> head(O_q); the
+    appended left vertex keeps an out-edge as itself.  Provenance sets are
+    united and must be disjoint.  _expansion, when given, is the
+    _Expansion of these same arguments, shared by sibling children."""
+    if _expansion is None:
+        _expansion = _Expansion(node, vertex, incoming, outgoing)
+    return _expansion.child(tree)
 
 
 def _ordered_incident(
-    graph: DirectedMultigraph, vertex: int, *, incoming: bool, skip_source: bool = False
-) -> tuple[int, ...]:
-    """Incident edge indices ordered by decreasing edge length, ties by
-    ascending index."""
-    if incoming:
-        idxs = [k for k, (a, b) in enumerate(graph.edges) if b == vertex]
-        if skip_source:
-            idxs = [k for k in idxs if graph.edges[k][0] != graph.first_vertex]
-    else:
-        idxs = [k for k, (a, b) in enumerate(graph.edges) if a == vertex]
-    return tuple(sorted(idxs, key=lambda k: (graph.edges[k][0] - graph.edges[k][1], k)))
+    graph: DirectedMultigraph, vertex: int, *, skip_source: bool = False
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(incoming, outgoing) edge indices at the vertex, each ordered by
+    decreasing edge length, ties by ascending index; skip_source leaves the
+    source's edges out of incoming."""
+    incoming = []
+    outgoing = []
+    for k, (a, b) in enumerate(graph.edges):
+        if b == vertex:
+            if not (skip_source and a == graph.first_vertex):
+                incoming.append((a - b, k))
+        elif a == vertex:
+            outgoing.append((a - b, k))
+    return (
+        tuple(k for _, k in sorted(incoming)),
+        tuple(k for _, k in sorted(outgoing)),
+    )
 
 
 # --- reduction trees ----------------------------------------------------------
@@ -353,11 +393,12 @@ def _reduction_root(graph: DirectedMultigraph, c: Sequence[int] | None) -> Prove
 def _expansions(node: ProvenancedGraph, vertex: int):
     """One child per noncrossing tree over the full incident edge multisets
     at the vertex, in enumeration order; source edges are never reduced."""
-    graph = node.graph
-    inc = _ordered_incident(graph, vertex, incoming=True, skip_source=graph.first_vertex == 0)
-    out = _ordered_incident(graph, vertex, incoming=False)
-    for tree in enumerate_noncrossing_trees(len(inc) + 1, len(out)):
-        yield ReductionStep(vertex, inc, out, tree), reduce_at_vertex(node, vertex, inc, out, tree)
+    inc, out = _ordered_incident(node.graph, vertex, skip_source=node.graph.first_vertex == 0)
+    trees = enumerate_noncrossing_trees(len(inc) + 1, len(out))
+    expansion = _Expansion(node, vertex, inc, out)
+    for tree in trees:
+        child = reduce_at_vertex(node, vertex, inc, out, tree, _expansion=expansion)
+        yield ReductionStep(vertex, inc, out, tree), child
 
 
 def _schedule(graph: DirectedMultigraph) -> tuple[int, ...]:
@@ -480,15 +521,15 @@ def zero_vertex_dissection_children(node: ProvenancedGraph, vertex: int) -> list
     has exactly one edge at the appended left vertex.  For a netflow with a
     zero entry at this vertex these are exactly the full-dimensional cells
     of the subdivision."""
-    graph = node.graph
-    inc = _ordered_incident(graph, vertex, incoming=True)
-    out = _ordered_incident(graph, vertex, incoming=False)
+    inc, out = _ordered_incident(node.graph, vertex)
     appended = len(inc) + 1
-    children = []
-    for tree in enumerate_noncrossing_trees(appended, len(out)):
-        if tree.edges_at_left(appended) == 1:
-            children.append(reduce_at_vertex(node, vertex, inc, out, tree))
-    return children
+    trees = enumerate_noncrossing_trees(appended, len(out))
+    expansion = _Expansion(node, vertex, inc, out)
+    return [
+        reduce_at_vertex(node, vertex, inc, out, tree, _expansion=expansion)
+        for tree in trees
+        if tree.edges_at_left(appended) == 1
+    ]
 
 
 def _dissection_children(node: ProvenancedGraph, vertex: int):
@@ -538,10 +579,7 @@ def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> 
         summed = [sorted(s) for s in t.provenance]
         paths.append(tuple(
             shared.setdefault(p, p)
-            for p in (
-                tuple(k for e, used in enumerate(v) if used for k in summed[e])
-                for v in path_flow_vertices(t)
-            )
+            for p in (tuple(k for e in path for k in summed[e]) for path in _paths(t.graph))
         ))
     provenance = tuple(tuple(shared.setdefault(s, s) for s in t.provenance) for t in terminals)
     return _LeafShape(edges, provenance, tuple(paths), budget.used)

@@ -7,6 +7,7 @@ import json
 import os
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -254,6 +255,18 @@ class TestDissect:
             "9dd53dda913c92be74738b4ee3b8466cf1d513866f270645e5212494597ec0bd"
         )
 
+    def test_cells_k5_unchanged(self, capsys, tmp_path):
+        # the cell vertices come from the paths of each shape's terminals
+        path = tmp_path / "k5.graph"
+        write_graph(complete_graph(5), path)
+        code, out, _ = run(
+            capsys, ["dissect", "--graph", str(path), "--c", "3,1,2,2", "--emit", "cells"]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e23a00e85599ef7f902ac95c88214d7435d6186f49a2e4096c7c74d47c4a4f5b"
+        )
+
     def test_node_cap_counts_walk_and_dissection(self, capsys, k4_file):
         # 4 walk nodes and 60 dissection nodes: one budget for both
         for emit in ("summary", "cells"):
@@ -450,6 +463,19 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "recursion" in err
+
+    @pytest.mark.parametrize("mult", ["2000000", "9" * 30], ids=["2e6", "30 digits"])
+    def test_huge_multiplicity_refused_before_expanding(self, capsys, tmp_path, mult):
+        path = tmp_path / "huge.graph"
+        path.write_text(f"2\n1 2 {mult}\n")
+        tracemalloc.start()
+        try:
+            result = run(capsys, ["reduce", "--graph", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result == (1, "", f"error: {path}: line 2: the file asks for more than 100000 edges\n")
+        assert peak < 1_000_000
 
     def test_node_cap_in_verify(self, capsys):
         code, out, err = run(

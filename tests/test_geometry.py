@@ -109,6 +109,13 @@ class TestPathFlowVertices:
         node = ProvenancedGraph.as_root(path_graph(3))
         assert path_flow_vertices(node) == [(1, 1)]
 
+    def test_depth_first_in_edge_index_order(self):
+        g = DirectedMultigraph(3, ((2, 3), (1, 3), (1, 2), (2, 3)))
+        assert path_flow_vertices(g) == [(0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1)]
+
+    def test_path_longer_than_the_recursion_limit(self):
+        assert path_flow_vertices(path_graph(3000)) == [(1,) * 2999]
+
 
 DOUBLED_PATH = DirectedMultigraph(3, ((1, 2), (1, 2), (2, 3), (2, 3)))
 DISCONNECTED = DirectedMultigraph(4, ((1, 2), (1, 2), (3, 4), (3, 4)))

@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowpoly import multigraph
 from flowpoly.multigraph import (
     DirectedMultigraph,
     GraphFormatError,
@@ -303,6 +304,13 @@ class TestGraphFiles:
             parse_graph("3\n1 2\n1 2 0\n")
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_graph("")
+
+    def test_edge_limit(self):
+        limit = multigraph._MAX_EDGES
+        assert parse_graph(f"2\n1 2 {limit}\n").edge_count == limit
+        assert parse_graph(f"3\n1 2 {limit - 1}\n2 3\n").edge_count == limit
+        with pytest.raises(GraphFormatError, match="^line 3: .*more than"):
+            parse_graph(f"3\n1 2 {limit}\n2 3\n")
 
     @settings(deadline=None, max_examples=60)
     @given(st.data())

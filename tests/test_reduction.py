@@ -261,6 +261,135 @@ class TestChildrenFromCheckedParts:
             assert any(s is node.provenance[k] for s in child.provenance)
 
 
+def by_length(graph, idxs):
+    """Edge indices by decreasing edge length, ties by ascending index."""
+    return tuple(sorted(idxs, key=lambda k: (graph.edges[k][0] - graph.edges[k][1], k)))
+
+
+class TestSharedExpansion:
+    """The children of a node share one expansion of its reduction; each
+    equals the child that reduce_at_vertex builds on its own."""
+
+    def test_canonical_tree_k5(self):
+        tree = canonical_reduction_tree(complete_graph(5))
+        expanded = 0
+        for parent in tree.nodes():
+            if parent.is_leaf:
+                continue
+            g = parent.graph.graph
+            vertex = parent.children[0].step.vertex
+            inc, out = by_length(g, g.in_edges_at(vertex)), by_length(g, g.out_edges_at(vertex))
+            steps, children = zip(*reduction._expansions(parent.graph, vertex))
+            assert [(s.incoming, s.outgoing) for s in steps] == [(inc, out)] * len(steps)
+            assert [s.tree for s in steps] == list(enumerate_noncrossing_trees(len(inc) + 1, len(out)))
+            assert list(children) == [
+                reduce_at_vertex(parent.graph, vertex, inc, out, s.tree) for s in steps
+            ]
+            assert list(children) == [child.graph for child in parent.children]
+            expanded += 1
+        assert expanded == 5
+
+    def test_shape_dissections_k4(self):
+        g, c = complete_graph(4), (3, 2, 2)
+        n = len(c)
+        expanded = 0
+        for composition in leaf_census(iter_reduction_leaves(g, c)):
+            shape = reduction._shape_dissection(c, composition, reduction.DEFAULT_NODE_CAP)
+            root = ProvenancedGraph.as_root(DirectedMultigraph(n + 2, shape.edges, 0))
+            budget = reduction._Budget(reduction.DEFAULT_NODE_CAP)
+            walk = reduction._walk(root, range(1, n + 1), reduction._dissection_children, budget)
+            for depth, _, node in walk:
+                if depth == n:
+                    continue
+                vertex = depth + 1
+                inc = by_length(node.graph, node.graph.in_edges_at(vertex))
+                out = by_length(node.graph, node.graph.out_edges_at(vertex))
+                appended = len(inc) + 1
+                assert zero_vertex_dissection_children(node, vertex) == [
+                    reduce_at_vertex(node, vertex, inc, out, tree)
+                    for tree in enumerate_noncrossing_trees(appended, len(out))
+                    if tree.edges_at_left(appended) == 1
+                ]
+                expanded += 1
+        assert expanded == 40  # 2 shape roots and 60 nodes made, 22 of them terminal
+
+    def overlapping_node(self):
+        # 1 -> 2 -> 3 with two out-edges at 2; the in-edge shares root edge
+        # 0 with the second out-edge only, so the tree (1,1),(2,1),(2,2)
+        # reduces and the tree (1,1),(1,2),(2,2) must fail
+        g = DirectedMultigraph(3, ((1, 2), (2, 3), (2, 3)))
+        return ProvenancedGraph(g, (frozenset({0}), frozenset({1}), frozenset({0, 2})), g)
+
+    def test_overlap_error_on_both_paths(self):
+        node = self.overlapping_node()
+        trees = enumerate_noncrossing_trees(2, 2)
+        messages = []
+        for tree in trees:
+            try:
+                reduce_at_vertex(node, 2, (0,), (1, 2), tree)
+                messages.append(None)
+            except ValueError as exc:
+                messages.append(str(exc))
+        assert messages[0] is None and "overlap" in messages[1]
+        made = []
+        with pytest.raises(ValueError) as shared:
+            for _, child in reduction._expansions(node, 2):
+                made.append(child)
+        assert (len(made), str(shared.value)) == (1, messages[1])
+        with pytest.raises(ValueError) as zero:
+            zero_vertex_dissection_children(node, 2)
+        assert str(zero.value) == messages[1]
+
+    def test_siblings_share_sum_edges(self):
+        tree = canonical_reduction_tree(complete_graph(5))
+        shared = 0
+        for parent in tree.nodes():
+            inherited = set(map(id, parent.graph.provenance))
+            held = {}
+            for child in parent.children:
+                for s in child.graph.provenance:
+                    if id(s) in inherited:
+                        continue
+                    if s in held:
+                        assert held[s] is s
+                        shared += 1
+                    held.setdefault(s, s)
+        assert shared > 0
+
+
+class TestTracingContract:
+    """Tracing wraps reduce_at_vertex by its module-global name, so every
+    child of a reduction must come through that name."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        real = reduction.reduce_at_vertex
+
+        def counting(*args, **kwargs):
+            made.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(reduction, "reduce_at_vertex", counting)
+        return made
+
+    def test_one_call_per_tree_node(self, calls):
+        tree = canonical_reduction_tree(complete_graph(5))
+        assert len(calls) == tree.node_count - 1 == 14
+
+    def test_two_leaves_take_four_calls(self, calls):
+        leaves = iter_reduction_leaves(complete_graph(5))
+        next(leaves)
+        next(leaves)
+        leaves.close()
+        assert calls == [4, 3, 2, 2]
+
+    def test_one_call_per_dissection_child(self, calls):
+        node = ProvenancedGraph.as_root(attach_source(build_gm((3, 1)), (2, 1)))
+        children = zero_vertex_dissection_children(node, 1)
+        assert len(calls) == len(children) == 3
+
+
 class TestPhiMap:
     def test_root_is_identity(self):
         node = ProvenancedGraph.as_root(complete_graph(4))
@@ -454,6 +583,12 @@ class TestZeroVertexChildren:
         # the appended left vertex
         kept = zero_vertex_dissection_children(node, 2)
         assert len(kept) == 1
+
+    def test_vertex_must_be_interior(self):
+        # the first vertex of K4 has three out-edges, so no tree passes the
+        # one-edge filter; the arguments are still checked
+        with pytest.raises(ValueError, match="vertex 1 is not interior"):
+            zero_vertex_dissection_children(ProvenancedGraph.as_root(complete_graph(4)), 1)
 
     def test_kept_count_formula(self):
         # on a fan-with-source leaf, the kept count at vertex i is
