@@ -177,8 +177,7 @@ SUITE_ARGS = {
     "eq1": lambda a: {"max_netflow": a.max_netflow, "corrupt": a.debug_corrupt_formula},
     "thm41": lambda a: {"max_c": a.max_netflow, "corrupt": a.debug_corrupt_formula},
     "census": lambda a: {"node_cap": a.node_cap},
-    "dissection": lambda a: {"max_c": a.max_netflow, "node_cap": a.node_cap,
-                             "debug_pairwise": a.debug_pairwise_disjoint},
+    "dissection": lambda a: {"max_c": a.max_netflow, "node_cap": a.node_cap},
     "in-vector": lambda a: {"max_c": a.max_netflow},
 }
 
@@ -249,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edges", type=int, default=6)
     p.add_argument("--max-netflow", type=int, default=2)
     p.add_argument("--node-cap")
-    p.add_argument("--debug-pairwise-disjoint", action="store_true")
     p.add_argument("--debug-corrupt-formula", action="store_true",
                    help="perturb the formula side to confirm the suite detects errors")
     p.set_defaults(fn=cmd_verify)

@@ -36,15 +36,12 @@ class SimplexCell:
     """A lattice simplex in the root graph's edge coordinates.
 
     vertices: d+1 integer vectors.  leaf_index / leaf_composition identify
-    the reduction-tree leaf the cell came from; edge_sources records, per
-    terminal edge, the set of root edges it sums, which is the composed
-    coordinate map that produced the vertices.
+    the reduction-tree leaf the cell came from.
     """
 
     vertices: tuple[tuple[int, ...], ...]
     leaf_index: int = 0
     leaf_composition: tuple[int, ...] = ()
-    edge_sources: tuple[frozenset[int], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
@@ -232,17 +229,24 @@ def unit_source_sink_netflow(graph: DirectedMultigraph) -> NetflowVector:
 
 
 def verify_dissection(
-    graph: DirectedMultigraph,
-    c: Sequence[int],
-    *,
-    node_cap: int | None = None,
-    debug_pairwise: bool = False,
+    graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int | None = None
 ) -> VerificationReport:
-    """Check the unimodular dissection of the source-augmented polytope:
-    (a) every cell vertex is a point of the polytope, (b) every cell is a
-    full-dimensional unimodular simplex, (c) the cell count equals the
-    normalized volume of the ambient polytope, (d) the cell count equals
-    the flow count of the original graph at netflow indeg-1+c."""
+    """Certify that the unimodular dissection of the source-augmented
+    polytope P tiles it.  Five checks, each run whatever the others find:
+    (a) every cell vertex is a point of P; (b) every cell is a
+    full-dimensional unimodular simplex; (c) the cell count equals the
+    normalized volume of P; (d) the cell count equals the flow count of the
+    original graph at netflow indeg-1+c; (e) the facet rule,
+    pairwise_interiors_disjoint: no cell repeats a vertex or another cell,
+    a facet of two cells has them on opposite sides, none lies in three or
+    more, and a facet of one cell lies on the boundary of P, where some
+    edge coordinate vanishes.
+
+    By (a), (b) and (e), crossing a facet inside P trades one cell for
+    another, so every generic point of P lies in the same number of cells.
+    Each cell has normalized volume 1 by (b), so that number is 1 by (c):
+    the cells tile P.  Raises ValueError when a cell vertex leaves the
+    affine span of P."""
     from .reduction import DEFAULT_NODE_CAP, unimodular_dissection
 
     cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
@@ -252,32 +256,44 @@ def verify_dissection(
     lattice = AmbientLattice(augmented)
     report = VerificationReport(f"dissection c={tuple(c)}")
 
-    # cells share most of their vertices: test each distinct point once
+    # Cells share most of their vertices: each distinct point is tested
+    # once and named by an id that indexes its lattice coordinates (its
+    # cotree entries) and its support, a bit mask over the edges.
+    ids: dict[tuple[int, ...], int] = {}
+    coords: list[tuple[int, ...]] = []
+    supports: list[int] = []
+    named_cells: list[list[int]] = []
     bad_vertex = None
-    inside = set()
     for idx, cell in enumerate(cells):
+        named = []
         for v in cell.vertices:
-            if v in inside:
-                continue
-            if not contains_flow(ambient, v):
-                bad_vertex = {"cell": idx, "vertex": list(v)}
-                break
-            inside.add(v)
-        if bad_vertex:
-            break
+            k = ids.get(v)
+            if k is None:
+                if not contains_flow(ambient, v):
+                    if apply_incidence(augmented, v) != ambient.netflow.entries:
+                        raise ValueError("cell vertices do not lie in one affine span fiber")
+                    if bad_vertex is None:
+                        bad_vertex = {"cell": idx, "vertex": list(v)}
+                k = ids[v] = len(coords)
+                coords.append(tuple(v[j] for j in lattice.cotree))
+                supports.append(sum(1 << j for j, x in enumerate(v) if x))
+            named.append(k)
+        named_cells.append(named)
     report.add("cell_vertices_in_polytope", bad_vertex is None,
                cells=len(cells), counterexample=bad_vertex)
 
+    dets = []
     bad_cell = None
-    for idx, cell in enumerate(cells):
-        if len(cell.vertices) != lattice.dim + 1:
-            bad_cell = {"cell": idx, "vertices": list(cell.vertices),
-                        "reason": f"expected {lattice.dim + 1} vertices"}
-            break
-        if not is_unimodular(cell, ambient, lattice=lattice):
-            bad_cell = {"cell": idx, "vertices": list(cell.vertices),
-                        "reason": "determinant not +-1"}
-            break
+    for idx, named in enumerate(named_cells):
+        if len(named) != lattice.dim + 1:
+            det, reason = 0, f"expected {lattice.dim + 1} vertices"
+        else:
+            base = coords[named[0]]
+            det = _det_bareiss([[x - y for x, y in zip(coords[k], base)] for k in named[1:]])
+            reason = "determinant not +-1"
+        dets.append(det)
+        if abs(det) != 1 and bad_cell is None:
+            bad_cell = {"cell": idx, "vertices": list(cells[idx].vertices), "reason": reason}
     report.add("cells_unimodular_full_dimensional", bad_cell is None,
                dimension=lattice.dim, counterexample=bad_cell)
 
@@ -289,61 +305,66 @@ def verify_dissection(
     report.add("cell_count_equals_flow_count", len(cells) == target,
                cells=len(cells), flow_count=target)
 
-    if debug_pairwise:
-        overlap = _pairwise_interior_check(cells, lattice)
-        report.add("pairwise_interiors_disjoint", overlap is None, counterexample=overlap)
+    overlap = _facet_rule(named_cells, dets, supports, augmented.edge_count)
+    report.add("pairwise_interiors_disjoint", overlap is None, counterexample=overlap)
     return report
 
 
-def _pairwise_interior_check(cells: Sequence[SimplexCell], lattice: AmbientLattice):
-    """Shared-facet scan: duplicate cells, facets claimed by three or more
-    cells, and facet-sharing pairs whose opposite vertices land on the same
-    side of the facet hyperplane are reported as interior overlaps."""
-    if not cells:
-        return None
-    ref = cells[0].vertices[0]
-    coord_cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+def _oriented_facets(named: Sequence[int], det: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The facets of a simplex given by its vertex ids, each keyed by its
+    sorted ids, with the side of it the simplex lies on: +1 or -1 against
+    the facet's vertices in key order, 0 when det is 0.  det is the
+    determinant of the edge vectors from named[0] to the other vertices.
 
-    def coords(v):
-        got = coord_cache.get(v)
-        if got is None:
-            got = _lattice_coordinates(lattice, ref, v)
-            if got is None:
-                raise ArithmeticError("point difference is not a lattice vector")
-            coord_cache[v] = got
-        return got
+    The oriented volume of a simplex alternates in its d+1 vertices, so the
+    side of the facet opposite sorted rank r is sign(det) times the parity
+    of the sorting permutation times (-1)**(d - r)."""
+    d = len(named) - 1
+    key = sorted(named)
+    inversions = sum(a > b for i, a in enumerate(named) for b in named[i + 1:])
+    side = (det > 0) - (det < 0)
+    if (inversions + d) % 2:
+        side = -side
+    for r in range(d + 1):
+        yield tuple(key[:r] + key[r + 1:]), -side if r % 2 else side
 
-    facet_owners: dict[frozenset, list[int]] = {}
-    for idx, cell in enumerate(cells):
-        vset = frozenset(cell.vertices)
-        if len(vset) != len(cell.vertices):
+
+def _facet_rule(
+    named_cells: list[list[int]], dets: list[int], supports: list[int], edge_count: int
+):
+    """The first breach of the facet rule, or None.  Cells are lists of
+    vertex ids, with their determinants; supports are the vertices' edge
+    supports as bit masks.  Every edge of a graph that the reductions
+    accept lies on a source-sink path, so each edge coordinate is positive
+    somewhere on P, and a facet where one vanishes lies on P's boundary."""
+    keys = [tuple(sorted(named)) for named in named_cells]
+    for idx, key in enumerate(keys):
+        if len(set(key)) != len(key):
             return {"reason": "repeated vertex inside a cell", "cell": idx}
-        for v in cell.vertices:
-            facet = frozenset(x for x in cell.vertices if x != v)
-            facet_owners.setdefault(facet, []).append(idx)
-    seen_cells: dict[frozenset, int] = {}
-    for idx, cell in enumerate(cells):
-        key = frozenset(cell.vertices)
-        if key in seen_cells:
-            return {"reason": "duplicate cell", "cells": [seen_cells[key], idx]}
-        seen_cells[key] = idx
-    for facet, owners in facet_owners.items():
-        if len(owners) > 2:
-            return {"reason": "facet shared by more than two cells", "cells": owners}
-        if len(owners) == 2:
-            a, b = owners
-            facet_pts = sorted(facet)
-            apex_a = next(v for v in cells[a].vertices if v not in facet)
-            apex_b = next(v for v in cells[b].vertices if v not in facet)
-            base = coords(facet_pts[0])
-            rows = [[x - y for x, y in zip(coords(p), base)] for p in facet_pts[1:]]
-            side_a = _det_bareiss(rows + [[x - y for x, y in zip(coords(apex_a), base)]])
-            side_b = _det_bareiss(rows + [[x - y for x, y in zip(coords(apex_b), base)]])
-            if side_a == 0 or side_b == 0 or (side_a > 0) == (side_b > 0):
-                return {
-                    "reason": "cells on the same side of a shared facet",
-                    "cells": [a, b],
-                }
+    first: dict[tuple[int, ...], int] = {}
+    for idx, key in enumerate(keys):
+        seen = first.setdefault(key, idx)
+        if seen != idx:
+            return {"reason": "duplicate cell", "cells": [seen, idx]}
+
+    owners: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for idx, (named, det) in enumerate(zip(named_cells, dets)):
+        for facet, side in _oriented_facets(named, det):
+            owners.setdefault(facet, []).append((idx, side))
+    every_edge = (1 << edge_count) - 1
+    for facet, owned in owners.items():
+        if len(owned) > 2:
+            return {"reason": "facet shared by more than two cells", "cells": [a for a, _ in owned]}
+        if len(owned) == 2:
+            (a, side_a), (b, side_b) = owned
+            if side_a * side_b >= 0:
+                return {"reason": "cells on the same side of a shared facet", "cells": [a, b]}
+            continue
+        touched = 0
+        for k in facet:
+            touched |= supports[k]
+        if touched == every_edge:
+            return {"reason": "boundary facet off the polytope boundary", "cells": [owned[0][0]]}
     return None
 
 
@@ -376,17 +397,17 @@ def verify_in_vector_bijection(graph: DirectedMultigraph, c: Sequence[int]) -> V
     return report
 
 
-def verify_integral_equivalence(node, netflow, *, dilations=(1, 2)) -> VerificationReport:
+def verify_integral_equivalence(node, netflow) -> VerificationReport:
     """Check that the node's coordinate map into the root is a
     count-preserving injection on lattice points: node flows map to distinct
-    root flows, at each requested dilation."""
+    root flows, at the netflow and at twice the netflow."""
     from .reduction import phi_map
 
     a = NetflowVector.coerce(netflow)
     phi = phi_map(node)
     root = node.root
     report = VerificationReport("integral equivalence")
-    for t in dilations:
+    for t in (1, 2):
         scaled = a.dilate(t)
         node_flows = enumerate_flows(FlowInstance(node.graph, scaled))
         images = {phi.apply(f) for f in node_flows}

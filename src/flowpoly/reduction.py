@@ -542,8 +542,6 @@ class _LeafShape(NamedTuple):
     of the shape graph's edges."""
 
     edges: tuple[tuple[int, int], ...]
-    # per cell, per terminal edge: the shape edges it sums
-    terminals: tuple[tuple[frozenset[int], ...], ...]
     # per cell, per vertex: the shape edges on the vertex's path
     paths: tuple[tuple[tuple[int, ...], ...], ...]
     # nodes made by the reductions at vertices 1..n
@@ -569,10 +567,10 @@ def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> 
         for depth, _, node in _walk(root, range(1, n + 1), _dissection_children, budget)
         if depth == n
     ]
-    # The cells repeat few distinct edge sets and paths; the cached shape
-    # keeps one object per distinct value, so that what it holds for the
-    # life of the process is small and no later run depends on which
-    # shapes an earlier one left behind.
+    # The cells repeat few distinct paths; the cached shape keeps one
+    # object per distinct path, so that what it holds for the life of the
+    # process is small and no later run depends on which shapes an earlier
+    # one left behind.
     shared: dict = {}
     paths = []
     for t in terminals:
@@ -581,8 +579,7 @@ def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> 
             shared.setdefault(p, p)
             for p in (tuple(k for e in path for k in summed[e]) for path in _paths(t.graph))
         ))
-    provenance = tuple(tuple(shared.setdefault(s, s) for s in t.provenance) for t in terminals)
-    return _LeafShape(edges, provenance, tuple(paths), budget.used)
+    return _LeafShape(edges, tuple(paths), budget.used)
 
 
 def _dissected_leaves(
@@ -606,27 +603,12 @@ def _dissected_leaves(
 
 def _push_forward(
     leaf: ProvenancedGraph, shape: _LeafShape
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[frozenset[int], ...]]]:
-    """The shape's cells in the root coordinates of one leaf, as (vertices,
-    edge_sources).  The leaf edges a terminal edge sums must have disjoint
-    provenance, as in reduce_at_vertex."""
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The vertices of the shape's cells in the root coordinates of one
+    leaf."""
     sources = leaf.provenance
     size = leaf.root.edge_count
-    united: dict[frozenset[int], frozenset[int]] = {}
     vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def unite(s: frozenset[int]) -> frozenset[int]:
-        if s not in united:
-            out: frozenset[int] = frozenset()
-            for k in sorted(s):
-                if out & sources[k]:
-                    raise ValueError(
-                        f"provenance of leaf edge {k} overlaps the edges it is summed with; "
-                        "a root edge cannot repeat along a path"
-                    )
-                out |= sources[k]
-            united[s] = out
-        return united[s]
 
     def vector(path: tuple[int, ...]) -> tuple[int, ...]:
         if path not in vectors:
@@ -637,9 +619,8 @@ def _push_forward(
             vectors[path] = tuple(vec)
         return vectors[path]
 
-    for terminal, paths in zip(shape.terminals, shape.paths):
-        edge_sources = tuple(unite(s) for s in terminal)
-        yield tuple(vector(p) for p in paths), edge_sources
+    for paths in shape.paths:
+        yield tuple(vector(p) for p in paths)
 
 
 def unimodular_dissection(
@@ -654,14 +635,9 @@ def unimodular_dissection(
     shape (c, j) and reach each leaf through its provenance."""
     cells: list[SimplexCell] = []
     for leaf_index, leaf, composition, shape in _dissected_leaves(graph, c, node_cap):
-        for vertices, edge_sources in _push_forward(leaf, shape):
+        for vertices in _push_forward(leaf, shape):
             cells.append(
-                SimplexCell(
-                    vertices=vertices,
-                    leaf_index=leaf_index,
-                    leaf_composition=composition,
-                    edge_sources=edge_sources,
-                )
+                SimplexCell(vertices=vertices, leaf_index=leaf_index, leaf_composition=composition)
             )
     return cells
 
@@ -673,7 +649,7 @@ def dissection_cell_counts(
     unimodular_dissection, under the same node budget, without building
     the cells."""
     return [
-        (leaf_index, composition, len(shape.terminals))
+        (leaf_index, composition, len(shape.paths))
         for leaf_index, _, composition, shape in _dissected_leaves(graph, c, node_cap)
     ]
 

@@ -2,7 +2,7 @@
 
 The family for a given bound is every connected multigraph on 3 up to
 max_vertices vertices with at most max_edges edges, per-pair multiplicity
-at most mult_cap, and at least one outgoing edge at every non-sink vertex.
+at most 2, and at least one outgoing edge at every non-sink vertex.
 One family walk, _run_family, serves every suite: it counts the
 instances and collects the counterexamples.  A suite gives it a title
 and, per graph, a generator over its parameter box that compares a
@@ -37,18 +37,12 @@ from .multigraph import DirectedMultigraph, NetflowVector, degree_stats
 from .reduction import DEFAULT_NODE_CAP, iter_reduction_leaves, leaf_census
 
 
-def iter_family(
-    max_vertices: int,
-    max_edges: int,
-    *,
-    min_vertices: int = 3,
-    mult_cap: int = 2,
-) -> Iterator[DirectedMultigraph]:
+def iter_family(max_vertices: int, max_edges: int) -> Iterator[DirectedMultigraph]:
     """Deterministic enumeration of the test family, smallest vertex count
-    first, multiplicity vectors in lexicographic order."""
-    for nv in range(min_vertices, max_vertices + 1):
+    first, multiplicity vectors (entries 0..2) in lexicographic order."""
+    for nv in range(3, max_vertices + 1):
         pairs = [(i, j) for i in range(1, nv + 1) for j in range(i + 1, nv + 1)]
-        for mults in product(range(mult_cap + 1), repeat=len(pairs)):
+        for mults in product(range(3), repeat=len(pairs)):
             total = sum(mults)
             if total > max_edges or total < nv - 1:
                 continue
@@ -275,21 +269,16 @@ def run_census_suite(
 
 
 def run_dissection_suite(
-    max_vertices: int = 5,
-    max_edges: int = 6,
-    max_c: int = 3,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    debug_pairwise: bool = False,
+    max_vertices: int = 5, max_edges: int = 6, max_c: int = 3, *, node_cap: int = DEFAULT_NODE_CAP
 ) -> SuiteResult:
-    """Full dissection reports plus the cell-count formula
+    """Tiling certificates (full dissection reports) plus the cell-count formula
     sum_j prod_i multiset_coeff(c_i, j_i) * count(j - out, 0)."""
 
     def instances(graph):
         terms = LidskiiTerms(graph)
         for c in _box(graph, 1, max_c):
             expected_cells = terms.count_c_form(c)
-            report = verify_dissection(graph, c, node_cap=node_cap, debug_pairwise=debug_pairwise)
+            report = verify_dissection(graph, c, node_cap=node_cap)
             cell_count = next(
                 ch.details["cells"] for ch in report.checks if ch.name == "cell_count_equals_flow_count"
             )

@@ -4,10 +4,11 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from flowpoly import reduction
+from flowpoly import geometry, reduction
 
 from flowpoly.geometry import (
     AmbientLattice,
@@ -308,11 +309,11 @@ class TestVerifyDissection:
         assert report.passed
         assert next(c.details["cells"] for c in report.checks if "flow_count" in c.name) == 1
 
-    def test_debug_pairwise(self):
-        report = verify_dissection(complete_graph(4), (2, 1, 1), debug_pairwise=True)
+    def test_pairwise_check_in_default_report(self):
+        report = verify_dissection(complete_graph(4), (2, 1, 1))
         assert report.passed
         names = [c.name for c in report.checks]
-        assert "pairwise_interiors_disjoint" in names
+        assert names[-1] == "pairwise_interiors_disjoint" and len(names) == 5
 
     def test_spoiled_repeated_vertex_reported_at_its_cell(self, monkeypatch):
         # membership is tested once per distinct point; a spoiled copy of a
@@ -336,7 +337,7 @@ class TestVerifyDissection:
     @staticmethod
     def pairwise_counterexample(monkeypatch, spoiled):
         monkeypatch.setattr(reduction, "unimodular_dissection", lambda *a, **kw: spoiled)
-        check = verify_dissection(complete_graph(4), (3, 2, 2), debug_pairwise=True).checks[-1]
+        check = verify_dissection(complete_graph(4), (3, 2, 2)).checks[-1]
         assert check.name == "pairwise_interiors_disjoint" and not check.passed
         return check.details["counterexample"]
 
@@ -346,23 +347,117 @@ class TestVerifyDissection:
         assert found == {"reason": "duplicate cell", "cells": [5, 22]}
 
     def test_spoiled_apex_on_the_same_side_of_a_shared_facet(self, monkeypatch):
-        # reflect the apex of a facet neighbour of cell 0 through cell 0's
-        # apex: a lattice point of the affine span on cell 0's side
-        cells = unimodular_dissection(complete_graph(4), (3, 2, 2))
-        first = set(cells[0].vertices)
-        b = next(j for j, cell in enumerate(cells)
-                 if len(first & set(cell.vertices)) == len(first) - 1)
-        (apex_a,) = first - set(cells[b].vertices)
-        (apex_b,) = set(cells[b].vertices) - first
-        moved = tuple(2 * x - y for x, y in zip(apex_a, apex_b))
-        vertices = tuple(moved if v == apex_b else v for v in cells[b].vertices)
-        cells[b] = replace(cells[b], vertices=vertices)
+        cells, b = reflected_apex_spoil()
         found = self.pairwise_counterexample(monkeypatch, cells)
         assert found == {"reason": "cells on the same side of a shared facet", "cells": [0, b]}
+
+    def test_spoiled_flat_cell_has_no_side(self, monkeypatch):
+        # b's apex moved into the hyperplane of its facet shared with cell 0
+        cells, b = moved_apex_spoil(
+            lambda a, b, facet: tuple(x + y - z for x, y, z in zip(*facet[:3])))
+        found = self.pairwise_counterexample(monkeypatch, cells)
+        assert found == {"reason": "cells on the same side of a shared facet", "cells": [0, b]}
+
+    def test_dropped_cell_leaves_a_gap(self, monkeypatch):
+        # the facets the dropped cell shared now belong to one cell each, and
+        # they lie inside the polytope
+        cells = unimodular_dissection(complete_graph(4), (3, 2, 2))
+        dropped = cells.pop(5)
+        found = self.pairwise_counterexample(monkeypatch, cells)
+        assert found["reason"] == "boundary facet off the polytope boundary"
+        (j,) = found["cells"]
+        assert len(set(cells[j].vertices) & set(dropped.vertices)) == len(dropped.vertices) - 1
 
     def test_report_round_trip(self):
         report = verify_dissection(path_graph(3), (2, 1))
         assert VerificationReport.from_json(report.to_json()) == report
+
+
+def moved_apex_spoil(move):
+    """The dissection of K4 at c = (3, 2, 2) with the apex of a facet
+    neighbour b of cell 0 moved to move(cell 0's apex, b's apex, their
+    shared facet's points)."""
+    cells = unimodular_dissection(complete_graph(4), (3, 2, 2))
+    first = set(cells[0].vertices)
+    b = next(j for j, cell in enumerate(cells)
+             if len(first & set(cell.vertices)) == len(first) - 1)
+    (apex_a,) = first - set(cells[b].vertices)
+    (apex_b,) = set(cells[b].vertices) - first
+    moved = move(apex_a, apex_b, sorted(first - {apex_a}))
+    vertices = tuple(moved if v == apex_b else v for v in cells[b].vertices)
+    cells[b] = replace(cells[b], vertices=vertices)
+    return cells, b
+
+
+def reflected_apex_spoil():
+    """b's apex reflected through cell 0's apex: a lattice point of the
+    affine span on cell 0's side of their shared facet."""
+    return moved_apex_spoil(lambda a, b, facet: tuple(2 * x - y for x, y in zip(a, b)))
+
+
+def opposite_sides_by_two_determinants(facet, apex_a, apex_b, coords):
+    """Reference side test: with the facet's points in a fixed order, the
+    determinant of their edge vectors and the apex's has the sign of the
+    apex's side; the apexes lie on opposite sides when the two signs
+    differ, and a zero determinant has no side."""
+    base = coords(facet[0])
+    rows = [[x - y for x, y in zip(coords(p), base)] for p in facet[1:]]
+    side_a = _det(rows + [[x - y for x, y in zip(coords(apex_a), base)]])
+    side_b = _det(rows + [[x - y for x, y in zip(coords(apex_b), base)]])
+    return side_a * side_b < 0
+
+
+class TestOrientedFacets:
+    """The side of a facet read off one determinant per cell agrees with
+    the two-determinant test on every facet shared by two cells, whatever
+    the order of the vertices inside the cells."""
+
+    @staticmethod
+    def verdicts(graph, c, cells, rng):
+        cotree = AmbientLattice(attach_source(graph, c)).cotree
+
+        def coords(v):
+            return [v[j] for j in cotree]
+
+        ids: dict = {}
+        owners: dict = {}
+        for idx, cell in enumerate(cells):
+            verts = list(cell.vertices)
+            rng.shuffle(verts)
+            named = [ids.setdefault(v, len(ids)) for v in verts]
+            base = coords(verts[0])
+            det = int(_det([[x - y for x, y in zip(coords(v), base)] for v in verts[1:]]))
+            for facet, side in geometry._oriented_facets(named, det):
+                owners.setdefault(facet, []).append((idx, side))
+        points = {k: v for v, k in ids.items()}
+        verdicts = []
+        for facet, owned in owners.items():
+            if len(owned) != 2:
+                continue
+            (a, side_a), (b, side_b) = owned
+            pts = sorted(points[k] for k in facet)
+            (apex_a,) = set(cells[a].vertices) - set(pts)
+            (apex_b,) = set(cells[b].vertices) - set(pts)
+            opposite = side_a * side_b < 0
+            assert opposite == opposite_sides_by_two_determinants(pts, apex_a, apex_b, coords)
+            verdicts.append(opposite)
+        return verdicts
+
+    @pytest.mark.parametrize(
+        "graph, c",
+        [pytest.param(complete_graph(len(c) + 1), c, id=f"K{len(c) + 1}-{','.join(map(str, c))}")
+         for c in [*product((1, 2), repeat=3), (3, 2, 2), (1, 1, 1, 1)]],
+    )
+    def test_dissection(self, graph, c):
+        cells = unimodular_dissection(graph, c)
+        verdicts = self.verdicts(graph, c, cells, random.Random(len(cells)))
+        # n cells tiling a polytope are joined by n - 1 facets at least
+        assert all(verdicts) and len(verdicts) >= len(cells) - 1
+
+    def test_reflected_apex_spoil(self):
+        cells, _ = reflected_apex_spoil()
+        verdicts = self.verdicts(complete_graph(4), (3, 2, 2), cells, random.Random(5))
+        assert not all(verdicts)
 
 
 class TestVerifyInVector:

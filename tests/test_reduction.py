@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowpoly import reduction
-from flowpoly.geometry import SimplexCell, path_flow_vertices
+from flowpoly.geometry import SimplexCell, path_flow_vertices, verify_dissection
 from flowpoly.kostant import FlowInstance, count_flows, enumerate_flows
 from flowpoly.lidskii import multiset_coeff
 from flowpoly.multigraph import (
@@ -247,7 +247,13 @@ class TestChildrenFromCheckedParts:
                 assert_fully_valid(node)
                 if depth == n:
                     made.append(node)
-            assert [t.provenance for t in made] == list(shape.terminals)
+            # each cached path, as a flow on the shape edges, is the image of
+            # one of its terminal's path indicator flows
+            size = len(shape.edges)
+            assert [tuple(tuple(path.count(k) for k in range(size)) for path in cell)
+                    for cell in shape.paths] == [
+                tuple(phi_map(t).apply(v) for v in path_flow_vertices(t)) for t in made
+            ]
             terminals += len(made)
         assert terminals == 22
 
@@ -652,7 +658,7 @@ def reference_dissection(graph, c):
         for terminal in terminals:
             pm = phi_map(terminal)
             vertices = tuple(pm.apply(v) for v in path_flow_vertices(terminal))
-            cells.append(SimplexCell(vertices, leaf_index, composition, terminal.provenance))
+            cells.append(SimplexCell(vertices, leaf_index, composition))
     return cells, nodes
 
 
@@ -694,13 +700,12 @@ class TestShapeCache:
         assert sum(cells for _, _, cells in counts) == prod(catalan(i) for i in range(1, 6)) == 5880
 
     def test_cached_shape_shares_repeated_values(self):
-        # The cache outlives every call; repeated edge sets and paths are
-        # held once, so what a run leaves in it stays small.
+        # The cache outlives every call; repeated paths are held once, so
+        # what a run leaves in it stays small.
         shape = reduction._shape_dissection((2,) * 5, (0, 1, 1, 1, 2), reduction.DEFAULT_NODE_CAP)
-        assert len(shape.terminals) == prod(multiset_coeff(2, k) for k in (0, 1, 1, 1, 2))
-        for part in (shape.terminals, shape.paths):
-            held = [value for cell in part for value in cell]
-            assert len({id(value) for value in held}) == len(set(held)) < len(held)
+        assert len(shape.paths) == prod(multiset_coeff(2, k) for k in (0, 1, 1, 1, 2))
+        held = [path for cell in shape.paths for path in cell]
+        assert len({id(path) for path in held}) == len(set(held)) < len(held)
 
     def test_leaf_edges_must_match_shape(self, monkeypatch):
         real = iter_reduction_leaves
@@ -719,14 +724,17 @@ class TestShapeCache:
 
     def test_overlapping_provenance_rejected(self, monkeypatch):
         # path 1 -> 2 with c = (1,): the leaf is the root, edges (0,1), (1,2),
-        # and the dissection sums them into one edge (0,2)
+        # and the dissection sums them into one edge (0,2).  Overlapping
+        # provenance counts root edge 1 twice on that path: the cell vertex
+        # leaves the affine span, and the certificate refuses it.
         def overlapping_leaves(graph, c, **kwargs):
             (leaf,) = iter_reduction_leaves(graph, c)
             yield ProvenancedGraph(leaf.graph, (frozenset((0, 1)), frozenset((1,))), leaf.root)
 
         monkeypatch.setattr(reduction, "iter_reduction_leaves", overlapping_leaves)
-        with pytest.raises(ValueError, match="overlap"):
-            unimodular_dissection(path_graph(2), (1,))
+        assert [cell.vertices for cell in unimodular_dissection(path_graph(2), (1,))] == [((1, 2),)]
+        with pytest.raises(ValueError, match="fiber"):
+            verify_dissection(path_graph(2), (1,))
 
 
 class TestDissectionBudget:
