@@ -17,7 +17,6 @@ from flowpoly import (
     export_dot,
     leaf_census,
     normalized_volume_oracle,
-    phi_map,
 )
 
 k4 = complete_graph(4)
@@ -46,14 +45,13 @@ for j in dominant_compositions(m - n, stats.out_shift):
     print(f"  j = {j}: count at {shifted} = {counter.count(shifted)}")
 print()
 
-# each leaf's coordinate map embeds its flows among the root's flows
+# the leaves' polytopes tile the root's, so their volumes add up
 a = NetflowVector((1, 1, 1, -3))
 print(f"leaf volumes at netflow {a.entries} add up:")
 total = 0
 for leaf in tree.leaves():
     vol = normalized_volume_oracle(FlowInstance(leaf.graph.graph, a))
     total += vol
-    image = phi_map(leaf.graph).apply
     print(f"  leaf {leaf.graph.graph.edge_multiset()}: volume {vol}")
 print(f"  sum {total} = root volume {normalized_volume_oracle(FlowInstance(k4, a))}")
 print()

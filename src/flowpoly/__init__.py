@@ -44,7 +44,6 @@ from .lidskii import (
 )
 from .geometry import (
     AmbientLattice,
-    SimplexCell,
     VerificationReport,
     contains_flow,
     is_unimodular,
@@ -61,8 +60,8 @@ from .reduction import (
     NoncrossingTree,
     PhiMap,
     ProvenancedGraph,
-    ReductionStep,
     ReductionTree,
+    SimplexCell,
     canonical_reduction_tree,
     census_from_json,
     census_to_json,

@@ -11,7 +11,9 @@ Subcommands:
 Netflows may be given in full or without the sink entry, which is then
 inferred as minus the sum.  All output is exact: integers in decimal,
 rationals as p/q.  A library error (bad input, a node cap, the recursion
-limit) prints one `error: ...` line on stderr and exits with code 1.
+limit, a failed fork) prints one `error: ...` line on stderr and exits with
+code 1; a reader that closes the output early ends the command quietly
+with code 1.
 """
 
 from __future__ import annotations
@@ -41,19 +43,15 @@ from .verify import SUITES
 
 
 def _node_cap(flag: str | None) -> int:
-    """The --node-cap flag, else FLOWPOLY_NODE_CAP, else the library
-    default; a positive integer."""
-    name, text = "--node-cap", flag
-    if text is None:
-        name, text = "FLOWPOLY_NODE_CAP", os.environ.get("FLOWPOLY_NODE_CAP")
-        if text is None:
-            return DEFAULT_NODE_CAP
+    """The --node-cap flag, else the library default; a positive integer."""
+    if flag is None:
+        return DEFAULT_NODE_CAP
     try:
-        cap = int(text)
+        cap = int(flag)
     except ValueError:
         cap = 0
     if cap < 1:
-        raise ValueError(f"{name}={text!r} is not a positive integer")
+        raise ValueError(f"--node-cap={flag!r} is not a positive integer")
     return cap
 
 
@@ -259,10 +257,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if "node_cap" in vars(args):
             args.node_cap = _node_cap(args.node_cap)
-        return args.fn(args)
+        code = args.fn(args)
+        print(end="", flush=True)  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the flush at exit writes what is left nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except RecursionError as exc:
         print(f"error: input too deep for the recursion limit ({exc})", file=sys.stderr)
-    except (ArithmeticError, LeafShapeError, NodeCapExceeded, ValueError) as exc:
+    except (ArithmeticError, LeafShapeError, NodeCapExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 1
 

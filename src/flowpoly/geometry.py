@@ -15,9 +15,9 @@ edge vectors, restricted to the cotree, have determinant +-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Sequence
 
+from . import reduction
 from .kostant import FlowInstance, count_flows, enumerate_flows, normalized_volume_oracle
 from .multigraph import (
     DirectedMultigraph,
@@ -26,56 +26,10 @@ from .multigraph import (
     attach_source,
 )
 from .lidskii import in_plus_c_netflow
+from .reduction import DEFAULT_NODE_CAP, SimplexCell
 
 
-# --- simplex cells ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SimplexCell:
-    """A lattice simplex in the root graph's edge coordinates.
-
-    vertices: d+1 integer vectors.  leaf_index / leaf_composition identify
-    the reduction-tree leaf the cell came from.
-    """
-
-    vertices: tuple[tuple[int, ...], ...]
-    leaf_index: int = 0
-    leaf_composition: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
-
-
-def _paths(graph: DirectedMultigraph) -> Iterator[tuple[int, ...]]:
-    """The directed first-to-last-vertex paths of a graph, each as the
-    tuple of its edge indices from first to last, depth first with
-    out-edges in index order.  The walk keeps its own stack, so a path may
-    be longer than the interpreter's recursion limit."""
-    edges = graph.edges
-    out_edges: list[list[int]] = [[] for _ in graph.vertices]
-    for k, (a, _) in enumerate(edges):
-        out_edges[a - graph.first_vertex].append(k)
-    target = graph.last_vertex
-    if graph.first_vertex == target:
-        yield ()
-        return
-    used: list[int] = []
-    stack = [iter(out_edges[0])]
-    while stack:
-        e = next(stack[-1], None)
-        if e is None:
-            stack.pop()
-            if used:
-                used.pop()
-            continue
-        head = edges[e][1]
-        used.append(e)
-        if head == target:
-            yield tuple(used)
-            used.pop()
-        else:
-            stack.append(iter(out_edges[head - graph.first_vertex]))
+# --- simplex vertices -------------------------------------------------------
 
 
 def path_flow_vertices(node) -> list[tuple[int, ...]]:
@@ -85,7 +39,7 @@ def path_flow_vertices(node) -> list[tuple[int, ...]]:
     .graph attribute."""
     graph: DirectedMultigraph = getattr(node, "graph", node)
     vectors = []
-    for path in _paths(graph):
+    for path in graph.paths():
         vec = [0] * graph.edge_count
         for e in path:
             vec[e] = 1
@@ -175,12 +129,8 @@ def contains_flow(inst: FlowInstance, point: Sequence) -> bool:
 def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonable(v) for v in value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, Fraction):
-        return str(value)
     return value
 
 
@@ -229,7 +179,7 @@ def unit_source_sink_netflow(graph: DirectedMultigraph) -> NetflowVector:
 
 
 def verify_dissection(
-    graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int | None = None
+    graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int = DEFAULT_NODE_CAP
 ) -> VerificationReport:
     """Certify that the unimodular dissection of the source-augmented
     polytope P tiles it.  Five checks, each run whatever the others find:
@@ -247,10 +197,7 @@ def verify_dissection(
     Each cell has normalized volume 1 by (b), so that number is 1 by (c):
     the cells tile P.  Raises ValueError when a cell vertex leaves the
     affine span of P."""
-    from .reduction import DEFAULT_NODE_CAP, unimodular_dissection
-
-    cap = DEFAULT_NODE_CAP if node_cap is None else node_cap
-    cells = unimodular_dissection(graph, c, node_cap=cap)
+    cells = reduction.unimodular_dissection(graph, c, node_cap=node_cap)
     augmented = attach_source(graph, c)
     ambient = FlowInstance(augmented, unit_source_sink_netflow(augmented))
     lattice = AmbientLattice(augmented)
@@ -401,10 +348,8 @@ def verify_integral_equivalence(node, netflow) -> VerificationReport:
     """Check that the node's coordinate map into the root is a
     count-preserving injection on lattice points: node flows map to distinct
     root flows, at the netflow and at twice the netflow."""
-    from .reduction import phi_map
-
     a = NetflowVector.coerce(netflow)
-    phi = phi_map(node)
+    phi = reduction.phi_map(node)
     root = node.root
     report = VerificationReport("integral equivalence")
     for t in (1, 2):

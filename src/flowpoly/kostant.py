@@ -292,12 +292,6 @@ class EhrhartPolynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.coefficients[-1]
-
     def __call__(self, t) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coefficients):
@@ -318,7 +312,7 @@ class EhrhartPolynomial:
         return EhrhartPolynomial(tuple(Fraction(s) for s in strings))
 
 
-def _count_differences(inst: FlowInstance, counter: FlowCounter | None) -> list[int]:
+def _count_differences(inst: FlowInstance, counter: FlowCounter | None = None) -> list[int]:
     """Forward differences of the dilated flow counts L(t) at 0, of order
     k = 0..|E| - |V| + 1, so that L(t) = sum_k diffs[k] * C(t, k).  Empty
     for an empty polytope."""
@@ -339,12 +333,12 @@ def _count_differences(inst: FlowInstance, counter: FlowCounter | None) -> list[
     return diffs
 
 
-def ehrhart_polynomial(inst: FlowInstance, *, counter: FlowCounter | None = None) -> EhrhartPolynomial:
+def ehrhart_polynomial(inst: FlowInstance) -> EhrhartPolynomial:
     """Unique polynomial of degree at most |E| - |V| + 1 matching the flow
     counts of the dilated netflow at t = 0, 1, ..., that bound, expanded
     from the binomial basis C(t, k) of their difference table.  Infeasible
     instances give the zero polynomial."""
-    diffs = _count_differences(inst, counter)
+    diffs = _count_differences(inst)
     coeffs = [Fraction(0)] * len(diffs)
     falling = [1]  # t (t - 1) ... (t - k + 1), low degree first
     for k, d in enumerate(diffs):

@@ -176,37 +176,22 @@ class LidskiiTerms:
         return self._sum(lambda j: prod(map(multiset_coeff, c, j)))
 
 
-def lidskii_volume(
-    graph: DirectedMultigraph,
-    netflow,
-    *,
-    counter: FlowCounter | None = None,
-) -> int:
+def lidskii_volume(graph: DirectedMultigraph, netflow) -> int:
     """Normalized volume of the flow polytope, by the closed formula."""
     a = NetflowVector.coerce(netflow)
-    return LidskiiTerms(graph, counter).volume(a)
+    return LidskiiTerms(graph).volume(a)
 
 
-def lidskii_count(
-    graph: DirectedMultigraph,
-    netflow,
-    *,
-    counter: FlowCounter | None = None,
-) -> int:
+def lidskii_count(graph: DirectedMultigraph, netflow) -> int:
     """Number of integer flows, by the closed formula."""
     a = NetflowVector.coerce(netflow)
-    return LidskiiTerms(graph, counter).count(a)
+    return LidskiiTerms(graph).count(a)
 
 
-def lidskii_count_c_form(
-    graph: DirectedMultigraph,
-    c: Sequence[int],
-    *,
-    counter: FlowCounter | None = None,
-) -> int:
+def lidskii_count_c_form(graph: DirectedMultigraph, c: Sequence[int]) -> int:
     """Flow count at netflow a_i = indeg(i) - 1 + c_i, written directly in
     terms of the positive vector c via rising factorials."""
-    return LidskiiTerms(graph, counter).count_c_form(c)
+    return LidskiiTerms(graph).count_c_form(c)
 
 
 def in_plus_c_netflow(graph: DirectedMultigraph, c: Sequence[int]) -> NetflowVector:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -77,13 +77,6 @@ class DirectedMultigraph:
     def edge_multiset(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
-    def canonical(self) -> "DirectedMultigraph":
-        """Copy with edges in canonical (tail, head, insertion) order."""
-        return DirectedMultigraph(self.vertex_count, tuple(sorted(self.edges)), self.first_vertex)
-
-    def is_canonical(self) -> bool:
-        return list(self.edges) == sorted(self.edges)
-
     def cotree(self) -> tuple[int, ...]:
         """Indices of the edges that close a cycle when a spanning forest
         is grown over the edges in order; every other edge joins two trees
@@ -105,6 +98,36 @@ class DirectedMultigraph:
             else:
                 root[ra] = rb
         return tuple(cotree)
+
+    def paths(self) -> Iterator[tuple[int, ...]]:
+        """The directed first-to-last-vertex paths, each as the tuple of its
+        edge indices from first to last, depth first with out-edges in index
+        order.  The walk keeps its own stack, so a path may be longer than
+        the interpreter's recursion limit."""
+        edges = self.edges
+        out_edges: list[list[int]] = [[] for _ in self.vertices]
+        for k, (a, _) in enumerate(edges):
+            out_edges[a - self.first_vertex].append(k)
+        target = self.last_vertex
+        if self.first_vertex == target:
+            yield ()
+            return
+        used: list[int] = []
+        stack = [iter(out_edges[0])]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if used:
+                    used.pop()
+                continue
+            head = edges[e][1]
+            used.append(e)
+            if head == target:
+                yield tuple(used)
+                used.pop()
+            else:
+                stack.append(iter(out_edges[head - self.first_vertex]))
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected multigraph: its

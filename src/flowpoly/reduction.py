@@ -28,7 +28,6 @@ from itertools import combinations_with_replacement, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .geometry import SimplexCell, _paths
 from .multigraph import DirectedMultigraph, attach_source, checked_degree_stats
 
 DEFAULT_NODE_CAP = 10**6
@@ -320,22 +319,18 @@ def _ordered_incident(
 # --- reduction trees ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    vertex: int
-    incoming: tuple[int, ...]
-    outgoing: tuple[int, ...]
-    tree: NoncrossingTree
-
-
 class ReductionTreeNode:
-    __slots__ = ("graph", "parent", "children", "step")
+    """A tree node, with the vertex and the noncrossing tree of the
+    reduction that made it; both are None at the root."""
 
-    def __init__(self, graph: ProvenancedGraph, parent=None, step: ReductionStep | None = None):
+    __slots__ = ("graph", "parent", "children", "vertex", "tree")
+
+    def __init__(self, graph: ProvenancedGraph, parent=None, vertex=None, tree=None):
         self.graph = graph
         self.parent = parent
         self.children: list[ReductionTreeNode] = []
-        self.step = step
+        self.vertex = vertex
+        self.tree = tree
 
     @property
     def is_leaf(self) -> bool:
@@ -391,14 +386,14 @@ def _reduction_root(graph: DirectedMultigraph, c: Sequence[int] | None) -> Prove
 
 
 def _expansions(node: ProvenancedGraph, vertex: int):
-    """One child per noncrossing tree over the full incident edge multisets
-    at the vertex, in enumeration order; source edges are never reduced."""
+    """(tree, child) for each noncrossing tree over the full incident edge
+    multisets at the vertex, in enumeration order; source edges are never
+    reduced."""
     inc, out = _ordered_incident(node.graph, vertex, skip_source=node.graph.first_vertex == 0)
     trees = enumerate_noncrossing_trees(len(inc) + 1, len(out))
     expansion = _Expansion(node, vertex, inc, out)
     for tree in trees:
-        child = reduce_at_vertex(node, vertex, inc, out, tree, _expansion=expansion)
-        yield ReductionStep(vertex, inc, out, tree), child
+        yield tree, reduce_at_vertex(node, vertex, inc, out, tree, _expansion=expansion)
 
 
 def _schedule(graph: DirectedMultigraph) -> tuple[int, ...]:
@@ -406,16 +401,17 @@ def _schedule(graph: DirectedMultigraph) -> tuple[int, ...]:
     return tuple(range(graph.last_vertex - 1, 1, -1))
 
 
-def _walk(node, schedule: Sequence[int], expand, budget: _Budget, depth: int = 0, step=None):
+def _walk(node, schedule: Sequence[int], expand, budget: _Budget, depth: int = 0, tree=None):
     """Depth-first walk from node that reduces the nodes at depth d at
-    schedule[d]: yields (depth, step, node) for node and then for every
-    node below it, children in the order expand(node, vertex) gives them.
-    Each child spends one unit of the budget."""
-    yield depth, step, node
+    schedule[d]: yields (depth, tree, node) for node and then for every
+    node below it, children in the order expand(node, vertex) gives its
+    (tree, child) pairs; tree is the one that made node.  Each child spends
+    one unit of the budget."""
+    yield depth, tree, node
     if depth < len(schedule):
-        for child_step, child in expand(node, schedule[depth]):
+        for child_tree, child in expand(node, schedule[depth]):
             budget.spend()
-            yield from _walk(child, schedule, expand, budget, depth + 1, child_step)
+            yield from _walk(child, schedule, expand, budget, depth + 1, child_tree)
 
 
 def canonical_reduction_tree(
@@ -435,11 +431,13 @@ def canonical_reduction_tree(
     budget = _Budget(node_cap)
     budget.spend()
     path: list[ReductionTreeNode] = []  # from the root to the last node made
-    for depth, step, pg in _walk(root, schedule, _expansions, budget):
+    for depth, tree, pg in _walk(root, schedule, _expansions, budget):
         del path[depth:]
-        node = ReductionTreeNode(pg, path[-1] if path else None, step)
         if path:
+            node = ReductionTreeNode(pg, path[-1], schedule[depth - 1], tree)
             path[-1].children.append(node)
+        else:
+            node = ReductionTreeNode(pg)
         path.append(node)
     return ReductionTree(path[0], schedule)
 
@@ -516,6 +514,22 @@ def census_from_json(data: Iterable[dict]) -> dict[tuple[int, ...], int]:
 # --- dissection into unimodular simplices --------------------------------------
 
 
+@dataclass(frozen=True)
+class SimplexCell:
+    """A lattice simplex in the root graph's edge coordinates.
+
+    vertices: d+1 integer vectors.  leaf_index / leaf_composition identify
+    the reduction-tree leaf the cell came from.
+    """
+
+    vertices: tuple[tuple[int, ...], ...]
+    leaf_index: int = 0
+    leaf_composition: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
+
+
 def zero_vertex_dissection_children(node: ProvenancedGraph, vertex: int) -> list[ProvenancedGraph]:
     """Children over the full incident edge multisets whose noncrossing tree
     has exactly one edge at the appended left vertex.  For a netflow with a
@@ -533,7 +547,7 @@ def zero_vertex_dissection_children(node: ProvenancedGraph, vertex: int) -> list
 
 
 def _dissection_children(node: ProvenancedGraph, vertex: int):
-    """zero_vertex_dissection_children as the walk's (step, child) pairs."""
+    """zero_vertex_dissection_children as the walk's (None, child) pairs."""
     return ((None, child) for child in zero_vertex_dissection_children(node, vertex))
 
 
@@ -577,7 +591,7 @@ def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> 
         summed = [sorted(s) for s in t.provenance]
         paths.append(tuple(
             shared.setdefault(p, p)
-            for p in (tuple(k for e in path for k in summed[e]) for path in _paths(t.graph))
+            for p in (tuple(k for e in path for k in summed[e]) for path in t.graph.paths())
         ))
     return _LeafShape(edges, tuple(paths), budget.used)
 
@@ -677,7 +691,6 @@ def export_dot(tree: ReductionTree) -> str:
         ids[id(node)] = k
         boxes.append(f'  n{k} [label="{_edge_label(node.graph.graph)}"];')
         if node.parent is not None:
-            step = node.step
-            tlabel = ",".join(f"({p},{q})" for p, q in step.tree.edges)
-            arcs.append(f'  n{ids[id(node.parent)]} -> n{k} [label="i={step.vertex} T={tlabel}"];')
+            tlabel = ",".join(f"({p},{q})" for p, q in node.tree.edges)
+            arcs.append(f'  n{ids[id(node.parent)]} -> n{k} [label="i={node.vertex} T={tlabel}"];')
     return "\n".join(["digraph reduction_tree {", "  node [shape=box];", *boxes, *arcs, "}"]) + "\n"

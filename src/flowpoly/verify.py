@@ -142,7 +142,12 @@ def _run_shares(graphs: list[DirectedMultigraph], workers: int, instances: Insta
     try:
         for k in range(1, workers):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
                 # os._exit never returns into the caller's code, so the child
                 # flushes none of its buffered output and runs no exit hooks

@@ -1,10 +1,13 @@
 """Command-line interface: outputs, exit codes, JSON round trips."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -197,11 +200,6 @@ class TestReduce:
         code, out, err = run(capsys, ["reduce", "--graph", k4_file, "--node-cap", "2"])
         assert code == 1
         assert "node cap" in err
-
-    def test_env_var_node_cap(self, capsys, k4_file, monkeypatch):
-        monkeypatch.setenv("FLOWPOLY_NODE_CAP", "2")
-        code, _, err = run(capsys, ["reduce", "--graph", k4_file])
-        assert code == 1 and "node cap" in err
 
 
 class TestDissect:
@@ -498,37 +496,61 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("env, argv, message", [
-        ({}, ["kostant", "--netflow", "1,x"],
+    @pytest.mark.parametrize("argv, message", [
+        (["kostant", "--netflow", "1,x"],
          "could not parse netflow '1,x'; expected comma-separated integers"),
-        ({}, ["kostant", "--netflow", "1,,0,-1"],
+        (["kostant", "--netflow", "1,,0,-1"],
          "could not parse netflow '1,,0,-1'; expected comma-separated integers"),
-        ({}, ["kostant", "--netflow", "1,0,0,-1,"],
+        (["kostant", "--netflow", "1,0,0,-1,"],
          "could not parse netflow '1,0,0,-1,'; expected comma-separated integers"),
-        ({}, ["dissect", "--c", "1,,1"], "could not parse c '1,,1'; expected comma-separated integers"),
-        ({}, ["lidskii", "--mode", "c-form", "--c", "1,1,1,"],
+        (["dissect", "--c", "1,,1"], "could not parse c '1,,1'; expected comma-separated integers"),
+        (["lidskii", "--mode", "c-form", "--c", "1,1,1,"],
          "could not parse c '1,1,1,'; expected comma-separated integers"),
-        ({}, ["reduce", "--c", ",1,1,1"], "could not parse c ',1,1,1'; expected comma-separated integers"),
-        ({}, ["lidskii", "--mode", "volume", "--netflow=-1,0,0"],
+        (["reduce", "--c", ",1,1,1"], "could not parse c ',1,1,1'; expected comma-separated integers"),
+        (["lidskii", "--mode", "volume", "--netflow=-1,0,0"],
          "netflow entry 0 is negative; nice chamber required"),
-        ({"FLOWPOLY_NODE_CAP": "x"}, ["verify"], "FLOWPOLY_NODE_CAP='x' is not a positive integer"),
-        ({"FLOWPOLY_NODE_CAP": "-5"}, ["verify"],
-         "FLOWPOLY_NODE_CAP='-5' is not a positive integer"),
-        ({}, ["reduce", "--node-cap", "0"], "--node-cap='0' is not a positive integer"),
-        ({}, ["dissect", "--c", "1,1,1", "--node-cap", "-5"],
+        (["reduce", "--node-cap", "0"], "--node-cap='0' is not a positive integer"),
+        (["dissect", "--c", "1,1,1", "--node-cap", "-5"],
          "--node-cap='-5' is not a positive integer"),
-        ({"FLOWPOLY_NODE_CAP": "x"}, ["verify", "--node-cap", "x"],
-         "--node-cap='x' is not a positive integer"),
+        (["verify", "--node-cap", "x"], "--node-cap='x' is not a positive integer"),
     ], ids=["netflow not integers", "netflow empty token", "netflow trailing comma",
             "c empty token", "c trailing comma", "c leading comma", "volume outside the chamber",
-            "env cap not an integer", "env cap negative", "cap zero", "cap negative",
-            "cap over env"])
-    def test_bad_input(self, capsys, monkeypatch, k4_file, env, argv, message):
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
+            "cap zero", "cap negative", "cap not an integer"])
+    def test_bad_input(self, capsys, k4_file, argv, message):
         if argv[0] != "verify":
             argv = [argv[0], "--graph", k4_file, *argv[1:]]
         assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+    def test_failed_fork(self, capsys, monkeypatch, workers):
+        # the workers fixture checks that no child is left
+        refused = BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        def fork():
+            raise refused
+
+        workers(2)
+        monkeypatch.setattr(os, "fork", fork)
+        assert run(capsys, TestWorkerErrors.ARGV) == (1, "", f"error: {refused}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["dissect", "--c", "1,1,1"],
+        ["reduce", "--emit", "dot"],
+        ["verify", "--suite", "census", "--max-vertices", "3"],
+    ], ids=["dissect", "reduce", "verify"])
+    def test_closed_output_pipe(self, k4_file, argv):
+        # the reader is gone before the command writes anything
+        if argv[0] != "verify":
+            argv = [argv[0], "--graph", k4_file, *argv[1:]]
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        src = os.path.dirname(os.path.dirname(flowpoly.__file__))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "flowpoly.cli", *argv], stdout=write_fd,
+                                  stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                                  timeout=120)
+        finally:
+            os.close(write_fd)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 # Graph file text: arbitrary text, or a header and edge lines of small

@@ -174,7 +174,7 @@ class TestCForm:
             n = g.vertex_count - 1
             for c in product((1, 2, 3), repeat=n):
                 a = in_plus_c_netflow(g, c)
-                assert lidskii_count_c_form(g, c, counter=counter) == lidskii_count(g, a, counter=counter)
+                assert LidskiiTerms(g, counter).count_c_form(c) == LidskiiTerms(g, counter).count(a)
 
 
 class _SpyCounter(FlowCounter):
@@ -221,7 +221,7 @@ class TestLidskiiTerms:
         g = complete_graph(nv)
         spy = _SpyCounter(g)
         a = (1,) + (0,) * (nv - 2) + (-1,)
-        assert lidskii_volume(g, a, counter=spy) == prod(catalan(i) for i in range(1, nv - 2))
+        assert LidskiiTerms(g, spy).volume(a) == prod(catalan(i) for i in range(1, nv - 2))
         assert len(spy.asked) == 1
 
     def test_shifted_counts_are_kept(self):

@@ -62,12 +62,6 @@ class TestDirectedMultigraph:
         assert g.out_edges_at(1) == (0, 1)
         assert g.in_edges_at(3) == (2,)
 
-    def test_canonical_order(self):
-        g = DirectedMultigraph(4, ((1, 4), (1, 2), (3, 4), (1, 4)))
-        assert not g.is_canonical()
-        assert g.canonical().edges == ((1, 2), (1, 4), (1, 4), (3, 4))
-        assert g.canonical().is_canonical()
-
     def test_connectivity(self):
         assert complete_graph(4).is_connected()
         assert not DirectedMultigraph(4, ((1, 2), (3, 4))).is_connected()

@@ -283,15 +283,15 @@ class TestSharedExpansion:
             if parent.is_leaf:
                 continue
             g = parent.graph.graph
-            vertex = parent.children[0].step.vertex
+            vertex = parent.children[0].vertex
             inc, out = by_length(g, g.in_edges_at(vertex)), by_length(g, g.out_edges_at(vertex))
-            steps, children = zip(*reduction._expansions(parent.graph, vertex))
-            assert [(s.incoming, s.outgoing) for s in steps] == [(inc, out)] * len(steps)
-            assert [s.tree for s in steps] == list(enumerate_noncrossing_trees(len(inc) + 1, len(out)))
+            trees, children = zip(*reduction._expansions(parent.graph, vertex))
+            assert list(trees) == list(enumerate_noncrossing_trees(len(inc) + 1, len(out)))
             assert list(children) == [
-                reduce_at_vertex(parent.graph, vertex, inc, out, s.tree) for s in steps
+                reduce_at_vertex(parent.graph, vertex, inc, out, t) for t in trees
             ]
             assert list(children) == [child.graph for child in parent.children]
+            assert list(trees) == [child.tree for child in parent.children]
             expanded += 1
         assert expanded == 5
 
@@ -526,7 +526,7 @@ class TestOneWalk:
     def test_parent_links_and_schedule(self):
         for _, _, build in walked_trees():
             tree = build()
-            assert tree.root.parent is None and tree.root.step is None
+            assert tree.root.parent is None and tree.root.vertex is None
             for node in tree.nodes():
                 if node is tree.root:
                     continue
@@ -534,7 +534,7 @@ class TestOneWalk:
                 depth, up = 0, node
                 while up.parent is not None:
                     depth, up = depth + 1, up.parent
-                assert node.step.vertex == tree.schedule[depth - 1]
+                assert node.vertex == tree.schedule[depth - 1]
 
     def test_node_cap_is_exact(self):
         for g, c, build in walked_trees():
