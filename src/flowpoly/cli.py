@@ -31,13 +31,12 @@ from .reduction import (
     DEFAULT_NODE_CAP,
     LeafShapeError,
     NodeCapExceeded,
-    canonical_reduction_tree,
     census_to_json,
     dissection_cell_counts,
-    export_dot,
+    dot_lines,
+    iter_dissection_cells,
     iter_reduction_leaves,
     leaf_census,
-    unimodular_dissection,
 )
 from .verify import SUITES
 
@@ -129,8 +128,8 @@ def cmd_reduce(args) -> int:
     graph = _load_graph(args.graph)
     c = _parse_int_list(args.c, "c") if args.c is not None else None
     if args.emit == "dot":
-        tree = canonical_reduction_tree(graph, c, node_cap=args.node_cap)
-        print(export_dot(tree), end="")
+        # the walk ends before the first line, so a node cap prints nothing
+        sys.stdout.writelines(dot_lines(graph, c, node_cap=args.node_cap))
         return 0
     # censuses never hold the tree in memory
     census = leaf_census(iter_reduction_leaves(graph, c, node_cap=args.node_cap))
@@ -150,15 +149,20 @@ def cmd_dissect(args) -> int:
     graph = _load_graph(args.graph)
     c = _parse_int_list(args.c, "c")
     if args.emit == "cells":
-        payload = [
-            {
+        # The counts spend and check the node budget, so an error prints
+        # nothing; a second walk then writes the JSON list of json.dumps(
+        # cells, indent=2) one cell at a time.
+        dissection_cell_counts(graph, c, node_cap=args.node_cap)
+        separator = "[\n  "
+        for cell in iter_dissection_cells(graph, c, node_cap=args.node_cap):
+            item = json.dumps({
                 "leaf": cell.leaf_index,
                 "leaf_composition": list(cell.leaf_composition),
                 "vertices": [list(v) for v in cell.vertices],
-            }
-            for cell in unimodular_dissection(graph, c, node_cap=args.node_cap)
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+            }, indent=2, sort_keys=True)
+            sys.stdout.write(separator + item.replace("\n", "\n  "))
+            separator = ",\n  "
+        sys.stdout.write("[]\n" if separator == "[\n  " else "\n]\n")
         return 0
     # the summary counts the cells of each leaf shape without building them
     counts = dissection_cell_counts(graph, c, node_cap=args.node_cap)

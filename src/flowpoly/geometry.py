@@ -24,6 +24,7 @@ from .multigraph import (
     NetflowVector,
     apply_incidence,
     attach_source,
+    integers,
 )
 from .lidskii import in_plus_c_netflow
 from .reduction import DEFAULT_NODE_CAP, SimplexCell
@@ -319,7 +320,7 @@ def verify_in_vector_bijection(graph: DirectedMultigraph, c: Sequence[int]) -> V
     """Check that flows at netflow indeg-1+c on the graph correspond one to
     one with flows on the source-augmented graph at the matching netflow
     with a zero source entry, via restriction to the original edges."""
-    c = tuple(int(x) for x in c)
+    c = integers(c, "c")
     a = in_plus_c_netflow(graph, c)
     augmented = attach_source(graph, c)
     big_netflow = NetflowVector((0,) + a.entries)

@@ -21,7 +21,7 @@ from itertools import accumulate
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .multigraph import DirectedMultigraph, NetflowVector
+from .multigraph import DirectedMultigraph, NetflowVector, integers
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,8 @@ class FlowCounter:
         self._results: dict[tuple[int, ...], int] = {}
 
     def count(self, netflow) -> int:
-        key = netflow.entries if isinstance(netflow, NetflowVector) else tuple(netflow)
+        # ints before the memo: (1.0, 0, -1.0) would hit the entry of (1, 0, -1)
+        key = netflow.entries if isinstance(netflow, NetflowVector) else integers(netflow, "netflow")
         hit = self._results.get(key)
         if hit is not None:
             return hit

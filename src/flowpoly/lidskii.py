@@ -26,7 +26,13 @@ from math import comb, factorial, prod
 from typing import Callable, Sequence
 
 from .kostant import FlowCounter
-from .multigraph import DirectedMultigraph, NetflowVector, checked_degree_stats, degree_stats
+from .multigraph import (
+    DirectedMultigraph,
+    NetflowVector,
+    checked_degree_stats,
+    degree_stats,
+    integers,
+)
 
 
 def multiset_coeff(n: int, k: int) -> int:
@@ -167,7 +173,7 @@ class LidskiiTerms:
     def count_c_form(self, c: Sequence[int]) -> int:
         """Flow count at netflow a_i = indeg(i) - 1 + c_i, written in terms
         of the positive vector c via rising factorials."""
-        c = tuple(int(x) for x in c)
+        c = integers(c, "c")
         if len(c) != len(self.out_shift):
             raise ValueError(f"c must have {len(self.out_shift)} entries, got {len(c)}")
         for i, ci in enumerate(c):

@@ -13,11 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import index
 from typing import Iterator, Sequence
 
 
 class GraphFormatError(ValueError):
     """Raised when a graph file cannot be parsed."""
+
+
+def integers(values: Sequence, what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints.  A value that is no integer (a float
+    or a Fraction, even a whole one, or a string) raises ValueError naming
+    it as entry k of what, where int() would truncate or parse it."""
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        for k, v in enumerate(values):
+            if not hasattr(type(v), "__index__"):
+                raise ValueError(f"{what} entry {k} = {v!r} is not an integer") from None
+        raise
 
 
 @dataclass(frozen=True)
@@ -27,9 +41,13 @@ class DirectedMultigraph:
     first_vertex: int = 1
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "edges", tuple((int(a), int(b)) for a, b in self.edges)
-        )
+        try:
+            edges = tuple((index(a), index(b)) for a, b in self.edges)
+        except TypeError:
+            for k, edge in enumerate(self.edges):
+                integers(edge, f"edge {k}")
+            raise
+        object.__setattr__(self, "edges", edges)
         if self.first_vertex not in (0, 1):
             raise ValueError("first_vertex must be 0 or 1")
         if self.vertex_count < 1:
@@ -152,7 +170,7 @@ class NetflowVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        object.__setattr__(self, "entries", integers(self.entries, "netflow"))
         if not self.entries:
             raise ValueError("netflow vector cannot be empty")
         if sum(self.entries) != 0:
@@ -181,7 +199,7 @@ class NetflowVector:
     @staticmethod
     def completing(first_entries: Sequence[int]) -> "NetflowVector":
         """Append the sink value -sum(first_entries)."""
-        first = tuple(int(e) for e in first_entries)
+        first = integers(first_entries, "netflow")
         return NetflowVector(first + (-sum(first),))
 
 
@@ -228,7 +246,7 @@ def checked_degree_stats(graph: DirectedMultigraph) -> DegreeStats:
 def build_gm(m: Sequence[int]) -> DirectedMultigraph:
     """Graph on vertices 1..n+1 with m[i] parallel edges from vertex i+1 to
     the sink n+1."""
-    m = tuple(int(x) for x in m)
+    m = integers(m, "m")
     if not m:
         raise ValueError("multiplicity vector cannot be empty")
     for i, mi in enumerate(m):
@@ -247,7 +265,7 @@ def attach_source(graph: DirectedMultigraph, c: Sequence[int]) -> DirectedMultig
     the restriction to the original vertices equals the input graph."""
     if graph.first_vertex != 1:
         raise ValueError("attach_source expects a graph on vertices 1..n+1")
-    c = tuple(int(x) for x in c)
+    c = integers(c, "c")
     n = graph.vertex_count - 1
     if len(c) != n:
         raise ValueError(f"c must have one entry per non-sink vertex ({n}), got {len(c)}")

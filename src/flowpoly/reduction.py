@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .multigraph import DirectedMultigraph, attach_source, checked_degree_stats
+from .multigraph import DirectedMultigraph, attach_source, checked_degree_stats, integers
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -414,6 +414,16 @@ def _walk(node, schedule: Sequence[int], expand, budget: _Budget, depth: int = 0
             yield from _walk(child, schedule, expand, budget, depth + 1, child_tree)
 
 
+def _canonical_walk(graph: DirectedMultigraph, c: Sequence[int] | None, budget: _Budget):
+    """The schedule of the canonical reduction tree (or of its
+    source-augmented variant when c is given) and its depth-first walk;
+    the root spends its unit of the budget here."""
+    root = _reduction_root(graph, c)
+    schedule = _schedule(root.graph)
+    budget.spend()
+    return schedule, _walk(root, schedule, _expansions, budget)
+
+
 def canonical_reduction_tree(
     graph: DirectedMultigraph,
     c: Sequence[int] | None = None,
@@ -426,12 +436,9 @@ def canonical_reduction_tree(
     is rooted at the source-augmented graph and the incoming multisets
     exclude the source edges, so deleting everything incident to the source
     at each node recovers the plain tree node for node."""
-    root = _reduction_root(graph, c)
-    schedule = _schedule(root.graph)
-    budget = _Budget(node_cap)
-    budget.spend()
+    schedule, walk = _canonical_walk(graph, c, _Budget(node_cap))
     path: list[ReductionTreeNode] = []  # from the root to the last node made
-    for depth, tree, pg in _walk(root, schedule, _expansions, budget):
+    for depth, tree, pg in walk:
         del path[depth:]
         if path:
             node = ReductionTreeNode(pg, path[-1], schedule[depth - 1], tree)
@@ -454,11 +461,9 @@ def iter_reduction_leaves(
     materialized tree would produce, without storing the tree.  _budget,
     when given, replaces node_cap so that a caller's later stages draw on
     the same budget as the walk."""
-    root = _reduction_root(graph, c)
-    schedule = _schedule(root.graph)
     budget = _Budget(node_cap) if _budget is None else _budget
-    budget.spend()
-    for depth, _, node in _walk(root, schedule, _expansions, budget):
+    schedule, walk = _canonical_walk(graph, c, budget)
+    for depth, _, node in walk:
         if depth == len(schedule):
             yield node
 
@@ -470,19 +475,18 @@ def _leaf_composition(graph: DirectedMultigraph) -> tuple[int, ...]:
     """Composition j for a leaf with j_i + 1 parallel edges from i to the
     sink (ignoring source edges); raises LeafShapeError otherwise."""
     sink = graph.last_vertex
-    counts = {i: 0 for i in range(1, sink)}
+    counts = [0] * sink  # edges to the sink, by tail; tail 0 is the source
     for a, b in graph.edges:
-        if graph.first_vertex == 0 and a == 0:
-            if b == sink:
+        if b == sink:
+            if not a:
                 raise LeafShapeError("leaf has a source edge pointing at the sink")
-            continue
-        if b != sink:
+            counts[a] += 1
+        elif a:
             raise LeafShapeError(f"leaf edge ({a},{b}) does not point at the sink")
-        counts[a] += 1
-    for i, k in counts.items():
-        if k < 1:
-            raise LeafShapeError(f"leaf vertex {i} has no edge to the sink")
-    return tuple(counts[i] - 1 for i in range(1, sink))
+    fans = counts[1:]
+    if 0 in fans:
+        raise LeafShapeError(f"leaf vertex {fans.index(0) + 1} has no edge to the sink")
+    return tuple(k - 1 for k in fans)
 
 
 def leaf_census(source) -> dict[tuple[int, ...], int]:
@@ -602,7 +606,7 @@ def _dissected_leaves(
     """Leaves of the source reduction tree with their index, composition
     and shape dissection.  The walk and every leaf's share of the shape
     nodes draw on one budget."""
-    c = tuple(int(x) for x in c)
+    c = integers(c, "c")
     budget = _Budget(node_cap)
     for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, c, _budget=budget)):
         composition = _leaf_composition(leaf.graph)
@@ -637,6 +641,16 @@ def _push_forward(
         yield tuple(vector(p) for p in paths)
 
 
+def iter_dissection_cells(
+    graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int = DEFAULT_NODE_CAP
+) -> Iterator[SimplexCell]:
+    """The cells of unimodular_dissection, streamed leaf by leaf without
+    storing them."""
+    for leaf_index, leaf, composition, shape in _dissected_leaves(graph, c, node_cap):
+        for vertices in _push_forward(leaf, shape):
+            yield SimplexCell(vertices=vertices, leaf_index=leaf_index, leaf_composition=composition)
+
+
 def unimodular_dissection(
     graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int = DEFAULT_NODE_CAP
 ) -> list[SimplexCell]:
@@ -647,13 +661,7 @@ def unimodular_dissection(
     cell whose vertices are the path indicator flows pushed back into the
     root's edge coordinates.  The zero-entry reductions run once per leaf
     shape (c, j) and reach each leaf through its provenance."""
-    cells: list[SimplexCell] = []
-    for leaf_index, leaf, composition, shape in _dissected_leaves(graph, c, node_cap):
-        for vertices in _push_forward(leaf, shape):
-            cells.append(
-                SimplexCell(vertices=vertices, leaf_index=leaf_index, leaf_composition=composition)
-            )
-    return cells
+    return list(iter_dissection_cells(graph, c, node_cap=node_cap))
 
 
 def dissection_cell_counts(
@@ -679,18 +687,81 @@ def _edge_label(graph: DirectedMultigraph) -> str:
     return ", ".join(parts)
 
 
+def _preorder(tree: ReductionTree):
+    """(depth, vertex, tree, graph) per node of a materialized tree,
+    depth first, children in order."""
+    stack = [(0, tree.root)]
+    while stack:
+        depth, node = stack.pop()
+        yield depth, node.vertex, node.tree, node.graph.graph
+        stack.extend((depth + 1, child) for child in reversed(node.children))
+
+
+def _dot_lines(records: Iterable) -> Iterator[str]:
+    """The lines of the DOT rendering of a reduction tree, given its nodes
+    as (depth, vertex, tree, graph) records in depth-first preorder; vertex
+    and tree made the node and are None at the root.  Nodes are numbered
+    breadth first: in an ordered tree the nodes of one level come in the
+    same order breadth first as depth first, so a node's number is the
+    size of the levels above it plus its position in its own level, and
+    its parent is the last node seen one level up.  Only the labels and
+    arcs of each level are kept, the labels shared between nodes of one
+    shape.  All records are read before this returns, so an error in the
+    walk that makes them comes before any line."""
+    boxes: list[list[str]] = []  # per level: the label of each node
+    arcs: list[list[tuple[int, str]]] = []  # per level: (parent position, arc label)
+    labels: dict[str, str] = {}
+    arc_labels: dict[tuple, str] = {}
+    for depth, vertex, tree, graph in records:
+        if depth == len(boxes):
+            boxes.append([])
+            arcs.append([])
+        label = _edge_label(graph)
+        boxes[depth].append(labels.setdefault(label, label))
+        if depth:
+            arc = arc_labels.get((vertex, tree))
+            if arc is None:
+                tlabel = ",".join(f"({p},{q})" for p, q in tree.edges)
+                arc = arc_labels[vertex, tree] = f"i={vertex} T={tlabel}"
+            arcs[depth].append((len(boxes[depth - 1]) - 1, arc))
+
+    def lines():
+        yield "digraph reduction_tree {\n"
+        yield "  node [shape=box];\n"
+        k = 0
+        for level in boxes:
+            for label in level:
+                yield f'  n{k} [label="{label}"];\n'
+                k += 1
+        above = 0  # number of the first node one level up
+        for level, level_arcs in zip(boxes, arcs[1:]):
+            first = above + len(level)
+            for position, (parent, arc) in enumerate(level_arcs):
+                yield f'  n{above + parent} -> n{first + position} [label="{arc}"];\n'
+            above = first
+        yield "}\n"
+
+    return lines()
+
+
+def dot_lines(
+    graph: DirectedMultigraph,
+    c: Sequence[int] | None = None,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> Iterator[str]:
+    """The lines of export_dot(canonical_reduction_tree(graph, c)), from
+    one depth-first walk that keeps the labels and arcs but not the tree.
+    The walk, and so its node budget, is done before this returns."""
+    schedule, walk = _canonical_walk(graph, c, _Budget(node_cap))
+    return _dot_lines(
+        (depth, schedule[depth - 1] if depth else None, tree, node.graph)
+        for depth, tree, node in walk
+    )
+
+
 def export_dot(tree: ReductionTree) -> str:
     """Graphviz rendering: one box per tree node labeled with its edge
     multiset, reduction metadata (vertex, chosen tree) on each arc.  Nodes
-    are numbered breadth first; a parent is numbered before its children,
-    so each node's arc is written as the node is numbered."""
-    boxes: list[str] = []
-    arcs: list[str] = []
-    ids: dict[int, int] = {}
-    for k, node in enumerate(tree.nodes()):
-        ids[id(node)] = k
-        boxes.append(f'  n{k} [label="{_edge_label(node.graph.graph)}"];')
-        if node.parent is not None:
-            tlabel = ",".join(f"({p},{q})" for p, q in node.tree.edges)
-            arcs.append(f'  n{ids[id(node.parent)]} -> n{k} [label="i={node.vertex} T={tlabel}"];')
-    return "\n".join(["digraph reduction_tree {", "  node [shape=box];", *boxes, *arcs, "}"]) + "\n"
+    are numbered breadth first, boxes first, then arcs."""
+    return "".join(_dot_lines(_preorder(tree)))

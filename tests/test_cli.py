@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flowpoly.cli
 import flowpoly.verify
 from flowpoly.cli import main
 from flowpoly.multigraph import (
@@ -27,7 +28,8 @@ from flowpoly.multigraph import (
     path_graph,
     write_graph,
 )
-from flowpoly.reduction import NodeCapExceeded, census_from_json
+from flowpoly import reduction
+from flowpoly.reduction import NodeCapExceeded, census_from_json, unimodular_dissection
 from flowpoly.verify import SUITES, iter_family, run_in_vector_suite
 
 
@@ -201,6 +203,26 @@ class TestReduce:
         assert code == 1
         assert "node cap" in err
 
+    def test_dot_streams_without_tree_nodes(self, capsys, monkeypatch, k4_file):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree node was built")
+
+        monkeypatch.setattr(reduction.ReductionTreeNode, "__init__", refuse)
+        code, out, err = run(capsys, ["reduce", "--graph", k4_file, "--c", "3,2,2", "--emit", "dot"])
+        assert (code, err) == (0, "")
+        assert out.startswith("digraph reduction_tree {\n") and out.endswith("}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--emit", "dot"],
+        ["dissect", "--c", "3,2,2", "--emit", "cells"],
+    ], ids=["dot", "cells"])
+    def test_node_cap_prints_nothing(self, capsys, k4_file, argv):
+        argv = [argv[0], "--graph", k4_file, *argv[1:], "--node-cap", "2"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: reduction exceeded the node cap of 2")
+        assert err.count("\n") == 1
+
 
 class TestDissect:
     def test_summary(self, capsys, k4_file):
@@ -263,6 +285,46 @@ class TestDissect:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "e23a00e85599ef7f902ac95c88214d7435d6186f49a2e4096c7c74d47c4a4f5b"
+        )
+
+    @pytest.mark.parametrize("nv, c", [(4, (3, 2, 2)), (5, (3, 1, 2, 2)), (3, (1, 1))])
+    def test_cells_equal_the_whole_list(self, capsys, tmp_path, nv, c):
+        # the cells are written one at a time; the bytes are those of one
+        # json.dumps of the whole list
+        path = tmp_path / "graph"
+        write_graph(complete_graph(nv), path)
+        argv = ["dissect", "--graph", str(path), "--c", ",".join(map(str, c)), "--emit", "cells"]
+        code, out, _ = run(capsys, argv)
+        payload = [
+            {
+                "leaf": cell.leaf_index,
+                "leaf_composition": list(cell.leaf_composition),
+                "vertices": [list(v) for v in cell.vertices],
+            }
+            for cell in unimodular_dissection(complete_graph(nv), c)
+        ]
+        assert code == 0
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_no_cells_is_an_empty_list(self, capsys, monkeypatch, k4_file):
+        monkeypatch.setattr(flowpoly.cli, "iter_dissection_cells", lambda *args, **kwargs: iter(()))
+        code, out, _ = run(capsys, ["dissect", "--graph", k4_file, "--c", "1,1,1", "--emit", "cells"])
+        assert (code, out) == (0, json.dumps([], indent=2) + "\n")
+
+    def test_cells_k6_unchanged(self, capsys, monkeypatch, tmp_path):
+        # 5880 cells, streamed: the list of all cells is never built
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cell list was built")
+
+        monkeypatch.setattr(reduction, "unimodular_dissection", refuse)
+        path = tmp_path / "k6.graph"
+        write_graph(complete_graph(6), path)
+        code, out, _ = run(
+            capsys, ["dissect", "--graph", str(path), "--c", "2,2,2,2,2", "--emit", "cells"]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "26dac3973aa5b32df9f22d33090624164c99e8b9ccd6b317888c41c6bc75772b"
         )
 
     def test_node_cap_counts_walk_and_dissection(self, capsys, k4_file):

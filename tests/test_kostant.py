@@ -83,6 +83,22 @@ class TestCountFlows:
         assert count_flows(inst(g, (1, -1, 0))) == 2
         assert naive_count(inst(g, (1, -1, 0))) == 2
 
+    def test_non_integer_netflow_refused(self):
+        # int() would truncate (1.9, 0, -1.9) to (1, 0, -1), which has 2 flows
+        with pytest.raises(ValueError, match="netflow entry 0 = 1.9 is not an integer"):
+            count_flows(FlowInstance(complete_graph(3), (1.9, 0, -1.9)))
+
+    def test_memo_refuses_non_integer_netflow(self):
+        # (1.0, 0, -1.0) hashes and compares equal to (1, 0, -1): the answer
+        # must not depend on whether that one was counted first
+        fresh = FlowCounter(complete_graph(3))
+        with pytest.raises(ValueError, match="is not an integer"):
+            fresh.count((1.0, 0, -1.0))
+        counted = FlowCounter(complete_graph(3))
+        assert counted.count((1, 0, -1)) == 2
+        with pytest.raises(ValueError, match="is not an integer"):
+            counted.count((1.0, 0, -1.0))
+
     def test_memoized_matches_naive_exhaustively(self):
         # small exhaustive slice of the agreement invariant
         from itertools import product

@@ -168,6 +168,13 @@ class TestCForm:
         with pytest.raises(ValueError):
             lidskii_count_c_form(complete_graph(4), (1, 0, 1))
 
+    def test_rejects_non_integer_c(self):
+        # int() would truncate c to (1, 1, 1)
+        with pytest.raises(ValueError, match=r"^c entry 0 = 1\.5 is not an integer$"):
+            lidskii_count_c_form(complete_graph(4), (1.5, 1, 1))
+        with pytest.raises(ValueError, match="c entry 2"):
+            LidskiiTerms(complete_graph(4)).count_c_form((1, 1, 1.0))
+
     def test_matches_count_at_shifted_netflow(self):
         for g in (complete_graph(4), complete_graph(3), path_graph(4)):
             counter = FlowCounter(g)

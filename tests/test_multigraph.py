@@ -56,6 +56,24 @@ class TestDirectedMultigraph:
         with pytest.raises(ValueError):
             DirectedMultigraph(3, ((0, 1),))  # 0 not allowed with first_vertex=1
 
+    def test_non_integer_endpoints_refused(self):
+        # int() would truncate (1, 2.9) to the edge (1, 2)
+        with pytest.raises(ValueError, match=r"^edge 0 entry 1 = 2\.9 is not an integer$"):
+            DirectedMultigraph(3, ((1, 2.9), (2, 3)))
+        with pytest.raises(ValueError, match="edge 1 entry 0"):
+            DirectedMultigraph(3, ((1, 2), (Fraction(2), 3)))
+        with pytest.raises(ValueError, match="is not an integer"):
+            DirectedMultigraph(3, ((1, "2"),))
+        with pytest.raises(TypeError):
+            DirectedMultigraph(3, (1, 2))  # not pairs: no integer question to answer
+
+    def test_integer_types_accepted(self):
+        class Index:
+            def __index__(self):
+                return 3
+
+        assert DirectedMultigraph(3, ((True, Index()),)).edges == ((1, 3),)
+
     def test_parallel_edges_distinct_by_index(self):
         g = DirectedMultigraph(3, ((1, 2), (1, 2), (2, 3)))
         assert g.edge_count == 3
@@ -219,6 +237,13 @@ class TestAttachSource:
         with pytest.raises(ValueError):
             attach_source(complete_graph(4), (1, 1))
 
+    def test_rejects_non_integer_c(self):
+        # int() would truncate c to (1, 2)
+        with pytest.raises(ValueError, match=r"^c entry 0 = 1\.7 is not an integer$"):
+            attach_source(complete_graph(3), (1.7, 2.2))
+        with pytest.raises(ValueError, match="c entry 1"):
+            attach_source(complete_graph(3), (1, 2.0))
+
     def test_in_shift_additivity(self):
         k4 = complete_graph(4)
         c = (3, 2, 2)
@@ -272,6 +297,15 @@ class TestNetflowVector:
 
     def test_completing(self):
         assert NetflowVector.completing((1, 2)).entries == (1, 2, -3)
+
+    def test_non_integer_entries_refused(self):
+        # whole or not: a float, a Fraction or a string is no integer entry
+        for entries in [(1.9, 0, -1.9), (1.0, 0, -1), (Fraction(2), 0, -2), ("1", 0, -1)]:
+            with pytest.raises(ValueError, match=r"^netflow entry 0 = .* is not an integer$"):
+                NetflowVector(entries)
+        with pytest.raises(ValueError, match=r"^netflow entry 1 = 0\.5 is not an integer$"):
+            NetflowVector.completing((1, 0.5))
+        assert NetflowVector((True, 0, -1)).entries == (1, 0, -1)
 
     def test_dilate(self):
         assert NetflowVector((1, 0, -1)).dilate(3).entries == (3, 0, -3)

@@ -1,5 +1,6 @@
 """Noncrossing trees, reductions, reduction trees, censuses, dissection."""
 
+import hashlib
 from functools import partial
 from itertools import product
 from math import comb, prod
@@ -29,6 +30,7 @@ from flowpoly.reduction import (
     census_from_json,
     census_to_json,
     dissection_cell_counts,
+    dot_lines,
     enumerate_noncrossing_trees,
     export_dot,
     iter_reduction_leaves,
@@ -570,6 +572,65 @@ class TestLeafCensus:
         with pytest.raises(LeafShapeError):
             leaf_census([path_graph(3)])
 
+    @staticmethod
+    def reference_composition(graph):
+        """The leaf composition over a dict of all vertices, as first
+        written; the tests' reference for messages and values."""
+        sink = graph.last_vertex
+        counts = {i: 0 for i in range(1, sink)}
+        for a, b in graph.edges:
+            if graph.first_vertex == 0 and a == 0:
+                if b == sink:
+                    raise LeafShapeError("leaf has a source edge pointing at the sink")
+                continue
+            if b != sink:
+                raise LeafShapeError(f"leaf edge ({a},{b}) does not point at the sink")
+            counts[a] += 1
+        for i, k in counts.items():
+            if k < 1:
+                raise LeafShapeError(f"leaf vertex {i} has no edge to the sink")
+        return tuple(counts[i] - 1 for i in range(1, sink))
+
+    def test_leaf_shape_messages(self):
+        cases = [
+            (path_graph(3), "leaf edge (1,2) does not point at the sink"),
+            (DirectedMultigraph(3, ((0, 1), (0, 2), (1, 2)), first_vertex=0),
+             "leaf has a source edge pointing at the sink"),
+            (DirectedMultigraph(3, ((1, 3),)), "leaf vertex 2 has no edge to the sink"),
+        ]
+        for graph, message in cases:
+            with pytest.raises(LeafShapeError) as plain:
+                leaf_census([graph])
+            assert str(plain.value) == message
+            with pytest.raises(LeafShapeError) as reference:
+                self.reference_composition(graph)
+            assert str(reference.value) == message
+
+    def test_composition_matches_reference(self):
+        # every family graph, with and without a source, as a would-be leaf:
+        # the same composition or the same LeafShapeError message
+        graphs = list(iter_family(4, 6))
+        graphs += [attach_source(g, (1,) * (g.vertex_count - 1)) for g in graphs[::7]]
+        graphs += [
+            DirectedMultigraph(4, ((0, 2), (0, 1), (1, 3), (2, 3), (2, 3)), first_vertex=0),
+            DirectedMultigraph(4, ((0, 3), (1, 3), (2, 3)), first_vertex=0),
+            DirectedMultigraph(1, ()),
+            DirectedMultigraph(1, (), first_vertex=0),
+        ]
+        shapes = set()
+        for g in graphs:
+            try:
+                expected = self.reference_composition(g)
+            except LeafShapeError as exc:
+                expected = str(exc)
+            try:
+                got = reduction._leaf_composition(g)
+            except LeafShapeError as exc:
+                got = str(exc)
+            assert got == expected, g
+            shapes.add(type(got))
+        assert shapes == {str, tuple}
+
     def test_json_round_trip(self):
         census = leaf_census(canonical_reduction_tree(complete_graph(4)))
         assert census_from_json(census_to_json(census)) == census
@@ -614,6 +675,12 @@ class TestUnimodularDissection:
     def test_path(self):
         cells = unimodular_dissection(path_graph(3), (1, 1))
         assert len(cells) == 1
+
+    def test_rejects_non_integer_c(self):
+        # int() would truncate c to (1, 1, 1), which has 2 cells
+        for fn in (unimodular_dissection, dissection_cell_counts):
+            with pytest.raises(ValueError, match=r"^c entry 0 = 1\.5 is not an integer$"):
+                fn(complete_graph(4), (1.5, 1, 1))
 
     def test_cell_count_equals_flow_count(self):
         from flowpoly.lidskii import in_plus_c_netflow
@@ -765,6 +832,46 @@ class TestDotExport:
         assert dot.startswith("digraph reduction_tree")
         assert dot.count("label=") >= tree.node_count
         assert "i=2" in dot and "i=3" in dot
+
+    @pytest.mark.parametrize("graph, c", [
+        (complete_graph(4), None),
+        (complete_graph(4), (3, 2, 2)),
+        (complete_graph(5), None),
+        (complete_graph(5), (3, 1, 2, 2)),
+        (complete_graph(6), None),
+        (complete_graph(6), (1, 2, 1, 1, 1)),
+        (path_graph(3), None),
+        (worked_example_root(), (1, 2, 1)),
+    ], ids=["K4", "K4 c", "K5", "K5 c", "K6", "K6 c", "path", "worked example c"])
+    def test_streamed_equals_materialized(self, graph, c):
+        assert "".join(dot_lines(graph, c)) == export_dot(canonical_reduction_tree(graph, c))
+
+    def test_k7_unchanged(self):
+        dot = "".join(dot_lines(complete_graph(7)))
+        assert hashlib.sha256(dot.encode()).hexdigest() == (
+            "ccef09c4ab3f02c7f6c29c62489188de70ff4f2f32abbb869eb2fdaa03894801"
+        )
+
+    def test_single_node(self):
+        # a tree with no reductions: one box and no arc
+        lines = list(dot_lines(DirectedMultigraph(2, ((1, 2), (1, 2)))))
+        assert lines == [
+            "digraph reduction_tree {\n", "  node [shape=box];\n",
+            '  n0 [label="1→2 ×2"];\n', "}\n",
+        ]
+
+    def test_walk_finishes_before_the_first_line(self):
+        # the cap is hit while dot_lines runs, not while its lines are read
+        with pytest.raises(NodeCapExceeded):
+            dot_lines(complete_graph(5), node_cap=10)
+        assert next(dot_lines(complete_graph(5), node_cap=16)) == "digraph reduction_tree {\n"
+
+    def test_builds_no_tree_nodes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a tree node was built")
+
+        monkeypatch.setattr(reduction.ReductionTreeNode, "__init__", refuse)
+        assert "".join(dot_lines(complete_graph(4))).endswith("}\n")
 
 
 @settings(deadline=None, max_examples=25)
