@@ -145,22 +145,46 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _json_list(items: Sequence[str], pad: str) -> str:
+    """A JSON list of already encoded items as json.dumps(indent=2) lays it
+    out when its opening line is indented by pad."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+
+
+def _cell_json(cell, vertex_json: dict) -> str:
+    """json.dumps({"leaf", "leaf_composition", "vertices"} of the cell,
+    indent=2, sort_keys=True) as an item of a list indented by 2, written
+    directly: with indent, json.dumps falls back to its pure-Python encoder,
+    which would take most of the time of `dissect --emit cells`.  Cells
+    share few distinct vertices, so vertex_json keeps each one's text."""
+    texts = []
+    for v in cell.vertices:
+        text = vertex_json.get(v)
+        if text is None:
+            text = vertex_json[v] = _json_list(list(map(str, v)), "      ")
+        texts.append(text)
+    composition = _json_list([str(j) for j in cell.leaf_composition], "    ")
+    vertices = _json_list(texts, "    ")
+    return (
+        f'{{\n    "leaf": {cell.leaf_index},\n    "leaf_composition": {composition},'
+        f'\n    "vertices": {vertices}\n  }}'
+    )
+
+
 def cmd_dissect(args) -> int:
     graph = _load_graph(args.graph)
     c = _parse_int_list(args.c, "c")
     if args.emit == "cells":
         # The counts spend and check the node budget, so an error prints
-        # nothing; a second walk then writes the JSON list of json.dumps(
-        # cells, indent=2) one cell at a time.
+        # nothing; a second walk then writes the JSON list of the cells one
+        # cell at a time.
         dissection_cell_counts(graph, c, node_cap=args.node_cap)
         separator = "[\n  "
+        vertex_json: dict[tuple[int, ...], str] = {}
         for cell in iter_dissection_cells(graph, c, node_cap=args.node_cap):
-            item = json.dumps({
-                "leaf": cell.leaf_index,
-                "leaf_composition": list(cell.leaf_composition),
-                "vertices": [list(v) for v in cell.vertices],
-            }, indent=2, sort_keys=True)
-            sys.stdout.write(separator + item.replace("\n", "\n  "))
+            sys.stdout.write(separator + _cell_json(cell, vertex_json))
             separator = ",\n  "
         sys.stdout.write("[]\n" if separator == "[\n  " else "\n]\n")
         return 0

@@ -9,7 +9,9 @@ time.  The counter (FlowCounter) splits a vertex's outflow one edge
 group at a time, a group being the parallel edges to one head; its state is
 (vertex, group, residual netflow packed into one integer with a slot width
 taken from the netflow's size), and it prunes any split that would leave
-negative flow across a cut.  Both must agree, which the tests check.
+negative flow across a cut.  It finishes the last two non-sink vertices in
+closed form, as binomial coefficients, without recursing to the sink.  Both
+must agree, which the tests check.
 """
 
 from __future__ import annotations
@@ -52,6 +54,13 @@ class FlowCounter:
     vertex after it, the sink included.  The memo table is keyed on that
     state and persists across calls, so evaluating many netflow vectors on
     the same graph shares work.
+
+    Closed-form tail: the last non-sink vertex can only send its residual b
+    down its m parallel sink edges, so it counts comb(b + m - 1, m - 1) for
+    b >= 0 and 0 for b < 0 (with no out-edge: 1 at b = 0, else 0), with no
+    state in the memo.  The vertex before it splits its units between the
+    last vertex and the sink, and sums three binomials per split.  So the
+    recursion never enters the last vertex or the sink.
 
     Cut pruning: the flow across the cut in front of a vertex is the sum
     of all residuals before it, so it must never be negative.  Sending x
@@ -120,17 +129,36 @@ class FlowCounter:
 
     def _build(self, width: int):
         """The recursion for slots of the given width, with a fresh memo
-        table."""
+        table.  It stops at the last non-sink vertex, whose count is one
+        binomial of its residual b: the sink's residual is -b because the
+        residuals sum to zero, so the sink needs no state.  The vertex
+        before it sends x units to the last vertex and b - x to the sink,
+        and sums three binomials per x instead of recursing."""
         off = 1 << (width - 1)
         mask = (1 << width) - 1
         groups_at = self._groups
-        acc = list(accumulate(off << (width * k) for k in range(self.graph.vertex_count)))
+        nv = self.graph.vertex_count
+        acc = list(accumulate(off << (width * k) for k in range(nv)))
         # packed all-zero residual from each vertex on: only the zero flow is left
         zero = acc[::-1]
         # top bits of slots 1..d-1, all set when none of those residuals is negative
         top_at = [0] + [a - off for a in acc[:-1]]
-        # one table per group; one for a vertex without groups, and the sink's
-        memo_at = [[{} for _ in gs or (0,)] for gs in groups_at] + [[{}]]
+        # the last non-sink vertex (on a one-vertex graph the sink, which
+        # holds 0) and its parallel sink edges
+        last = max(nv - 2, 0)
+        sink_m = groups_at[last][0][1] if last < len(groups_at) and groups_at[last] else 0
+        # one table per group, and one for a vertex without groups, of the
+        # vertices before the last
+        memo_at = [[{} for _ in gs or (0,)] for gs in groups_at[:last]]
+
+        if sink_m:
+            def finish(b: int) -> int:
+                """Flows from the last non-sink vertex when it holds b."""
+                return comb(b + sink_m - 1, sink_m - 1) if b >= 0 else 0
+        else:
+            def finish(b: int) -> int:
+                # no out-edge: the last vertex must hold nothing
+                return 1 if b == 0 else 0
 
         def cuts_hold(packed: int, d: int) -> bool:
             """Whether slots 1..d-1 have nonnegative prefix sums."""
@@ -145,6 +173,8 @@ class FlowCounter:
         def count(pos: int, g: int, packed: int) -> int:
             """Flows that send the units left at the vertex at pos (slot 0)
             into its groups g, g + 1, ..., and finish every later vertex."""
+            if pos == last:
+                return finish((packed & mask) - off)
             memo = memo_at[pos][g]
             total = memo.get(packed)
             if total is not None:
@@ -186,7 +216,17 @@ class FlowCounter:
                     if j >= d and -acc > low:
                         low = -acc
             total = 0
-            if tail:
+            if tail and pos + 1 == last:
+                # x units to the last vertex, which then holds r + x >= 0,
+                # and b - x straight to the sink; with single edges every x
+                # gives one flow
+                if m == m2 == sink_m == 1:
+                    total = b - low + 1
+                else:
+                    r = ((packed >> width) & mask) - off
+                    for x in range(low, b + 1):
+                        total += comb(x + m - 1, m - 1) * comb(b - x + m2 - 1, m2 - 1) * finish(r + x)
+            elif tail:
                 # the next group is the last one and takes the rest
                 sh, sh2 = width * d, width * d2
                 nxt = packed - b + (low << sh) + ((b - low) << sh2)

@@ -56,7 +56,8 @@ class NoncrossingTree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted((int(p), int(q)) for p, q in self.edges)))
+        edges = sorted(integers(edge, f"tree edge {k}") for k, edge in enumerate(self.edges))
+        object.__setattr__(self, "edges", tuple(edges))
         problem = self.structure_error()
         if problem:
             raise ValueError(problem)
@@ -218,8 +219,8 @@ class _Expansion:
         edges = graph.edges
         if not (graph.first_vertex < vertex < graph.last_vertex):
             raise ValueError(f"vertex {vertex} is not interior")
-        incoming = tuple(int(i) for i in incoming)
-        outgoing = tuple(int(i) for i in outgoing)
+        incoming = integers(incoming, "incoming")
+        outgoing = integers(outgoing, "outgoing")
         for idx in incoming:
             if not (0 <= idx < len(edges)) or edges[idx][1] != vertex:
                 raise ValueError(f"edge {idx} is not an incoming edge at vertex {vertex}")

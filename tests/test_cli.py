@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from flowpoly.multigraph import (
     write_graph,
 )
 from flowpoly import reduction
-from flowpoly.reduction import NodeCapExceeded, census_from_json, unimodular_dissection
+from flowpoly.reduction import NodeCapExceeded, SimplexCell, census_from_json, unimodular_dissection
 from flowpoly.verify import SUITES, iter_family, run_in_vector_suite
 
 
@@ -305,6 +306,30 @@ class TestDissect:
         ]
         assert code == 0
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    def test_cell_formatter_matches_json_dumps(self):
+        # the hand-written formatter against the encoder it replaces, one
+        # vertex cache across all graphs, plus empty lists
+        def dumps(cell):
+            record = {
+                "leaf": cell.leaf_index,
+                "leaf_composition": list(cell.leaf_composition),
+                "vertices": [list(v) for v in cell.vertices],
+            }
+            return json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n  ")
+
+        vertex_json = {}
+        cells = [
+            SimplexCell(((0, 1), (1, 0)), leaf_index=7),
+            SimplexCell((), leaf_index=0, leaf_composition=(2, 0)),
+            SimplexCell(((),), leaf_index=1, leaf_composition=(0,)),
+        ]
+        for nv, top in ((3, 3), (4, 3), (5, 2)):
+            for c in product(range(1, top + 1), repeat=nv - 1):
+                cells += unimodular_dissection(complete_graph(nv), c)
+        assert len(cells) > 1000
+        for cell in cells:
+            assert flowpoly.cli._cell_json(cell, vertex_json) == dumps(cell)
 
     def test_no_cells_is_an_empty_list(self, capsys, monkeypatch, k4_file):
         monkeypatch.setattr(flowpoly.cli, "iter_dissection_cells", lambda *args, **kwargs: iter(()))

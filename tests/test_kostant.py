@@ -214,6 +214,48 @@ class TestCutPruneExact:
             assert FlowCounter(g).count(a) == naive_count(FlowInstance(g, a)) == 0
 
 
+def forward_multigraphs(nv):
+    """Every forward multigraph on vertices 1..nv with 0-2 parallel edges
+    per pair, the edgeless one included."""
+    pairs = [(i, j) for i in range(1, nv + 1) for j in range(i + 1, nv + 1)]
+    for mults in product(range(3), repeat=len(pairs)):
+        yield DirectedMultigraph(nv, tuple(pair for pair, k in zip(pairs, mults) for _ in range(k)))
+
+
+class TestClosedFormTail:
+    """The last non-sink vertex and the one before it, which the counter
+    finishes with binomials, against plain enumeration."""
+
+    def test_matches_naive_on_every_small_multigraph(self):
+        # includes a last vertex without out-edges, and a second-to-last
+        # vertex with an edge group to only one of the last vertex and the sink
+        for nv in (2, 3, 4):
+            for g in forward_multigraphs(nv):
+                counter = FlowCounter(g)
+                for head in product(range(-1, 3), repeat=nv - 1):
+                    a = NetflowVector.completing(head)
+                    assert counter.count(a) == naive_count(FlowInstance(g, a)), (g.edges, head)
+
+    def test_last_vertex_without_out_edge(self):
+        # the last vertex must hold nothing: no binomial with zero sink edges
+        g = DirectedMultigraph(3, ((0, 1), (0, 2)), first_vertex=0)
+        for head, expected in (((1, 0), 1), ((1, -1), 1), ((2, 0), 1), ((1, 1), 0), ((0, 0), 1)):
+            a = NetflowVector.completing(head)
+            assert FlowCounter(g).count(a) == naive_count(FlowInstance(g, a)) == expected
+
+    def test_one_counter_small_wide_small_three_sink_edges(self):
+        # 2 edges 1->2, 1 edge 1->3, 3 edges 2->3, counted by the direct sum
+        # over the flow x on 1->2; the wide call widens the slots
+        g = DirectedMultigraph(3, ((1, 2), (1, 2), (1, 3), (2, 3), (2, 3), (2, 3)))
+
+        def direct(p, q):
+            return sum((x + 1) * comb(x + q + 2, 2) for x in range(max(0, -q), p + 1))
+
+        counter = FlowCounter(g)
+        for p, q in ((3, 0), (2, -1), (40000, 5), (40000, -5), (3, 0), (4, -2), (0, 0)):
+            assert counter.count((p, q, -p - q)) == direct(p, q), (p, q)
+
+
 class TestEnumerateFlows:
     def test_single_edge(self):
         g = DirectedMultigraph(2, ((1, 2),))

@@ -83,6 +83,11 @@ class TestNoncrossingTrees:
         with pytest.raises(ValueError):
             NoncrossingTree(2, 2, ((1, 1), (1, 1), (2, 2)))
 
+    def test_non_integer_edge_refused(self):
+        # int() would truncate (1, 1.9) to (1, 1), a valid tree
+        with pytest.raises(ValueError, match=r"^tree edge 0 entry 1 = 1\.9 is not an integer$"):
+            NoncrossingTree(1, 2, ((1, 1.9), (1, 2)))
+
 
 def is_noncrossing_spanning_tree(left_size, right_size, edges):
     """The definition read literally: left_size + right_size - 1 distinct
@@ -183,6 +188,15 @@ class TestReduceAtVertex:
         (tree,) = enumerate_noncrossing_trees(2, 1)
         with pytest.raises(ValueError, match="incoming"):
             reduce_at_vertex(node, 2, (1,), (4,), tree)  # edge (1,3) not into 2
+
+    def test_non_integer_edge_index_refused(self):
+        # int() would truncate (1.0, 3.7) to (1, 3), the two edges into 3
+        node = ProvenancedGraph.as_root(complete_graph(4))
+        (tree,) = enumerate_noncrossing_trees(3, 1)
+        with pytest.raises(ValueError, match=r"^incoming entry 1 = 3\.7 is not an integer$"):
+            reduce_at_vertex(node, 3, (1, 3.7), (5,), tree)
+        with pytest.raises(ValueError, match=r"^outgoing entry 0 = 5\.0 is not an integer$"):
+            reduce_at_vertex(node, 3, (1, 3), (5.0,), tree)
 
     def test_interior_vertex_required(self):
         node = ProvenancedGraph.as_root(path_graph(3))
