@@ -1,6 +1,8 @@
-"""The dissection pipeline end to end: attach a source, reduce, run the
-zero-entry reductions, and certify that the resulting simplices tile the
-augmented polytope, which proves the c-form count formula geometrically.
+"""The dissection pipeline end to end: attach a source, reduce, cut each
+leaf as the zero-entry reductions do, into the join of per-vertex staircase
+triangulations of the products of simplices Delta_{c_i-1} x Delta_{j_i}, and
+certify that the resulting simplices tile the augmented polytope, which
+proves the c-form count formula geometrically.
 
 Run:  python demos/04_unimodular_dissection.py
 """

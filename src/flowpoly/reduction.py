@@ -17,6 +17,11 @@ staircases: left vertex p covers a contiguous interval of right vertices,
 consecutive intervals overlap in a single right vertex.  Enumerating the
 l-1 overlap points as a weakly increasing sequence in 1..r gives all
 binom(l+r-2, l-1) of them.
+
+A source-tree leaf is the join over its vertices i of products of simplices
+Delta_{c_i - 1} x Delta_{j_i}, and the zero-entry reductions cut each into
+its staircase triangulation (De Loera-Rambau-Santos 2010, 6.2).  The
+dissection computes those cells; the tests check them against the reductions.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
-from operator import itemgetter
+from itertools import accumulate, chain, combinations_with_replacement, groupby, product
+from math import comb, prod
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .multigraph import DirectedMultigraph, attach_source, checked_degree_stats, integers
@@ -402,17 +408,16 @@ def _schedule(graph: DirectedMultigraph) -> tuple[int, ...]:
     return tuple(range(graph.last_vertex - 1, 1, -1))
 
 
-def _walk(node, schedule: Sequence[int], expand, budget: _Budget, depth: int = 0, tree=None):
+def _walk(node, schedule: Sequence[int], budget: _Budget, depth: int = 0, tree=None):
     """Depth-first walk from node that reduces the nodes at depth d at
     schedule[d]: yields (depth, tree, node) for node and then for every
-    node below it, children in the order expand(node, vertex) gives its
-    (tree, child) pairs; tree is the one that made node.  Each child spends
-    one unit of the budget."""
+    node below it, children in the order _expansions gives them; tree is
+    the one that made node.  Each child spends one unit of the budget."""
     yield depth, tree, node
     if depth < len(schedule):
-        for child_tree, child in expand(node, schedule[depth]):
+        for child_tree, child in _expansions(node, schedule[depth]):
             budget.spend()
-            yield from _walk(child, schedule, expand, budget, depth + 1, child_tree)
+            yield from _walk(child, schedule, budget, depth + 1, child_tree)
 
 
 def _canonical_walk(graph: DirectedMultigraph, c: Sequence[int] | None, budget: _Budget):
@@ -422,7 +427,7 @@ def _canonical_walk(graph: DirectedMultigraph, c: Sequence[int] | None, budget: 
     root = _reduction_root(graph, c)
     schedule = _schedule(root.graph)
     budget.spend()
-    return schedule, _walk(root, schedule, _expansions, budget)
+    return schedule, _walk(root, schedule, budget)
 
 
 def canonical_reduction_tree(
@@ -551,54 +556,42 @@ def zero_vertex_dissection_children(node: ProvenancedGraph, vertex: int) -> list
     ]
 
 
-def _dissection_children(node: ProvenancedGraph, vertex: int):
-    """zero_vertex_dissection_children as the walk's (None, child) pairs."""
-    return ((None, child) for child in zero_vertex_dissection_children(node, vertex))
-
-
 class _LeafShape(NamedTuple):
-    """Zero-vertex dissection of the leaf shape (c, j), in the coordinates
-    of the shape graph's edges."""
+    """Dissection of the leaf shape (c, j) in the shape graph's edges: per
+    vertex, its staircases as (source edge, sink edge) pairs, of which a
+    cell takes one per vertex; nodes counts what the reductions would make."""
 
     edges: tuple[tuple[int, int], ...]
-    # per cell, per vertex: the shape edges on the vertex's path
-    paths: tuple[tuple[tuple[int, ...], ...], ...]
-    # nodes made by the reductions at vertices 1..n
+    staircases: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     nodes: int
 
 
 @lru_cache(maxsize=4096)
 def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> _LeafShape:
-    """Run the zero-entry reductions at the vertices 1..n in increasing
-    order on the shape graph of every source-tree leaf with composition j:
-    c_i edges (0, i) and j_i + 1 edges (i, sink), in canonical order.  The
-    cap bounds the nodes made here, so a shape too large for any run is
-    never built in full."""
-    n = len(c)
-    sink = n + 1
+    """What the zero-entry reductions at the vertices 1..n, in increasing
+    order, make of the shape graph of the leaves with composition j: c_i
+    edges (0, i) and j_i + 1 edges (i, sink), in canonical order.  The one
+    at i keeps the staircases on (c_i, j_i + 1), tree edge (p, q) being the
+    path through the p-th source and q-th sink edge of i; a cell is one per
+    vertex, vertex 1 varying slowest as in the reductions' depth-first
+    walk, whose nodes are charged to the cap before anything is built."""
+    counts = [comb(ci + ji - 1, ji) for ci, ji in zip(c, j)]
+    nodes = sum(accumulate(counts, mul))
+    _Budget(node_cap).spend(nodes)
+    sink = len(c) + 1
     edges = tuple((0, i) for i, ci in enumerate(c, 1) for _ in range(ci)) + tuple(
         (i, sink) for i, ji in enumerate(j, 1) for _ in range(ji + 1)
     )
-    budget = _Budget(node_cap)
-    root = ProvenancedGraph.as_root(DirectedMultigraph(n + 2, edges, first_vertex=0))
-    terminals = [
-        node
-        for depth, _, node in _walk(root, range(1, n + 1), _dissection_children, budget)
-        if depth == n
-    ]
-    # The cells repeat few distinct paths; the cached shape keeps one
-    # object per distinct path, so that what it holds for the life of the
-    # process is small and no later run depends on which shapes an earlier
-    # one left behind.
-    shared: dict = {}
-    paths = []
-    for t in terminals:
-        summed = [sorted(s) for s in t.provenance]
-        paths.append(tuple(
-            shared.setdefault(p, p)
-            for p in (tuple(k for e in path for k in summed[e]) for path in t.graph.paths())
-        ))
-    return _LeafShape(edges, tuple(paths), budget.used)
+    # the first source and sink edge of each vertex
+    firsts = zip(accumulate(c, initial=0), accumulate((ji + 1 for ji in j), initial=sum(c)))
+    staircases = tuple(
+        tuple(
+            tuple((s + p - 1, t + q - 1) for p, q in tree.edges)
+            for tree in enumerate_noncrossing_trees(ci, ji + 1)
+        )
+        for ci, ji, (s, t) in zip(c, j, firsts)
+    )
+    return _LeafShape(edges, staircases, nodes)
 
 
 def _dissected_leaves(
@@ -624,22 +617,23 @@ def _push_forward(
     leaf: ProvenancedGraph, shape: _LeafShape
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """The vertices of the shape's cells in the root coordinates of one
-    leaf."""
+    leaf: the staircases' path flows, one staircase per vertex."""
     sources = leaf.provenance
     size = leaf.root.edge_count
-    vectors: dict[tuple[int, ...], tuple[int, ...]] = {}
+    vectors: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def vector(path: tuple[int, ...]) -> tuple[int, ...]:
-        if path not in vectors:
+    def vector(pair: tuple[int, int]) -> tuple[int, ...]:
+        if pair not in vectors:
             vec = [0] * size
-            for k in path:
+            for k in pair:
                 for d in sources[k]:
                     vec[d] += 1
-            vectors[path] = tuple(vec)
-        return vectors[path]
+            vectors[pair] = tuple(vec)
+        return vectors[pair]
 
-    for paths in shape.paths:
-        yield tuple(vector(p) for p in paths)
+    blocks = [[tuple(map(vector, tree)) for tree in trees] for trees in shape.staircases]
+    for parts in product(*blocks):
+        yield tuple(chain.from_iterable(parts))
 
 
 def iter_dissection_cells(
@@ -657,11 +651,12 @@ def unimodular_dissection(
 ) -> list[SimplexCell]:
     """Dissect the flow polytope of the source-augmented graph with unit
     source-to-sink netflow into unimodular simplices: reduce to the leaves
-    of the source reduction tree, then run zero-entry reductions at the
-    vertices 1..n in increasing order; each terminal graph contributes one
-    cell whose vertices are the path indicator flows pushed back into the
-    root's edge coordinates.  The zero-entry reductions run once per leaf
-    shape (c, j) and reach each leaf through its provenance."""
+    of the source reduction tree, then cut each leaf as the zero-entry
+    reductions at the vertices 1..n in increasing order would, into the
+    join of per-vertex staircase triangulations; a cell's vertices are path
+    indicator flows pushed back into the root's edge coordinates.  The
+    cells are made once per leaf shape (c, j) and reach each leaf through
+    its provenance; the tests check them against the reductions."""
     return list(iter_dissection_cells(graph, c, node_cap=node_cap))
 
 
@@ -670,9 +665,9 @@ def dissection_cell_counts(
 ) -> list[tuple[int, tuple[int, ...], int]]:
     """(leaf index, composition, cell count) per source-tree leaf of
     unimodular_dissection, under the same node budget, without building
-    the cells."""
+    the cells: prod_i binom(c_i + j_i - 1, j_i) at composition j."""
     return [
-        (leaf_index, composition, len(shape.paths))
+        (leaf_index, composition, prod(map(len, shape.staircases)))
         for leaf_index, _, composition, shape in _dissected_leaves(graph, c, node_cap)
     ]
 

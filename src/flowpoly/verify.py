@@ -39,23 +39,27 @@ from .reduction import DEFAULT_NODE_CAP, iter_reduction_leaves, leaf_census
 
 def iter_family(max_vertices: int, max_edges: int) -> Iterator[DirectedMultigraph]:
     """Deterministic enumeration of the test family, smallest vertex count
-    first, multiplicity vectors (entries 0..2) in lexicographic order."""
-    for nv in range(3, max_vertices + 1):
-        pairs = [(i, j) for i in range(1, nv + 1) for j in range(i + 1, nv + 1)]
-        for mults in product(range(3), repeat=len(pairs)):
-            total = sum(mults)
-            if total > max_edges or total < nv - 1:
-                continue
-            # every non-sink vertex needs an out-edge
-            if len({i for (i, _), k in zip(pairs, mults) if k}) != nv - 1:
-                continue
-            edges = []
-            for pair, k in zip(pairs, mults):
-                edges.extend([pair] * k)
-            graph = DirectedMultigraph(nv, tuple(edges))
-            if not graph.is_connected():
-                continue
-            yield graph
+    first, multiplicity vectors (entries 0..2) in lexicographic order.  An
+    out-edge at every non-sink vertex makes the graph connected."""
+    for nv in range(3, min(max_vertices, max_edges + 1) + 1):
+        for edges in _family_edges(nv, 1, 2, max_edges, False):
+            yield DirectedMultigraph(nv, edges)
+
+
+def _family_edges(nv: int, tail: int, head: int, budget: int, has_out: bool) -> Iterator[tuple]:
+    """The edges on the pairs from (tail, head) on, in the family's order,
+    at most budget in all; has_out says whether tail has an edge yet."""
+    if tail == nv:
+        yield ()
+        return
+    last = head == nv
+    at = (tail + 1, tail + 2) if last else (tail, head + 1)
+    for m in range(last and not has_out, 3):  # the last pair of a tail with no edge yet gives one
+        out = has_out or m > 0
+        if budget - m < nv - 1 - tail + (not out):  # an edge kept for each tail owed one
+            break
+        for rest in _family_edges(nv, *at, budget - m, out and not last):
+            yield ((tail, head),) * m + rest
 
 
 @dataclass

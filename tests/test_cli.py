@@ -398,6 +398,21 @@ class TestVerify:
         assert code == 0
         assert "0 instances" in out
 
+    def test_top_vertex_count_beyond_the_edges_finishes(self, capsys):
+        # a family graph on nv vertices has at least nv - 1 edges, so 7/5
+        # lists the graphs of 6/5; listing once filtered all 3^21
+        # multiplicity vectors of the 7-vertex slice
+        argv = ["verify", "--suite", "eq2", "--max-edges", "5", "--max-netflow", "0"]
+        src = os.path.dirname(os.path.dirname(flowpoly.cli.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowpoly.cli", *argv, "--max-vertices", "7"],
+            stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+        code, out, _ = run(capsys, argv + ["--max-vertices", "6"])
+        assert (proc.returncode, proc.stdout.decode()) == (code, out) == (
+            0, "PASS eq2 (lattice-point formula): 419 instances\n"
+        )
+
     def test_all_suites_small(self, capsys):
         code, out, _ = run(
             capsys,

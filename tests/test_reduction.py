@@ -251,26 +251,17 @@ class TestChildrenFromCheckedParts:
 
     def test_shape_dissection_k4(self):
         g, c = complete_graph(4), (3, 2, 2)
-        n = len(c)
         terminals = 0
         for composition in leaf_census(iter_reduction_leaves(g, c)):
             shape = reduction._shape_dissection(c, composition, reduction.DEFAULT_NODE_CAP)
-            root = ProvenancedGraph.as_root(DirectedMultigraph(n + 2, shape.edges, 0))
-            budget = reduction._Budget(reduction.DEFAULT_NODE_CAP)
-            walk = reduction._walk(root, range(1, n + 1), reduction._dissection_children, budget)
-            made = []
-            for depth, _, node in walk:
-                assert_fully_valid(node)
-                if depth == n:
-                    made.append(node)
-            # each cached path, as a flow on the shape edges, is the image of
-            # one of its terminal's path indicator flows
-            size = len(shape.edges)
-            assert [tuple(tuple(path.count(k) for k in range(size)) for path in cell)
-                    for cell in shape.paths] == [
-                tuple(phi_map(t).apply(v) for v in path_flow_vertices(t)) for t in made
-            ]
-            terminals += len(made)
+            levels = zero_entry_levels(shape_root(shape), len(c))
+            for level in levels:
+                for node in level:
+                    assert_fully_valid(node)
+            # each cell, as flows on the shape edges, is its terminal's path
+            # indicator flows pushed through the terminal's coordinate map
+            assert shape_cells(shape) == terminal_cells(levels[-1])
+            terminals += len(levels[-1])
         assert terminals == 22
 
     def test_children_share_parent_parts(self):
@@ -317,22 +308,18 @@ class TestSharedExpansion:
         expanded = 0
         for composition in leaf_census(iter_reduction_leaves(g, c)):
             shape = reduction._shape_dissection(c, composition, reduction.DEFAULT_NODE_CAP)
-            root = ProvenancedGraph.as_root(DirectedMultigraph(n + 2, shape.edges, 0))
-            budget = reduction._Budget(reduction.DEFAULT_NODE_CAP)
-            walk = reduction._walk(root, range(1, n + 1), reduction._dissection_children, budget)
-            for depth, _, node in walk:
-                if depth == n:
-                    continue
-                vertex = depth + 1
-                inc = by_length(node.graph, node.graph.in_edges_at(vertex))
-                out = by_length(node.graph, node.graph.out_edges_at(vertex))
-                appended = len(inc) + 1
-                assert zero_vertex_dissection_children(node, vertex) == [
-                    reduce_at_vertex(node, vertex, inc, out, tree)
-                    for tree in enumerate_noncrossing_trees(appended, len(out))
-                    if tree.edges_at_left(appended) == 1
-                ]
-                expanded += 1
+            levels = zero_entry_levels(shape_root(shape), n)
+            for vertex, level in enumerate(levels[:n], 1):
+                for node in level:
+                    inc = by_length(node.graph, node.graph.in_edges_at(vertex))
+                    out = by_length(node.graph, node.graph.out_edges_at(vertex))
+                    appended = len(inc) + 1
+                    assert zero_vertex_dissection_children(node, vertex) == [
+                        reduce_at_vertex(node, vertex, inc, out, tree)
+                        for tree in enumerate_noncrossing_trees(appended, len(out))
+                        if tree.edges_at_left(appended) == 1
+                    ]
+                    expanded += 1
         assert expanded == 40  # 2 shape roots and 60 nodes made, 22 of them terminal
 
     def overlapping_node(self):
@@ -720,6 +707,34 @@ class TestUnimodularDissection:
                 assert set(v) <= {0, 1}
 
 
+def zero_entry_levels(root, n):
+    """The nodes the zero-entry reductions at the vertices 1..n, in
+    increasing order, make from root, level by level; the last level holds
+    the terminals in the order of the depth-first walk."""
+    levels = [[root]]
+    for vertex in range(1, n + 1):
+        levels.append(
+            [child for node in levels[-1] for child in zero_vertex_dissection_children(node, vertex)]
+        )
+    return levels
+
+
+def terminal_cells(terminals):
+    """Each terminal's path indicator flows through its coordinate map."""
+    return [tuple(phi_map(t).apply(v) for v in path_flow_vertices(t)) for t in terminals]
+
+
+def shape_root(shape):
+    """The shape graph of a cached leaf shape as a root of its own."""
+    n = len(shape.staircases)
+    return ProvenancedGraph.as_root(DirectedMultigraph(n + 2, shape.edges, 0))
+
+
+def shape_cells(shape):
+    """The cached shape's cells as flows on the shape edges."""
+    return list(reduction._push_forward(shape_root(shape), shape))
+
+
 def reference_dissection(graph, c):
     """Per-leaf dissection with no shape cache: every leaf of the source
     tree runs its own zero-entry reductions at the vertices 1..n, and each
@@ -730,16 +745,9 @@ def reference_dissection(graph, c):
     nodes = 0
     for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, c)):
         (composition,) = leaf_census([leaf])
-        terminals = [leaf]
-        for vertex in range(1, n + 1):
-            terminals = [
-                child for node in terminals for child in zero_vertex_dissection_children(node, vertex)
-            ]
-            nodes += len(terminals)
-        for terminal in terminals:
-            pm = phi_map(terminal)
-            vertices = tuple(pm.apply(v) for v in path_flow_vertices(terminal))
-            cells.append(SimplexCell(vertices, leaf_index, composition))
+        levels = zero_entry_levels(leaf, n)
+        nodes += sum(map(len, levels[1:]))
+        cells.extend(SimplexCell(v, leaf_index, composition) for v in terminal_cells(levels[-1]))
     return cells, nodes
 
 
@@ -781,12 +789,29 @@ class TestShapeCache:
         assert sum(cells for _, _, cells in counts) == prod(catalan(i) for i in range(1, 6)) == 5880
 
     def test_cached_shape_shares_repeated_values(self):
-        # The cache outlives every call; repeated paths are held once, so
-        # what a run leaves in it stays small.
-        shape = reduction._shape_dissection((2,) * 5, (0, 1, 1, 1, 2), reduction.DEFAULT_NODE_CAP)
-        assert len(shape.paths) == prod(multiset_coeff(2, k) for k in (0, 1, 1, 1, 2))
-        held = [path for cell in shape.paths for path in cell]
-        assert len({id(path) for path in held}) == len(set(held)) < len(held)
+        # The cache outlives every call.  It holds each vertex's staircases
+        # once, and a cell is one staircase per vertex, so what a run leaves
+        # in it grows with the sum of the staircase counts, not the product.
+        c, j = (2,) * 5, (0, 1, 1, 1, 2)
+        shape = reduction._shape_dissection(c, j, reduction.DEFAULT_NODE_CAP)
+        counts = [len(trees) for trees in shape.staircases]
+        assert counts == [multiset_coeff(2, k) for k in j] == [1, 2, 2, 2, 3]
+        levels = zero_entry_levels(shape_root(shape), len(c))
+        assert prod(counts) == len(levels[-1]) == 24
+        assert shape_cells(shape) == terminal_cells(levels[-1])
+
+    def test_closed_form_equals_zero_entry_reductions(self):
+        # every shape with n <= 3, c_i in 1..3 and j_i in 0..2: the same
+        # cells in the same order, and the nodes the walk makes
+        shapes = 0
+        for n in range(1, 4):
+            for c, j in product(product(range(1, 4), repeat=n), product(range(3), repeat=n)):
+                shape = reduction._shape_dissection(c, j, reduction.DEFAULT_NODE_CAP)
+                levels = zero_entry_levels(shape_root(shape), n)
+                assert shape_cells(shape) == terminal_cells(levels[-1]), (c, j)
+                assert shape.nodes == sum(map(len, levels[1:])), (c, j)
+                shapes += 1
+        assert shapes == 9 + 81 + 729
 
     def test_leaf_edges_must_match_shape(self, monkeypatch):
         real = iter_reduction_leaves

@@ -1,10 +1,12 @@
 """Verify family enumeration and its split over worker processes."""
 
+import hashlib
 import os
 import subprocess
 import sys
 import threading
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -32,6 +34,29 @@ def test_iter_family_matches_reference_filter():
     got = list(iter_family(5, 6))
     assert got == list(reference_family(5, 6))
     assert len(got) == 988
+
+
+def test_iter_family_order_is_pinned():
+    # digest of the enumeration made by filtering every multiplicity vector
+    h = hashlib.sha256()
+    for graph in iter_family(5, 8):
+        h.update(f"{graph.vertex_count} {graph.edges}\n".encode())
+    assert h.hexdigest() == "0c862a1b94a5a3de9be2edfe28299608c8fc103f34f389a3e7b5e5e5ace9925c"
+
+
+def test_iter_family_graphs_are_connected():
+    graphs = list(iter_family(6, 7))
+    assert len(graphs) == 10130
+    assert all(graph.is_connected() for graph in graphs)
+
+
+@pytest.mark.parametrize("nv", [3, 4, 5, 6, 7])
+def test_iter_family_spanning_slice(nv):
+    # with nv - 1 edges, each non-sink vertex i has one edge to one of the
+    # nv - i vertices above it
+    graphs = [g for g in iter_family(nv, nv - 1) if g.vertex_count == nv]
+    assert len(graphs) == factorial(nv - 1)
+    assert all(g.edge_count == nv - 1 for g in graphs)
 
 
 # --- the family split over forked workers --------------------------------
