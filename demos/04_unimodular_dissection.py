@@ -19,6 +19,7 @@ from flowpoly import (
     is_unimodular,
     lidskii_count_c_form,
     normalized_volume_oracle,
+    reciprocity_volume,
     unimodular_dissection,
     unit_source_sink_netflow,
     verify_dissection,
@@ -51,6 +52,10 @@ volume = normalized_volume_oracle(ambient)
 target = count_flows(FlowInstance(k4, in_plus_c_netflow(k4, c)))
 print(f"cells {len(cells)} = ambient normalized volume {volume} = "
       f"flow count at indeg-1+c {target} = c-form formula {lidskii_count_c_form(k4, c)}")
+# the report's volume: the interior counts at the negative dilates, which
+# are 0 until the dilate reaches sum(c), by Ehrhart-Macdonald reciprocity
+print(f"volume by reciprocity {reciprocity_volume(augmented)} "
+      f"= volume from the difference table {volume}")
 print()
 
 # one cell up close: vertices are indicator flows of source-to-sink paths

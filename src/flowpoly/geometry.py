@@ -15,10 +15,10 @@ edge vectors, restricted to the cotree, have determinant +-1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import reduction
-from .kostant import FlowInstance, count_flows, enumerate_flows, normalized_volume_oracle
+from .kostant import FlowCounter, FlowInstance, count_flows, enumerate_flows, reciprocity_volume
 from .multigraph import (
     DirectedMultigraph,
     NetflowVector,
@@ -179,8 +179,25 @@ def unit_source_sink_netflow(graph: DirectedMultigraph) -> NetflowVector:
     return NetflowVector(tuple(entries))
 
 
+class _GraphShare(NamedTuple):
+    """What the dissection reports of one graph can share across c: its
+    plain canonical tree, which every source tree lifts, and a flow counter
+    on the graph for check (d)."""
+
+    plain: reduction._PlainTree
+    counter: FlowCounter
+
+    @classmethod
+    def of(cls, graph: DirectedMultigraph, node_cap: int) -> "_GraphShare":
+        return cls(reduction._plain_tree(graph, node_cap), FlowCounter(graph))
+
+
 def verify_dissection(
-    graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int = DEFAULT_NODE_CAP
+    graph: DirectedMultigraph,
+    c: Sequence[int],
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+    _share: _GraphShare | None = None,
 ) -> VerificationReport:
     """Certify that the unimodular dissection of the source-augmented
     polytope P tiles it.  Five checks, each run whatever the others find:
@@ -197,8 +214,18 @@ def verify_dissection(
     another, so every generic point of P lies in the same number of cells.
     Each cell has normalized volume 1 by (b), so that number is 1 by (c):
     the cells tile P.  Raises ValueError when a cell vertex leaves the
-    affine span of P."""
-    cells = reduction.unimodular_dissection(graph, c, node_cap=node_cap)
+    affine span of P.
+
+    The volume in (c) comes from Ehrhart-Macdonald reciprocity
+    (kostant.reciprocity_volume): P's Ehrhart polynomial at -s is, up to
+    sign, the number of flows at the s-th dilate with every edge at least
+    1, which is 0 until s reaches sum(c).  Its premise, that every edge lies
+    on a source-sink path, holds for every graph the reductions accept: the
+    source feeds every vertex, and every vertex but the sink has an
+    out-edge.  _share, when given, holds the graph's plain tree and a
+    counter for (d), kept by the caller across the c values of one graph."""
+    plain, counter = _share if _share is not None else (None, FlowCounter(graph))
+    cells = reduction.unimodular_dissection(graph, c, node_cap=node_cap, _plain=plain)
     augmented = attach_source(graph, c)
     ambient = FlowInstance(augmented, unit_source_sink_netflow(augmented))
     lattice = AmbientLattice(augmented)
@@ -245,11 +272,11 @@ def verify_dissection(
     report.add("cells_unimodular_full_dimensional", bad_cell is None,
                dimension=lattice.dim, counterexample=bad_cell)
 
-    volume = normalized_volume_oracle(ambient)
+    volume = reciprocity_volume(augmented)
     report.add("cell_count_equals_normalized_volume", len(cells) == volume,
                cells=len(cells), normalized_volume=volume)
 
-    target = count_flows(FlowInstance(graph, in_plus_c_netflow(graph, c)))
+    target = counter.count(in_plus_c_netflow(graph, c))
     report.add("cell_count_equals_flow_count", len(cells) == target,
                cells=len(cells), flow_count=target)
 

@@ -2,6 +2,14 @@
 flow counting and enumeration, and exact Ehrhart polynomials and
 normalized volumes from the forward differences of the dilated counts.
 
+The unit source-to-sink polytope of a graph on which every edge lies on a
+source-sink path has a cheaper volume (reciprocity_volume): by
+Ehrhart-Macdonald reciprocity (Macdonald 1971) the Ehrhart polynomial at
+-s is, up to sign, the number of flows at the s-th dilate with every edge
+at least 1.  Those are the flows of a shifted netflow, and they vanish
+until s reaches the first vertex's out-degree, so most of the values the
+volume needs are 0 without a count.
+
 Everything here is exact integer / rational arithmetic.  Vertices are
 processed in increasing order, so all inflow into a vertex is known when its
 outflow is split.  The naive enumeration assigns edge values one edge at a
@@ -23,7 +31,7 @@ from itertools import accumulate
 from math import comb, factorial
 from typing import Iterator, Sequence
 
-from .multigraph import DirectedMultigraph, NetflowVector, integers
+from .multigraph import DirectedMultigraph, NetflowVector, degree_stats, integers
 
 
 @dataclass(frozen=True)
@@ -398,3 +406,55 @@ def normalized_volume_oracle(inst: FlowInstance, *, counter: FlowCounter | None 
     if vol < 0:
         raise ArithmeticError(f"normalized volume came out as {vol}, expected a nonnegative integer")
     return vol
+
+
+def reciprocity_volume(graph: DirectedMultigraph) -> int:
+    """Normalized volume of the unit source-to-sink flow polytope P of a
+    graph (netflow +1 at the first vertex, -1 at the last) on which every
+    edge lies on a first-to-last path, from Ehrhart-Macdonald reciprocity:
+    L(-t) = (-1)^D L°(t), where D = |E| - |V| + 1 is the dimension of P and
+    L° counts the lattice points in the relative interior of tP.  Those are
+    the flows with every edge at least 1, so L°(s) is the count at
+    s·a - ∂1, with ∂1 the out-degree minus the in-degree at each vertex; it
+    is 0 for s below the first vertex's out-degree, and only the other s
+    are counted.  The values at t = -D..0, with L(0) = 1, fix L,
+    and their D-th difference is D! times its leading coefficient.  All the
+    counts share one counter.
+
+    Raises ValueError unless every vertex but the first has an in-edge and
+    every vertex but the last an out-edge, and ArithmeticError unless the
+    backward differences at 0 sum to L(1), the count at the unit netflow."""
+    stats = degree_stats(graph)
+    nv = graph.vertex_count
+    for k, v in enumerate(graph.vertices):
+        if k and not stats.indeg[k]:
+            raise ValueError(f"vertex {v} has no incoming edge, so not every edge lies on a "
+                             "source-sink path")
+        if k < nv - 1 and not stats.outdeg[k]:
+            raise ValueError(f"vertex {v} has no outgoing edge, so not every edge lies on a "
+                             "source-sink path")
+    dim = graph.edge_count - nv + 1
+    unit = [0] * nv
+    unit[0] += 1
+    unit[-1] -= 1
+    boundary = [o - i for o, i in zip(stats.outdeg, stats.indeg)]
+    counter = FlowCounter(graph)
+    sign = -1 if dim % 2 else 1
+    # L(-D), ..., L(-1), then L(0); below the first vertex's out-degree one
+    # of its out-edges would carry 0, so the interior count is 0 uncounted
+    row = [
+        sign * counter.count(NetflowVector(tuple(s * u - b for u, b in zip(unit, boundary))))
+        if s >= stats.outdeg[0] else 0
+        for s in range(dim, 0, -1)
+    ] + [1]
+    backward = []  # the backward differences of L at 0, of order 0..D
+    while row:
+        backward.append(row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    # Newton's backward formula at t = 1: L(1) is the sum of them
+    paths = counter.count(NetflowVector(tuple(unit)))
+    if sum(backward) != paths:
+        raise ArithmeticError(
+            f"reciprocity gives L(1) = {sum(backward)}, but the unit netflow has {paths} flows"
+        )
+    return backward[-1]

@@ -557,13 +557,15 @@ def zero_vertex_dissection_children(node: ProvenancedGraph, vertex: int) -> list
 
 
 class _LeafShape(NamedTuple):
-    """Dissection of the leaf shape (c, j) in the shape graph's edges: per
-    vertex, its staircases as (source edge, sink edge) pairs, of which a
-    cell takes one per vertex; nodes counts what the reductions would make."""
+    """Dissection of the leaf shape (c, j) in the shape graph's edges, of
+    which the first sources = sum(c) are the source edges: per vertex, its
+    staircases as (source edge, sink edge) pairs, of which a cell takes one
+    per vertex; nodes counts what the reductions would make."""
 
     edges: tuple[tuple[int, int], ...]
     staircases: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
     nodes: int
+    sources: int
 
 
 @lru_cache(maxsize=4096)
@@ -591,21 +593,44 @@ def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> 
         )
         for ci, ji, (s, t) in zip(c, j, firsts)
     )
-    return _LeafShape(edges, staircases, nodes)
+    return _LeafShape(edges, staircases, nodes, sum(c))
+
+
+class _PlainTree(NamedTuple):
+    """The leaves of a graph's canonical reduction tree and the nodes its
+    walk made.  The source tree at any c is the same tree node for node
+    (see canonical_reduction_tree), so one plain tree serves every c."""
+
+    leaves: tuple[ProvenancedGraph, ...]
+    nodes: int
+
+
+def _plain_tree(graph: DirectedMultigraph, node_cap: int) -> _PlainTree:
+    budget = _Budget(node_cap)
+    leaves = tuple(iter_reduction_leaves(graph, None, _budget=budget))
+    return _PlainTree(leaves, budget.used)
 
 
 def _dissected_leaves(
-    graph: DirectedMultigraph, c: Sequence[int], node_cap: int
+    graph: DirectedMultigraph, c: Sequence[int], node_cap: int, plain: _PlainTree | None = None
 ) -> Iterator[tuple[int, ProvenancedGraph, tuple[int, ...], _LeafShape]]:
-    """Leaves of the source reduction tree with their index, composition
-    and shape dissection.  The walk and every leaf's share of the shape
-    nodes draw on one budget."""
+    """Leaves of the plain canonical tree with their index, composition
+    and shape dissection at c; plain, when given, is that tree, walked once
+    for all c.  The source tree's leaf at c is the plain leaf lifted: its
+    c_i source edges (0, i) with singleton provenance come first, and the
+    plain leaf's provenance moves up by sum(c).  The walk's nodes and then
+    every leaf's share of the shape nodes draw on one budget, so the cap
+    stops the same inputs as a walk of the source tree would."""
     c = integers(c, "c")
+    if plain is None:
+        plain = _plain_tree(graph, node_cap)
+    attach_source(graph, c)  # the checks on c
     budget = _Budget(node_cap)
-    for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, c, _budget=budget)):
+    budget.spend(plain.nodes)
+    for leaf_index, leaf in enumerate(plain.leaves):
         composition = _leaf_composition(leaf.graph)
         shape = _shape_dissection(c, composition, node_cap)
-        if leaf.graph.edges != shape.edges:
+        if leaf.graph.edges != shape.edges[shape.sources:]:
             raise LeafShapeError(
                 f"leaf {leaf_index} edges differ from those of its shape c={c}, j={composition}"
             )
@@ -616,18 +641,23 @@ def _dissected_leaves(
 def _push_forward(
     leaf: ProvenancedGraph, shape: _LeafShape
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The vertices of the shape's cells in the root coordinates of one
-    leaf: the staircases' path flows, one staircase per vertex."""
+    """The vertices of the shape's cells in the root coordinates of the
+    plain leaf lifted to the shape's c: the staircases' path flows, one
+    staircase per vertex.  A path takes one source edge s, which is root
+    edge s, and one sink edge t, which is the plain leaf's edge t - sum(c)
+    with its root edges moved up by sum(c)."""
+    shift = shape.sources
     sources = leaf.provenance
-    size = leaf.root.edge_count
+    size = shift + leaf.root.edge_count
     vectors: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def vector(pair: tuple[int, int]) -> tuple[int, ...]:
         if pair not in vectors:
+            s, t = pair
             vec = [0] * size
-            for k in pair:
-                for d in sources[k]:
-                    vec[d] += 1
+            vec[s] = 1
+            for d in sources[t - shift]:
+                vec[d + shift] += 1
             vectors[pair] = tuple(vec)
         return vectors[pair]
 
@@ -637,17 +667,25 @@ def _push_forward(
 
 
 def iter_dissection_cells(
-    graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int = DEFAULT_NODE_CAP
+    graph: DirectedMultigraph,
+    c: Sequence[int],
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+    _plain: _PlainTree | None = None,
 ) -> Iterator[SimplexCell]:
     """The cells of unimodular_dissection, streamed leaf by leaf without
     storing them."""
-    for leaf_index, leaf, composition, shape in _dissected_leaves(graph, c, node_cap):
+    for leaf_index, leaf, composition, shape in _dissected_leaves(graph, c, node_cap, _plain):
         for vertices in _push_forward(leaf, shape):
             yield SimplexCell(vertices=vertices, leaf_index=leaf_index, leaf_composition=composition)
 
 
 def unimodular_dissection(
-    graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int = DEFAULT_NODE_CAP
+    graph: DirectedMultigraph,
+    c: Sequence[int],
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+    _plain: _PlainTree | None = None,
 ) -> list[SimplexCell]:
     """Dissect the flow polytope of the source-augmented graph with unit
     source-to-sink netflow into unimodular simplices: reduce to the leaves
@@ -655,9 +693,11 @@ def unimodular_dissection(
     reductions at the vertices 1..n in increasing order would, into the
     join of per-vertex staircase triangulations; a cell's vertices are path
     indicator flows pushed back into the root's edge coordinates.  The
-    cells are made once per leaf shape (c, j) and reach each leaf through
-    its provenance; the tests check them against the reductions."""
-    return list(iter_dissection_cells(graph, c, node_cap=node_cap))
+    source tree's leaves are the plain tree's, lifted to c, and the cells
+    are made once per leaf shape (c, j) and reach each leaf through its
+    provenance; the tests check them against the reductions.  _plain, when
+    given, is the graph's plain tree, shared by the calls for several c."""
+    return list(iter_dissection_cells(graph, c, node_cap=node_cap, _plain=_plain))
 
 
 def dissection_cell_counts(
@@ -701,19 +741,22 @@ def _dot_lines(records: Iterable) -> Iterator[str]:
     same order breadth first as depth first, so a node's number is the
     size of the levels above it plus its position in its own level, and
     its parent is the last node seen one level up.  Only the labels and
-    arcs of each level are kept, the labels shared between nodes of one
-    shape.  All records are read before this returns, so an error in the
-    walk that makes them comes before any line."""
+    arcs of each level are kept; a label is built once per distinct edge
+    tuple and shared by the nodes that have it.  All records are read
+    before this returns, so an error in the walk that makes them comes
+    before any line."""
     boxes: list[list[str]] = []  # per level: the label of each node
     arcs: list[list[tuple[int, str]]] = []  # per level: (parent position, arc label)
-    labels: dict[str, str] = {}
+    labels: dict[tuple, str] = {}  # by the node's edge tuple
     arc_labels: dict[tuple, str] = {}
     for depth, vertex, tree, graph in records:
         if depth == len(boxes):
             boxes.append([])
             arcs.append([])
-        label = _edge_label(graph)
-        boxes[depth].append(labels.setdefault(label, label))
+        label = labels.get(graph.edges)
+        if label is None:
+            label = labels[graph.edges] = _edge_label(graph)
+        boxes[depth].append(label)
         if depth:
             arc = arc_labels.get((vertex, tree))
             if arc is None:

@@ -28,7 +28,7 @@ from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .geometry import verify_dissection, verify_in_vector_bijection
+from .geometry import _GraphShare, verify_dissection, verify_in_vector_bijection
 from .kostant import FlowInstance, normalized_volume_oracle
 from .lidskii import LidskiiTerms
 # the evaluators stay importable from this module
@@ -285,9 +285,12 @@ def run_dissection_suite(
 
     def instances(graph):
         terms = LidskiiTerms(graph)
+        # the plain tree's leaves and a counter for the reports' check (d),
+        # never terms.counter, which gives the expected cell count
+        share = _GraphShare.of(graph, node_cap)
         for c in _box(graph, 1, max_c):
             expected_cells = terms.count_c_form(c)
-            report = verify_dissection(graph, c, node_cap=node_cap)
+            report = verify_dissection(graph, c, node_cap=node_cap, _share=share)
             cell_count = next(
                 ch.details["cells"] for ch in report.checks if ch.name == "cell_count_equals_flow_count"
             )

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import unittest.mock
 from itertools import product
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flowpoly.cli
+import flowpoly.geometry
 import flowpoly.verify
 from flowpoly.cli import main
 from flowpoly.multigraph import (
@@ -710,3 +712,66 @@ class TestGraphFileFuzz:
         else:
             assert code == 1
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# Arguments of `dissect` and `verify --suite dissection`: c lists of small
+# integers mixed with tokens that int() reads in surprising ways or not at
+# all, node caps from tiny to ample, and small family bounds.  The c entries
+# stay small: the staircases of a dissection grow with the square of an
+# entry, which the node cap does not bound.
+C_TOKEN = st.one_of(st.integers(-1, 4).map(str),
+                    st.sampled_from(["", "0", "-0", "+2", " 2", "1_0", "\u0663", "1.5", "x"]))
+C_TEXT = st.one_of(st.lists(st.integers(1, 4).map(str), min_size=2, max_size=3).map(",".join),
+                   st.lists(C_TOKEN, max_size=5).map(",".join))
+NODE_CAP = st.one_of(st.none(), st.integers(-1, 80).map(str), st.just("1000"),
+                     st.sampled_from(["", "x", "1e3", "2.5"]))
+DISSECT_ARGV = st.tuples(
+    st.just("dissect"), st.sampled_from(["k4", "path3"]), C_TEXT, NODE_CAP,
+    st.sampled_from(["summary", "cells"]),
+)
+VERIFY_ARGV = st.tuples(
+    st.just("verify"), st.one_of(st.integers(3, 4), st.integers(-1, 4)),
+    st.one_of(st.integers(3, 5), st.integers(-1, 5)), st.one_of(st.integers(1, 2), st.integers(-1, 2)),
+    NODE_CAP,
+)
+
+
+class TestDissectionArgumentFuzz:
+    """Any arguments of the dissection commands give an answer or one
+    clean error line."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.one_of(DISSECT_ARGV, VERIFY_ARGV))
+    def test_exits_cleanly(self, args):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if args[0] == "dissect":
+                _, name, c, cap, emit = args
+                path = Path(tmp) / f"{name}.graph"
+                write_graph(complete_graph(4) if name == "k4" else path_graph(3), path)
+                argv = ["dissect", "--graph", str(path), f"--c={c}", "--emit", emit]
+            else:
+                _, vertices, edges, entries, cap = args
+                argv = ["verify", "--suite", "dissection", f"--max-vertices={vertices}",
+                        f"--max-edges={edges}", f"--max-netflow={entries}"]
+            if cap is not None:
+                argv.append(f"--node-cap={cap}")
+            env = {**os.environ, "FLOWPOLY_WORKERS": "1"}
+            with unittest.mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        if code == 0:
+            assert err.getvalue() == "", argv
+        else:
+            assert code == 1, argv
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+
+    def test_reciprocity_guard_is_one_error_line(self, capsys, monkeypatch):
+        def broken(graph):
+            raise ArithmeticError("reciprocity gives L(1) = 3, but the unit netflow has 2 flows")
+
+        monkeypatch.setenv("FLOWPOLY_WORKERS", "1")
+        monkeypatch.setattr(flowpoly.geometry, "reciprocity_volume", broken)
+        code, out, err = run(capsys, ["verify", "--suite", "dissection", "--max-vertices", "3"])
+        assert (code, out) == (1, "")
+        assert err == "error: reciprocity gives L(1) = 3, but the unit netflow has 2 flows\n"

@@ -18,10 +18,12 @@ from flowpoly.kostant import (
     enumerate_flows,
     iter_flows,
     normalized_volume_oracle,
+    reciprocity_volume,
 )
 from flowpoly.multigraph import (
     DirectedMultigraph,
     NetflowVector,
+    attach_source,
     build_gm,
     complete_graph,
     path_graph,
@@ -364,6 +366,62 @@ class TestNormalizedVolume:
         g1 = DirectedMultigraph(4, ((1, 2), (1, 4), (1, 4), (2, 4), (2, 4), (3, 4)))
         g2 = DirectedMultigraph(4, ((1, 4), (1, 4), (1, 2), (2, 4), (2, 4), (3, 4)))
         assert normalized_volume_oracle(inst(g1, a)) == normalized_volume_oracle(inst(g2, a))
+
+
+def unit_instance(graph):
+    netflow = [0] * graph.vertex_count
+    netflow[0], netflow[-1] = 1, -1
+    return FlowInstance(graph, NetflowVector(tuple(netflow)))
+
+
+class TestReciprocityVolume:
+    """The unit source-to-sink volume from the interior counts at the
+    negative dilates, against the forward difference table."""
+
+    def test_equals_oracle_on_family(self):
+        instances = 0
+        for g in iter_family(4, 6):
+            for c in product((1, 2), repeat=g.vertex_count - 1):
+                augmented = attach_source(g, c)
+                oracle = normalized_volume_oracle(unit_instance(augmented))
+                assert reciprocity_volume(augmented) == oracle, (g.edges, c)
+                instances += 1
+        assert instances == 1488
+
+    @pytest.mark.parametrize("graph, c, volume", [
+        (complete_graph(4), (3, 2, 2), 22),
+        (complete_graph(5), (3, 1, 2, 2), 230),
+        (complete_graph(5), (1, 1, 1, 1), 10),
+        (complete_graph(5), (2, 2, 2, 2), 140),
+    ])
+    def test_named_values(self, graph, c, volume):
+        assert reciprocity_volume(attach_source(graph, c)) == volume
+
+    def test_graphs_without_source(self):
+        # CRY K5 and a single edge, where every edge is on a source-sink path
+        assert reciprocity_volume(complete_graph(5)) == 2
+        assert reciprocity_volume(DirectedMultigraph(2, ((1, 2),))) == 1
+        assert reciprocity_volume(DirectedMultigraph(2, ((1, 2),) * 3)) == 1
+
+    @pytest.mark.parametrize("graph, vertex", [
+        (DirectedMultigraph(3, ((1, 3), (2, 3))), "vertex 2 has no incoming edge"),
+        (DirectedMultigraph(3, ((1, 2), (1, 3))), "vertex 2 has no outgoing edge"),
+        (DirectedMultigraph(4, ((1, 2), (1, 3), (2, 4))), "vertex 3 has no outgoing edge"),
+    ])
+    def test_edge_on_no_source_sink_path_refused(self, graph, vertex):
+        with pytest.raises(ValueError, match=vertex):
+            reciprocity_volume(graph)
+
+    def test_counter_off_by_one_at_one_raises(self, monkeypatch):
+        real = FlowCounter.count
+
+        def off_at_unit(self, netflow):
+            value = real(self, netflow)
+            return value + 1 if NetflowVector.coerce(netflow).entries == (1, 0, 0, 0, -1) else value
+
+        monkeypatch.setattr(kostant.FlowCounter, "count", off_at_unit)
+        with pytest.raises(ArithmeticError, match="L\\(1\\)"):
+            reciprocity_volume(attach_source(complete_graph(4), (1, 1, 1)))
 
 
 def test_eq2_family_counts_match_enumeration():

@@ -2,7 +2,7 @@
 
 import hashlib
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from math import comb, prod
 
 import pytest
@@ -40,7 +40,7 @@ from flowpoly.reduction import (
     unimodular_dissection,
     zero_vertex_dissection_children,
 )
-from flowpoly.verify import iter_family
+from flowpoly.verify import iter_family, run_dissection_suite
 
 
 def worked_example_root():
@@ -731,8 +731,12 @@ def shape_root(shape):
 
 
 def shape_cells(shape):
-    """The cached shape's cells as flows on the shape edges."""
-    return list(reduction._push_forward(shape_root(shape), shape))
+    """The cached shape's cells as flows on the shape edges: pushed through
+    the shape graph without its source edges, as a root of its own, which
+    lifts back to the shape graph."""
+    n = len(shape.staircases)
+    plain = DirectedMultigraph(n + 1, shape.edges[shape.sources:])
+    return list(reduction._push_forward(ProvenancedGraph.as_root(plain), shape))
 
 
 def reference_dissection(graph, c):
@@ -829,18 +833,84 @@ class TestShapeCache:
             dissection_cell_counts(complete_graph(4), (1, 1, 1))
 
     def test_overlapping_provenance_rejected(self, monkeypatch):
-        # path 1 -> 2 with c = (1,): the leaf is the root, edges (0,1), (1,2),
-        # and the dissection sums them into one edge (0,2).  Overlapping
-        # provenance counts root edge 1 twice on that path: the cell vertex
-        # leaves the affine span, and the certificate refuses it.
+        # path 1 -> 2 with c = (1,): the plain leaf is the root, edge (1,2),
+        # lifted to edges (0,1), (1,2), and the dissection sums them into one
+        # edge (0,2).  The lift moves the plain provenance up by sum(c) = 1,
+        # so a plain provenance {-1, 0} lands on {0, 1} and overlaps the
+        # source edge's {0}: the path counts root edge 0 twice, the cell
+        # vertex leaves the affine span, and the certificate refuses it.
         def overlapping_leaves(graph, c, **kwargs):
             (leaf,) = iter_reduction_leaves(graph, c)
-            yield ProvenancedGraph(leaf.graph, (frozenset((0, 1)), frozenset((1,))), leaf.root)
+            yield ProvenancedGraph._from_checked(leaf.graph, (frozenset((-1, 0)),), leaf.root)
 
         monkeypatch.setattr(reduction, "iter_reduction_leaves", overlapping_leaves)
-        assert [cell.vertices for cell in unimodular_dissection(path_graph(2), (1,))] == [((1, 2),)]
+        assert [cell.vertices for cell in unimodular_dissection(path_graph(2), (1,))] == [((2, 1),)]
         with pytest.raises(ValueError, match="fiber"):
             verify_dissection(path_graph(2), (1,))
+
+
+def augmented_walk_dissection(graph, c):
+    """The cells and the per-leaf cell counts as the source tree's own walk
+    gives them: each leaf of iter_reduction_leaves(graph, c) cut by its
+    shape, the cells' vertices pushed through that leaf's own provenance."""
+    c = tuple(c)
+    cells, counts = [], []
+    for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, c)):
+        (composition,) = leaf_census([leaf])
+        shape = reduction._shape_dissection(c, composition, reduction.DEFAULT_NODE_CAP)
+        assert leaf.graph.edges == shape.edges
+
+        def vector(pair, leaf=leaf):
+            vec = [0] * leaf.root.edge_count
+            for k in pair:
+                for d in leaf.provenance[k]:
+                    vec[d] += 1
+            return tuple(vec)
+
+        blocks = [[tuple(map(vector, tree)) for tree in trees] for trees in shape.staircases]
+        before = len(cells)
+        cells.extend(SimplexCell(tuple(chain.from_iterable(parts)), leaf_index, composition)
+                     for parts in product(*blocks))
+        counts.append((leaf_index, composition, len(cells) - before))
+    return cells, counts
+
+
+class TestSharedWalk:
+    """The dissection walks the plain tree once and lifts its leaves to
+    every c; the cells are those of the source tree's own walk."""
+
+    @staticmethod
+    def assert_same(graph, c):
+        cells, counts = augmented_walk_dissection(graph, c)
+        assert unimodular_dissection(graph, c) == cells, (graph.edges, c)
+        assert dissection_cell_counts(graph, c) == counts, (graph.edges, c)
+        plain = reduction._plain_tree(graph, reduction.DEFAULT_NODE_CAP)
+        assert unimodular_dissection(graph, c, _plain=plain) == cells, (graph.edges, c)
+
+    def test_family(self):
+        instances = 0
+        for g in iter_family(4, 6):
+            for c in product((1, 2), repeat=g.vertex_count - 1):
+                self.assert_same(g, c)
+                instances += 1
+        assert instances == 1488
+
+    def test_k4_322(self):
+        self.assert_same(complete_graph(4), (3, 2, 2))
+
+    def test_one_walk_per_graph_in_the_suite(self, monkeypatch):
+        monkeypatch.setenv("FLOWPOLY_WORKERS", "1")
+        real = iter_reduction_leaves
+        walks = []
+
+        def counted(graph, c=None, **kwargs):
+            walks.append(c)
+            return real(graph, c, **kwargs)
+
+        monkeypatch.setattr(reduction, "iter_reduction_leaves", counted)
+        result = run_dissection_suite(4, 5, 2)
+        assert result.passed
+        assert walks == [None] * sum(1 for _ in iter_family(4, 5))
 
 
 class TestDissectionBudget:
