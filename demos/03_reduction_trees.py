@@ -14,10 +14,10 @@ from flowpoly import (
     complete_graph,
     degree_stats,
     dominant_compositions,
-    export_dot,
     leaf_census,
     normalized_volume_oracle,
 )
+from flowpoly.reduction import dot_lines
 
 k4 = complete_graph(4)
 tree = canonical_reduction_tree(k4)
@@ -62,7 +62,7 @@ print(f"source-augmented tree has the same census: {leaf_census(augmented)}")
 
 if len(sys.argv) > 1:
     with open(sys.argv[1], "w", encoding="utf-8") as fh:
-        fh.write(export_dot(tree))
+        fh.write("".join(dot_lines(k4)))
     print(f"wrote {sys.argv[1]}; render with: dot -Tpng -O {sys.argv[1]}")
 else:
     print("pass a filename to write the tree as Graphviz DOT")

@@ -14,11 +14,9 @@ from .multigraph import (
     complete_graph,
     degree_stats,
     format_graph,
-    incidence_matrix,
     parse_graph,
     path_graph,
     read_graph,
-    strip_source,
     write_graph,
 )
 from .kostant import (
@@ -64,11 +62,9 @@ from .reduction import (
     ReductionTree,
     SimplexCell,
     canonical_reduction_tree,
-    census_from_json,
     census_to_json,
     dissection_cell_counts,
     enumerate_noncrossing_trees,
-    export_dot,
     iter_reduction_leaves,
     leaf_census,
     phi_map,

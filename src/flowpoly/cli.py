@@ -199,9 +199,9 @@ def cmd_dissect(args) -> int:
 # The arguments each verify suite takes besides the family bounds; --max-netflow
 # bounds the netflow entries or the c entries.
 SUITE_ARGS = {
-    "eq2": lambda a: {"max_netflow": a.max_netflow, "corrupt": a.debug_corrupt_formula},
-    "eq1": lambda a: {"max_netflow": a.max_netflow, "corrupt": a.debug_corrupt_formula},
-    "thm41": lambda a: {"max_c": a.max_netflow, "corrupt": a.debug_corrupt_formula},
+    "eq2": lambda a: {"max_netflow": a.max_netflow},
+    "eq1": lambda a: {"max_netflow": a.max_netflow},
+    "thm41": lambda a: {"max_c": a.max_netflow},
     "census": lambda a: {"node_cap": a.node_cap},
     "dissection": lambda a: {"max_c": a.max_netflow, "node_cap": a.node_cap},
     "in-vector": lambda a: {"max_c": a.max_netflow},
@@ -274,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edges", type=int, default=6)
     p.add_argument("--max-netflow", type=int, default=2)
     p.add_argument("--node-cap")
-    p.add_argument("--debug-corrupt-formula", action="store_true",
-                   help="perturb the formula side to confirm the suite detects errors")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -163,13 +163,6 @@ class VerificationReport:
             ],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "VerificationReport":
-        report = VerificationReport(data["title"])
-        for c in data["checks"]:
-            report.checks.append(CheckResult(c["name"], c["passed"], c["details"]))
-        return report
-
 
 def unit_source_sink_netflow(graph: DirectedMultigraph) -> NetflowVector:
     """+1 at the first vertex, -1 at the last, 0 elsewhere."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .multigraph import DirectedMultigraph, NetflowVector, degree_stats, integers
 
@@ -337,10 +337,6 @@ class EhrhartPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
     def __call__(self, t) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coefficients):
@@ -355,10 +351,6 @@ class EhrhartPolynomial:
 
     def coefficient_strings(self) -> list[str]:
         return [str(c) for c in self.coefficients]
-
-    @staticmethod
-    def from_strings(strings: Sequence[str]) -> "EhrhartPolynomial":
-        return EhrhartPolynomial(tuple(Fraction(s) for s in strings))
 
 
 def _count_differences(inst: FlowInstance, counter: FlowCounter | None = None) -> list[int]:

@@ -29,6 +29,7 @@ from .kostant import FlowCounter
 from .multigraph import (
     DirectedMultigraph,
     NetflowVector,
+    _checked_c,
     checked_degree_stats,
     degree_stats,
     integers,
@@ -71,7 +72,8 @@ def dominates(parts: Sequence[int], lower: Sequence[int]) -> bool:
 def dominant_compositions(total: int, lower: Sequence[int]) -> list[tuple[int, ...]]:
     """All weak compositions of `total` into len(lower) parts that dominate
     `lower`, in ascending lexicographic order."""
-    lower = tuple(int(x) for x in lower)
+    (total,) = integers((total,), "total")
+    lower = integers(lower, "lower")
     if total < 0:
         raise ValueError("total must be nonnegative")
     if sum(lower) != total:
@@ -173,25 +175,18 @@ class LidskiiTerms:
     def count_c_form(self, c: Sequence[int]) -> int:
         """Flow count at netflow a_i = indeg(i) - 1 + c_i, written in terms
         of the positive vector c via rising factorials."""
-        c = integers(c, "c")
-        if len(c) != len(self.out_shift):
-            raise ValueError(f"c must have {len(self.out_shift)} entries, got {len(c)}")
-        for i, ci in enumerate(c):
-            if ci < 1:
-                raise ValueError(f"c[{i}] = {ci} must be positive")
+        c = _checked_c(c, self.graph)
         return self._sum(lambda j: prod(map(multiset_coeff, c, j)))
 
 
 def lidskii_volume(graph: DirectedMultigraph, netflow) -> int:
     """Normalized volume of the flow polytope, by the closed formula."""
-    a = NetflowVector.coerce(netflow)
-    return LidskiiTerms(graph).volume(a)
+    return LidskiiTerms(graph).volume(netflow)
 
 
 def lidskii_count(graph: DirectedMultigraph, netflow) -> int:
     """Number of integer flows, by the closed formula."""
-    a = NetflowVector.coerce(netflow)
-    return LidskiiTerms(graph).count(a)
+    return LidskiiTerms(graph).count(netflow)
 
 
 def lidskii_count_c_form(graph: DirectedMultigraph, c: Sequence[int]) -> int:
@@ -203,6 +198,6 @@ def lidskii_count_c_form(graph: DirectedMultigraph, c: Sequence[int]) -> int:
 def in_plus_c_netflow(graph: DirectedMultigraph, c: Sequence[int]) -> NetflowVector:
     """Netflow with entries indeg(i) - 1 + c_i at non-sink vertices and the
     balancing sink value."""
-    stats = degree_stats(graph)
-    first = tuple(ii + ci for ii, ci in zip(stats.in_shift, c))
+    c = _checked_c(c, graph)
+    first = tuple(ii + ci for ii, ci in zip(degree_stats(graph).in_shift, c))
     return NetflowVector.completing(first)

@@ -78,11 +78,6 @@ class DirectedMultigraph:
         return range(self.first_vertex, self.last_vertex + 1)
 
     @property
-    def interior_vertices(self) -> range:
-        """Vertices strictly between the first and the last one."""
-        return range(self.first_vertex + 1, self.last_vertex)
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -155,14 +150,6 @@ class DirectedMultigraph:
         if self.edge_count < self.vertex_count - 1:
             return False
         return self.edge_count - len(self.cotree()) == self.vertex_count - 1
-
-    def same_multigraph(self, other: "DirectedMultigraph") -> bool:
-        """Equality as unlabeled edge multisets over the same vertex set."""
-        return (
-            self.vertex_count == other.vertex_count
-            and self.first_vertex == other.first_vertex
-            and self.edge_multiset() == other.edge_multiset()
-        )
 
 
 @dataclass(frozen=True)
@@ -260,42 +247,31 @@ def build_gm(m: Sequence[int]) -> DirectedMultigraph:
     return DirectedMultigraph(n + 1, tuple(edges))
 
 
+def _checked_c(c: Sequence[int], graph: DirectedMultigraph) -> tuple[int, ...]:
+    """c as a tuple of ints, after checking that it has one positive
+    integer entry per non-sink vertex of the graph."""
+    c = integers(c, "c")
+    n = graph.vertex_count - 1
+    if len(c) != n:
+        raise ValueError(f"c must have {n} entries, one per non-sink vertex, got {len(c)}")
+    for i, ci in enumerate(c):
+        if ci < 1:
+            raise ValueError(f"c[{i}] = {ci} must be positive")
+    return c
+
+
 def attach_source(graph: DirectedMultigraph, c: Sequence[int]) -> DirectedMultigraph:
     """Add a source vertex 0 with c[i] parallel edges (0, i+1) prepended;
     the restriction to the original vertices equals the input graph."""
     if graph.first_vertex != 1:
         raise ValueError("attach_source expects a graph on vertices 1..n+1")
-    c = integers(c, "c")
-    n = graph.vertex_count - 1
-    if len(c) != n:
-        raise ValueError(f"c must have one entry per non-sink vertex ({n}), got {len(c)}")
-    for i, ci in enumerate(c):
-        if ci < 1:
-            raise ValueError(f"c[{i}] = {ci} must be positive")
+    c = _checked_c(c, graph)
     source_edges = []
     for i, ci in enumerate(c, start=1):
         source_edges.extend([(0, i)] * ci)
     return DirectedMultigraph(
         graph.vertex_count + 1, tuple(source_edges) + graph.edges, first_vertex=0
     )
-
-
-def strip_source(graph: DirectedMultigraph) -> DirectedMultigraph:
-    """Remove vertex 0 and all edges incident to it."""
-    if graph.first_vertex != 0:
-        raise ValueError("graph has no source vertex to strip")
-    edges = tuple(e for e in graph.edges if e[0] != 0)
-    return DirectedMultigraph(graph.vertex_count - 1, edges, first_vertex=1)
-
-
-def incidence_matrix(graph: DirectedMultigraph) -> tuple[tuple[int, ...], ...]:
-    """Vertex-by-edge matrix whose column for edge (i, j) is e_i - e_j."""
-    lo = graph.first_vertex
-    rows = [[0] * graph.edge_count for _ in range(graph.vertex_count)]
-    for k, (a, b) in enumerate(graph.edges):
-        rows[a - lo][k] = 1
-        rows[b - lo][k] = -1
-    return tuple(tuple(r) for r in rows)
 
 
 def apply_incidence(graph: DirectedMultigraph, flow: Sequence) -> tuple:

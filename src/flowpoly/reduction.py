@@ -34,7 +34,13 @@ from math import comb, prod
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .multigraph import DirectedMultigraph, attach_source, checked_degree_stats, integers
+from .multigraph import (
+    DirectedMultigraph,
+    _checked_c,
+    attach_source,
+    checked_degree_stats,
+    integers,
+)
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -157,21 +163,6 @@ class ProvenancedGraph:
     def as_root(graph: DirectedMultigraph) -> "ProvenancedGraph":
         return ProvenancedGraph(graph, tuple(frozenset((e,)) for e in range(graph.edge_count)), graph)
 
-    def provenance_paths_ok(self) -> bool:
-        """Every s(e) must order into a directed root path tail(e) -> head(e)."""
-        for (tail, head), s in zip(self.graph.edges, self.provenance):
-            at = tail
-            remaining = set(s)
-            while remaining:
-                step = next((d for d in remaining if self.root.edges[d][0] == at), None)
-                if step is None:
-                    return False
-                at = self.root.edges[step][1]
-                remaining.discard(step)
-            if at != head:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class PhiMap:
@@ -192,13 +183,6 @@ class PhiMap:
                 for d in s:
                     out[d] += v
         return tuple(out)
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(1 if d in self.provenance[e] else 0 for e in range(self.node_size))
-            for d in range(self.root_size)
-        )
 
 
 def phi_map(node: ProvenancedGraph) -> PhiMap:
@@ -517,10 +501,6 @@ def census_to_json(census: dict[tuple[int, ...], int]) -> list[dict]:
     ]
 
 
-def census_from_json(data: Iterable[dict]) -> dict[tuple[int, ...], int]:
-    return {tuple(item["composition"]): item["count"] for item in data}
-
-
 # --- dissection into unimodular simplices --------------------------------------
 
 
@@ -558,12 +538,15 @@ def zero_vertex_dissection_children(node: ProvenancedGraph, vertex: int) -> list
 
 class _LeafShape(NamedTuple):
     """Dissection of the leaf shape (c, j) in the shape graph's edges, of
-    which the first sources = sum(c) are the source edges: per vertex, its
-    staircases as (source edge, sink edge) pairs, of which a cell takes one
-    per vertex; nodes counts what the reductions would make."""
+    which the first sources = sum(c) are the source edges: per vertex i,
+    the count of its staircases, comb(c_i + j_i - 1, j_i), of which a cell
+    takes one per vertex; nodes counts what the reductions would make.  The
+    staircases themselves come from _staircases(c, j)."""
 
+    c: tuple[int, ...]
+    j: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    staircases: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    counts: tuple[int, ...]
     nodes: int
     sources: int
 
@@ -573,27 +556,37 @@ def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> 
     """What the zero-entry reductions at the vertices 1..n, in increasing
     order, make of the shape graph of the leaves with composition j: c_i
     edges (0, i) and j_i + 1 edges (i, sink), in canonical order.  The one
-    at i keeps the staircases on (c_i, j_i + 1), tree edge (p, q) being the
-    path through the p-th source and q-th sink edge of i; a cell is one per
-    vertex, vertex 1 varying slowest as in the reductions' depth-first
-    walk, whose nodes are charged to the cap before anything is built."""
-    counts = [comb(ci + ji - 1, ji) for ci, ji in zip(c, j)]
+    at i keeps the comb(c_i + j_i - 1, j_i) staircases on (c_i, j_i + 1); a
+    cell is one per vertex, and the reductions' depth-first walk makes
+    sum(accumulate(counts, mul)) nodes, which are charged to the cap before
+    anything is built."""
+    counts = tuple(comb(ci + ji - 1, ji) for ci, ji in zip(c, j))
     nodes = sum(accumulate(counts, mul))
     _Budget(node_cap).spend(nodes)
     sink = len(c) + 1
     edges = tuple((0, i) for i, ci in enumerate(c, 1) for _ in range(ci)) + tuple(
         (i, sink) for i, ji in enumerate(j, 1) for _ in range(ji + 1)
     )
+    return _LeafShape(c, j, edges, counts, nodes, sum(c))
+
+
+@lru_cache(maxsize=4096)
+def _staircases(
+    c: tuple[int, ...], j: tuple[int, ...]
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Per vertex i of the leaf shape (c, j), its staircases
+    enumerate_noncrossing_trees(c_i, j_i + 1) as (source edge, sink edge)
+    index pairs into the shape edges: tree edge (p, q) is the path through
+    the p-th source and q-th sink edge of i."""
     # the first source and sink edge of each vertex
     firsts = zip(accumulate(c, initial=0), accumulate((ji + 1 for ji in j), initial=sum(c)))
-    staircases = tuple(
+    return tuple(
         tuple(
             tuple((s + p - 1, t + q - 1) for p, q in tree.edges)
             for tree in enumerate_noncrossing_trees(ci, ji + 1)
         )
         for ci, ji, (s, t) in zip(c, j, firsts)
     )
-    return _LeafShape(edges, staircases, nodes, sum(c))
 
 
 class _PlainTree(NamedTuple):
@@ -621,10 +614,9 @@ def _dissected_leaves(
     plain leaf's provenance moves up by sum(c).  The walk's nodes and then
     every leaf's share of the shape nodes draw on one budget, so the cap
     stops the same inputs as a walk of the source tree would."""
-    c = integers(c, "c")
     if plain is None:
         plain = _plain_tree(graph, node_cap)
-    attach_source(graph, c)  # the checks on c
+    c = _checked_c(c, graph)
     budget = _Budget(node_cap)
     budget.spend(plain.nodes)
     for leaf_index, leaf in enumerate(plain.leaves):
@@ -661,7 +653,8 @@ def _push_forward(
             vectors[pair] = tuple(vec)
         return vectors[pair]
 
-    blocks = [[tuple(map(vector, tree)) for tree in trees] for trees in shape.staircases]
+    staircases = _staircases(shape.c, shape.j)
+    blocks = [[tuple(map(vector, tree)) for tree in trees] for trees in staircases]
     for parts in product(*blocks):
         yield tuple(chain.from_iterable(parts))
 
@@ -707,7 +700,7 @@ def dissection_cell_counts(
     unimodular_dissection, under the same node budget, without building
     the cells: prod_i binom(c_i + j_i - 1, j_i) at composition j."""
     return [
-        (leaf_index, composition, prod(map(len, shape.staircases)))
+        (leaf_index, composition, prod(shape.counts))
         for leaf_index, _, composition, shape in _dissected_leaves(graph, c, node_cap)
     ]
 
@@ -723,45 +716,44 @@ def _edge_label(graph: DirectedMultigraph) -> str:
     return ", ".join(parts)
 
 
-def _preorder(tree: ReductionTree):
-    """(depth, vertex, tree, graph) per node of a materialized tree,
-    depth first, children in order."""
-    stack = [(0, tree.root)]
-    while stack:
-        depth, node = stack.pop()
-        yield depth, node.vertex, node.tree, node.graph.graph
-        stack.extend((depth + 1, child) for child in reversed(node.children))
+def dot_lines(
+    graph: DirectedMultigraph,
+    c: Sequence[int] | None = None,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> Iterator[str]:
+    """The lines of the Graphviz rendering of canonical_reduction_tree(graph,
+    c): one box per tree node labeled with its edge multiset, reduction
+    metadata (vertex, chosen tree) on each arc.  Nodes are numbered breadth
+    first, boxes first, then arcs.
 
-
-def _dot_lines(records: Iterable) -> Iterator[str]:
-    """The lines of the DOT rendering of a reduction tree, given its nodes
-    as (depth, vertex, tree, graph) records in depth-first preorder; vertex
-    and tree made the node and are None at the root.  Nodes are numbered
-    breadth first: in an ordered tree the nodes of one level come in the
-    same order breadth first as depth first, so a node's number is the
-    size of the levels above it plus its position in its own level, and
-    its parent is the last node seen one level up.  Only the labels and
-    arcs of each level are kept; a label is built once per distinct edge
-    tuple and shared by the nodes that have it.  All records are read
-    before this returns, so an error in the walk that makes them comes
+    One depth-first walk keeps the labels and arcs of each level but not
+    the tree: in an ordered tree the nodes of one level come in the same
+    order breadth first as depth first, so a node's number is the size of
+    the levels above it plus its position in its own level, and its parent
+    is the last node seen one level up.  A label is built once per distinct
+    edge tuple and shared by the nodes that have it.  The walk, and so its
+    node budget, is done before this returns, so an error in it comes
     before any line."""
+    schedule, walk = _canonical_walk(graph, c, _Budget(node_cap))
     boxes: list[list[str]] = []  # per level: the label of each node
     arcs: list[list[tuple[int, str]]] = []  # per level: (parent position, arc label)
     labels: dict[tuple, str] = {}  # by the node's edge tuple
-    arc_labels: dict[tuple, str] = {}
-    for depth, vertex, tree, graph in records:
+    arc_labels: dict[tuple, str] = {}  # by (depth, tree)
+    for depth, tree, node in walk:
         if depth == len(boxes):
             boxes.append([])
             arcs.append([])
-        label = labels.get(graph.edges)
+        edges = node.graph.edges
+        label = labels.get(edges)
         if label is None:
-            label = labels[graph.edges] = _edge_label(graph)
+            label = labels[edges] = _edge_label(node.graph)
         boxes[depth].append(label)
         if depth:
-            arc = arc_labels.get((vertex, tree))
+            arc = arc_labels.get((depth, tree))
             if arc is None:
                 tlabel = ",".join(f"({p},{q})" for p, q in tree.edges)
-                arc = arc_labels[vertex, tree] = f"i={vertex} T={tlabel}"
+                arc = arc_labels[depth, tree] = f"i={schedule[depth - 1]} T={tlabel}"
             arcs[depth].append((len(boxes[depth - 1]) - 1, arc))
 
     def lines():
@@ -781,26 +773,3 @@ def _dot_lines(records: Iterable) -> Iterator[str]:
         yield "}\n"
 
     return lines()
-
-
-def dot_lines(
-    graph: DirectedMultigraph,
-    c: Sequence[int] | None = None,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-) -> Iterator[str]:
-    """The lines of export_dot(canonical_reduction_tree(graph, c)), from
-    one depth-first walk that keeps the labels and arcs but not the tree.
-    The walk, and so its node budget, is done before this returns."""
-    schedule, walk = _canonical_walk(graph, c, _Budget(node_cap))
-    return _dot_lines(
-        (depth, schedule[depth - 1] if depth else None, tree, node.graph)
-        for depth, tree, node in walk
-    )
-
-
-def export_dot(tree: ReductionTree) -> str:
-    """Graphviz rendering: one box per tree node labeled with its edge
-    multiset, reduction metadata (vertex, chosen tree) on each arc.  Nodes
-    are numbered breadth first, boxes first, then arcs."""
-    return "".join(_dot_lines(_preorder(tree)))

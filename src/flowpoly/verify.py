@@ -202,9 +202,7 @@ def _run_family(title: str, max_vertices: int, max_edges: int, instances: Instan
     return SuiteResult(title, sum(count for count, _, _ in shares), [f for _, f in failures])
 
 
-def run_eq2_suite(
-    max_vertices: int = 5, max_edges: int = 8, max_netflow: int = 3, *, corrupt: bool = False
-) -> SuiteResult:
+def run_eq2_suite(max_vertices: int = 5, max_edges: int = 8, max_netflow: int = 3) -> SuiteResult:
     """Closed-form lattice-point count against the brute-force count, over
     every nice-chamber netflow with entries 0..max_netflow."""
 
@@ -212,7 +210,7 @@ def run_eq2_suite(
         terms = LidskiiTerms(graph)
         for head in _box(graph, 0, max_netflow):
             a = NetflowVector.completing(head)
-            formula = terms.count(a) + int(corrupt)
+            formula = terms.count(a)
             direct = terms.counter.count(a)
             yield None if formula == direct else {
                 "netflow": list(a.entries), "formula": formula, "count": direct}
@@ -220,9 +218,7 @@ def run_eq2_suite(
     return _run_family("eq2 (lattice-point formula)", max_vertices, max_edges, instances)
 
 
-def run_eq1_suite(
-    max_vertices: int = 5, max_edges: int = 8, max_netflow: int = 3, *, corrupt: bool = False
-) -> SuiteResult:
+def run_eq1_suite(max_vertices: int = 5, max_edges: int = 8, max_netflow: int = 3) -> SuiteResult:
     """Closed-form volume against the volume from the Ehrhart difference
     table, over strictly positive netflows with entries 1..max_netflow."""
 
@@ -230,7 +226,7 @@ def run_eq1_suite(
         terms = LidskiiTerms(graph)
         for head in _box(graph, 1, max_netflow):
             a = NetflowVector.completing(head)
-            formula = terms.volume(a) + int(corrupt)
+            formula = terms.volume(a)
             oracle = normalized_volume_oracle(FlowInstance(graph, a), counter=terms.counter)
             yield None if formula == oracle else {
                 "netflow": list(a.entries), "formula": formula, "volume": oracle}
@@ -238,9 +234,7 @@ def run_eq1_suite(
     return _run_family("eq1 (volume formula)", max_vertices, max_edges, instances)
 
 
-def run_thm41_suite(
-    max_vertices: int = 5, max_edges: int = 8, max_c: int = 3, *, corrupt: bool = False
-) -> SuiteResult:
+def run_thm41_suite(max_vertices: int = 5, max_edges: int = 8, max_c: int = 3) -> SuiteResult:
     """Rising-factorial form of the count formula against the brute-force
     count at netflow indeg-1+c, over c with entries 1..max_c."""
 
@@ -249,7 +243,7 @@ def run_thm41_suite(
         # the oracle's netflows indeg-1+c, from the graph's own degree counts
         in_shift = degree_stats(graph).in_shift
         for c in _box(graph, 1, max_c):
-            formula = terms.count_c_form(c) + int(corrupt)
+            formula = terms.count_c_form(c)
             netflow = NetflowVector.completing([i + ci for i, ci in zip(in_shift, c)])
             direct = terms.counter.count(netflow)
             yield None if formula == direct else {

@@ -3,6 +3,10 @@ import os
 import pytest
 
 import flowpoly.verify
+from flowpoly.lidskii import LidskiiTerms
+
+# the LidskiiTerms method that gives the formula side of each Lidskii suite
+FORMULA_SIDES = {"eq2": "count", "eq1": "volume", "thm41": "count_c_form"}
 
 
 @pytest.fixture()
@@ -19,3 +23,17 @@ def workers(monkeypatch):
     yield use
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def spoil_formula(monkeypatch):
+    """A setter: spoil_formula(suite) makes the formula side of the eq2,
+    eq1 or thm41 suite one too large for the rest of the test.  Forked
+    verify workers inherit the patch."""
+
+    def spoil(suite):
+        name = FORMULA_SIDES[suite]
+        real = getattr(LidskiiTerms, name)
+        monkeypatch.setattr(LidskiiTerms, name, lambda self, arg: real(self, arg) + 1)
+
+    return spoil

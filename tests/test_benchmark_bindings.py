@@ -1,0 +1,51 @@
+"""The names the benchmark in perfbench/ binds in flowpoly.
+
+The benchmark's own tests sit outside the tests/ tree, so a deleted or
+renamed name would break only them.  These tests load its tracer, which
+wraps one function or method per span, and look up the names its worker
+calls."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import flowpoly
+import flowpoly.cli
+import flowpoly.verify
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture()
+def tracer_module(monkeypatch):
+    """perfbench/tracer.py, imported with perfbench/ on sys.path; it and the
+    workloads module it imports are dropped from sys.modules afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("tracer", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("tracer")
+    for name in ("tracer", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_tracer_binds_every_span(tracer_module):
+    suites = dict(flowpoly.verify.SUITES)
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        spans = {span for span, *_ in tracer_module.SPANS} | {tracer_module.SUITE_SPAN[0]}
+        assert set(tracer.layers) == spans
+        assert all(flowpoly.verify.SUITES[name] is not runner for name, runner in suites.items())
+    finally:
+        tracer.uninstall()
+    assert flowpoly.verify.SUITES == suites
+
+
+def test_worker_names_exist():
+    # what perfbench/worker.py calls, by the names it uses
+    for name in ("DirectedMultigraph", "FlowInstance", "count_flows", "lidskii_volume",
+                 "write_graph"):
+        assert callable(getattr(flowpoly, name)), name
+    assert callable(flowpoly.cli.main)

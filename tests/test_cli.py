@@ -32,7 +32,7 @@ from flowpoly.multigraph import (
     write_graph,
 )
 from flowpoly import reduction
-from flowpoly.reduction import NodeCapExceeded, SimplexCell, census_from_json, unimodular_dissection
+from flowpoly.reduction import NodeCapExceeded, SimplexCell, unimodular_dissection
 from flowpoly.verify import SUITES, iter_family, run_in_vector_suite
 
 
@@ -162,7 +162,8 @@ class TestReduce:
         assert code == 0
         data = json.loads(out)
         assert data["leaf_count"] == 2
-        assert census_from_json(data["census"]) == {(2, 1, 0): 1, (3, 0, 0): 1}
+        assert data["census"] == [{"composition": [2, 1, 0], "count": 1},
+                                  {"composition": [3, 0, 0], "count": 1}]
 
     def test_path_single_leaf(self, capsys, path3_file):
         code, out, _ = run(capsys, ["reduce", "--graph", path3_file])
@@ -171,7 +172,8 @@ class TestReduce:
     def test_with_source(self, capsys, k4_file):
         code, out, _ = run(capsys, ["reduce", "--graph", k4_file, "--c", "3,2,2", "--emit", "json"])
         assert code == 0
-        assert census_from_json(json.loads(out)["census"]) == {(2, 1, 0): 1, (3, 0, 0): 1}
+        assert json.loads(out)["census"] == [{"composition": [2, 1, 0], "count": 1},
+                                             {"composition": [3, 0, 0], "count": 1}]
 
     def test_dot(self, capsys, k4_file):
         code, out, _ = run(capsys, ["reduce", "--graph", k4_file, "--emit", "dot"])
@@ -179,8 +181,8 @@ class TestReduce:
         assert out.startswith("digraph reduction_tree")
 
     def test_dot_k5_unchanged(self, capsys, tmp_path):
-        # pins the breadth-first node order of ReductionTree.nodes(), which
-        # numbers the DOT nodes
+        # pins the DOT node numbers: breadth first, the order of
+        # ReductionTree.nodes(), derived by dot_lines from a depth-first walk
         path = tmp_path / "k5.graph"
         write_graph(complete_graph(5), path)
         code, out, _ = run(capsys, ["reduce", "--graph", str(path), "--emit", "dot"])
@@ -381,15 +383,16 @@ class TestVerify:
         assert "PASS" in out
 
     @pytest.mark.parametrize("suite", ["eq2", "eq1", "thm41"])
-    def test_corrupt_formula_detected(self, capsys, suite):
+    def test_corrupt_formula_detected(self, capsys, spoil_formula, suite):
+        spoil_formula(suite)
         code, out, _ = run(
             capsys,
             ["verify", "--suite", suite, "--max-vertices", "3", "--max-edges", "4",
-             "--max-netflow", "1", "--debug-corrupt-formula"],
+             "--max-netflow", "1"],
         )
         assert code == 1
         assert "FAIL" in out and "counterexample" in out
-        result = SUITES[suite](3, 4, 1, corrupt=True)
+        result = SUITES[suite](3, 4, 1)
         assert result.instances and len(result.failures) == result.instances
         assert all(failure["graph"]["vertices"] == 3 for failure in result.failures)
 
@@ -717,8 +720,9 @@ class TestGraphFileFuzz:
 # Arguments of `dissect` and `verify --suite dissection`: c lists of small
 # integers mixed with tokens that int() reads in surprising ways or not at
 # all, node caps from tiny to ample, and small family bounds.  The c entries
-# stay small: the staircases of a dissection grow with the square of an
-# entry, which the node cap does not bound.
+# stay small: `--emit cells` and the suite build every staircase and cell,
+# which grow with the square of an entry or faster, and the node cap does
+# not bound their size; the summary only counts them.
 C_TOKEN = st.one_of(st.integers(-1, 4).map(str),
                     st.sampled_from(["", "0", "-0", "+2", " 2", "1_0", "\u0663", "1.5", "x"]))
 C_TEXT = st.one_of(st.lists(st.integers(1, 4).map(str), min_size=2, max_size=3).map(",".join),

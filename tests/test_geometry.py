@@ -13,7 +13,6 @@ from flowpoly import geometry, reduction
 from flowpoly.geometry import (
     AmbientLattice,
     SimplexCell,
-    VerificationReport,
     contains_flow,
     is_unimodular,
     path_flow_vertices,
@@ -367,10 +366,6 @@ class TestVerifyDissection:
         assert found["reason"] == "boundary facet off the polytope boundary"
         (j,) = found["cells"]
         assert len(set(cells[j].vertices) & set(dropped.vertices)) == len(dropped.vertices) - 1
-
-    def test_report_round_trip(self):
-        report = verify_dissection(path_graph(3), (2, 1))
-        assert VerificationReport.from_json(report.to_json()) == report
 
 
 def moved_apex_spoil(move):

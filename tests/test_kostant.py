@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from flowpoly import kostant
 from flowpoly.kostant import (
-    EhrhartPolynomial,
     FlowCounter,
     FlowInstance,
     count_flows,
@@ -311,7 +310,7 @@ class TestEhrhart:
 
     def test_empty_polytope_zero_polynomial(self):
         poly = ehrhart_polynomial(inst(path_graph(3), (0, -1, 1)))
-        assert poly.is_zero
+        assert poly.coefficients == ()
         assert poly(5) == 0
 
     def test_out_of_sample_dilations(self):
@@ -321,10 +320,6 @@ class TestEhrhart:
             poly = ehrhart_polynomial(FlowInstance(g, a))
             for t in (bound + 1, bound + 2):
                 assert poly.value_at(t) == count_flows(FlowInstance(g, a.dilate(t)))
-
-    def test_string_round_trip(self):
-        poly = ehrhart_polynomial(inst(complete_graph(4), (1, 0, 0, -1)))
-        assert EhrhartPolynomial.from_strings(poly.coefficient_strings()) == poly
 
     def test_family_digest_pinned(self):
         # Polynomials and oracle volumes over a family grid, empty polytopes

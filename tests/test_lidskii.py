@@ -76,6 +76,13 @@ class TestDominantCompositions:
         for j in every:
             assert (j in got) == dominates(j, lower)
 
+    def test_non_integer_bounds_refused(self):
+        # int() would truncate the bounds (1.9, 1.9) to (1, 1)
+        with pytest.raises(ValueError, match=r"^lower entry 0 = 1\.9 is not an integer$"):
+            dominant_compositions(2, (1.9, 1.9))
+        with pytest.raises(ValueError, match=r"^total entry 0 = 2\.0 is not an integer$"):
+            dominant_compositions(2.0, (1, 1))
+
     def test_lexicographic_order(self):
         got = dominant_compositions(4, (2, 1, 1))
         assert got == sorted(got)
@@ -174,6 +181,20 @@ class TestCForm:
             lidskii_count_c_form(complete_graph(4), (1.5, 1, 1))
         with pytest.raises(ValueError, match="c entry 2"):
             LidskiiTerms(complete_graph(4)).count_c_form((1, 1, 1.0))
+
+    def test_in_plus_c_netflow_refuses_bad_c(self):
+        # one positive integer per non-sink vertex, as count_c_form and
+        # attach_source ask; zip would drop entries silently or give a
+        # netflow as short as c
+        k4 = complete_graph(4)
+        assert in_plus_c_netflow(k4, (1, 1, 1)).entries == (0, 1, 2, -3)
+        for c, message in (((1, 1), "3 entries, one per non-sink vertex, got 2"),
+                           ((1, 1, 1, 1, 1), "3 entries, one per non-sink vertex, got 5"),
+                           ((0, -3, 1), r"c\[0\] = 0 must be positive"),
+                           ((1, 1.5, 1), r"c entry 1 = 1\.5 is not an integer")):
+            for fn in (in_plus_c_netflow, lidskii_count_c_form):
+                with pytest.raises(ValueError, match=message):
+                    fn(k4, c)
 
     def test_matches_count_at_shifted_netflow(self):
         for g in (complete_graph(4), complete_graph(3), path_graph(4)):

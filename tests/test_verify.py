@@ -62,42 +62,60 @@ def test_iter_family_spanning_slice(nv):
 # --- the family split over forked workers --------------------------------
 
 
-# small bounds with several graphs per share; census takes no third bound
-SPLIT_CASES = [(name, (4, 5) if name == "census" else (4, 5, 1), {}) for name in SUITES] + [
-    (name, (3, 5, 1), {"corrupt": True}) for name in ("eq2", "eq1", "thm41")
+# small bounds with several graphs per share; census takes no third bound.
+# A corrupt case spoils the suite's formula side, so every instance fails.
+SPLIT_CASES = [(name, (4, 5) if name == "census" else (4, 5, 1), False) for name in SUITES] + [
+    (name, (3, 5, 1), True) for name in ("eq2", "eq1", "thm41")
 ]
 
 
-@pytest.mark.parametrize("name, bounds, options", SPLIT_CASES,
+@pytest.mark.parametrize("name, bounds, corrupt", SPLIT_CASES,
                          ids=[f"{n}{'-corrupt' if o else ''}" for n, _, o in SPLIT_CASES])
-def test_serial_and_parallel_results_equal(workers, name, bounds, options):
+def test_serial_and_parallel_results_equal(workers, spoil_formula, name, bounds, corrupt):
+    if corrupt:
+        spoil_formula(name)
     workers(1)
-    serial = SUITES[name](*bounds, **options)
+    serial = SUITES[name](*bounds)
     workers(2)
-    parallel = SUITES[name](*bounds, **options)
+    parallel = SUITES[name](*bounds)
     assert parallel == serial
     assert serial.instances > 0
-    assert len(serial.failures) == (serial.instances if options else 0)
+    assert len(serial.failures) == (serial.instances if corrupt else 0)
 
 
-def cli_stdout(workers, *args):
+# `flowpoly verify` with the LidskiiTerms method named by argv[1] made one
+# too large, as the spoil_formula fixture does it
+SPOILED_VERIFY = """
+import sys
+import flowpoly.cli
+from flowpoly.lidskii import LidskiiTerms
+
+real = getattr(LidskiiTerms, sys.argv[1])
+setattr(LidskiiTerms, sys.argv[1], lambda self, arg: real(self, arg) + 1)
+sys.exit(flowpoly.cli.main(["verify", *sys.argv[2:]]))
+"""
+
+
+def cli_stdout(workers, *args, spoiled=None):
     """stdout of `flowpoly verify` in a fresh interpreter that writes to a
-    pipe, where the output is block buffered when a worker forks."""
+    pipe, where the output is block buffered when a worker forks; spoiled
+    names a LidskiiTerms method to spoil first."""
     src = os.path.dirname(os.path.dirname(flowpoly.__file__))
     env = {**os.environ, "PYTHONPATH": src, "FLOWPOLY_WORKERS": str(workers)}
-    proc = subprocess.run([sys.executable, "-m", "flowpoly.cli", "verify", *args],
+    command = ["-m", "flowpoly.cli", "verify"] if spoiled is None else ["-c", SPOILED_VERIFY, spoiled]
+    proc = subprocess.run([sys.executable, *command, *args],
                           stdout=subprocess.PIPE, env=env, timeout=120)
     return proc.returncode, proc.stdout
 
 
-@pytest.mark.parametrize("args", [
-    ["--suite", "all", "--max-vertices", "4", "--max-edges", "5", "--max-netflow", "1"],
-    ["--suite", "eq2", "--max-vertices", "4", "--max-edges", "4", "--max-netflow", "1",
-     "--debug-corrupt-formula"],
+@pytest.mark.parametrize("args, spoiled", [
+    (["--suite", "all", "--max-vertices", "4", "--max-edges", "5", "--max-netflow", "1"], None),
+    (["--suite", "eq2", "--max-vertices", "4", "--max-edges", "4", "--max-netflow", "1"], "count"),
 ], ids=["all", "corrupt"])
-def test_cli_output_is_byte_identical(args):
-    serial = cli_stdout(1, *args)
-    assert cli_stdout(2, *args) == serial
+def test_cli_output_is_byte_identical(args, spoiled):
+    serial = cli_stdout(1, *args, spoiled=spoiled)
+    assert serial[0] == (0 if spoiled is None else 1)
+    assert cli_stdout(2, *args, spoiled=spoiled) == serial
     lines = serial[1].decode().splitlines()
     assert lines and len(set(lines)) == len(lines)
 
