@@ -33,7 +33,6 @@ from .kostant import (
 from .lidskii import (
     LidskiiTerms,
     dominant_compositions,
-    dominates,
     in_plus_c_netflow,
     lidskii_count,
     lidskii_count_c_form,

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
-from typing import Iterator
+from operator import mul
+from typing import Iterator, Sequence
 
-from .multigraph import DirectedMultigraph, NetflowVector, degree_stats, integers
+from .multigraph import DirectedMultigraph, NetflowVector, checked_box, degree_stats, integers
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,10 @@ class FlowCounter:
     its range.  Widths only grow: a call that needs wider slots than the
     counter has drops the memo table.  Widths come in whole bytes, so the
     growing netflows of one Ehrhart difference table rarely drop it.
+    count_box packs a whole box of netflows (h, -sum(h)) at one width, the
+    box's largest sum(h): each state is the packed zero residual plus
+    sum_k h_k times the step that moves a unit from the sink's slot to
+    slot k.
     """
 
     def __init__(self, graph: DirectedMultigraph):
@@ -103,7 +108,7 @@ class FlowCounter:
             self._groups.append(tuple(
                 gs[g] + gs[g + 1] + (g + 3 == len(gs),) for g in range(len(gs) - 1)
             ))
-        self._width = 0
+        self._room = -1  # the largest residual the slots hold; none yet
         self._results: dict[tuple[int, ...], int] = {}
 
     def count(self, netflow) -> int:
@@ -112,28 +117,57 @@ class FlowCounter:
         hit = self._results.get(key)
         if hit is not None:
             return hit
-        entries = NetflowVector.coerce(netflow).entries
-        if len(entries) != self.graph.vertex_count:
+        if not key or sum(key):
+            NetflowVector(key)  # raises: a netflow is nonempty and sums to zero
+        if len(key) != self.graph.vertex_count:
             raise ValueError("netflow length does not match the graph")
-        prefix = list(accumulate(entries))
+        prefix = list(accumulate(key))
         if min(prefix) < 0:
             # a cut would carry negative flow
             value = 0
         else:
             # a residual never exceeds the largest prefix sum, nor falls
-            # below the smallest entry; slots come in whole bytes
-            need = 8 * (max(max(prefix), -min(entries)).bit_length() // 8 + 1)
-            if need > self._width:
-                self._width = need
-                self._recursion = self._build(need)
-            width = self._width
-            off = 1 << (width - 1)
-            packed = 0
-            for k, e in enumerate(entries):
-                packed |= (e + off) << (width * k)
-            value = self._recursion(0, 0, packed)
+            # below the smallest entry
+            bound = max(max(prefix), -min(key))
+            if bound > self._room:
+                self._widen(bound)
+            value = self._recursion(0, 0, self._base + sum(map(mul, key, self._steps)))
         self._results[key] = value
         return value
+
+    def count_box(self, box) -> list[int]:
+        """The counts at (h, -sum(h)) for every h in product(*box), in that
+        order; box holds a range of nonnegative integers per non-sink vertex."""
+        return self._count_dilates(checked_box(box, self.graph, 0, "netflow"), (1,))[0]
+
+    def _count_dilates(self, box: list[Sequence[int]], dilations) -> list[list[int]]:
+        """count_box of a checked box with every range times t, for each t in
+        dilations: the state at t*h packs as base + t * sum_k h_k * step_k."""
+        if not all(box):
+            return [[] for _ in dilations]
+        # a residual lies within -t*sum(h)..t*sum(h)
+        bound = max(dilations) * sum(map(max, box))
+        if bound > self._room:
+            self._widen(bound)
+        sums = [0]
+        for r, step in zip(box, self._steps):  # sum_k h_k * step_k, in product order
+            sums = [s + h * step for s in sums for h in r]
+        base, recursion = self._base, self._recursion
+        return [[recursion(0, 0, base + t * s) for s in sums] for t in dilations]
+
+    def _widen(self, bound: int) -> None:
+        """Slots for residuals within -bound..bound, in whole bytes, and a
+        fresh memo table; with them the packed state with every residual 0
+        and, per non-sink vertex k, the step that moves one unit from the
+        sink's slot to slot k."""
+        width = 8 * (bound.bit_length() // 8 + 1)
+        self._room = (1 << (width - 1)) - 1
+        self._recursion = self._build(width)
+        n = self.graph.vertex_count - 1
+        sink = 1 << width * n
+        # 1 << (width - 1) in every slot 0..n
+        self._base = ((sink << width) - 1) // ((1 << width) - 1) << (width - 1)
+        self._steps = [(1 << width * k) - sink for k in range(n)]
 
     def _build(self, width: int):
         """The recursion for slots of the given width, with a fresh memo
@@ -366,7 +400,11 @@ def _count_differences(inst: FlowInstance, counter: FlowCounter | None = None) -
     if counter.count(inst.netflow) == 0:
         # empty polytope; the dilates are empty too
         return []
-    row = [counter.count(inst.netflow.dilate(t)) for t in range(bound + 1)]
+    return _differences([counter.count(inst.netflow.dilate(t)) for t in range(bound + 1)])
+
+
+def _differences(row: list[int]) -> list[int]:
+    """Forward differences of row at its first entry, of order 0 up."""
     diffs = []
     while row:
         diffs.append(row[0])
@@ -394,7 +432,27 @@ def normalized_volume_oracle(inst: FlowInstance, *, counter: FlowCounter | None 
     which is d! times the Ehrhart leading coefficient, d the actual degree:
     the volume normalized so a smallest lattice simplex has volume 1.  A
     point gives 1, an empty polytope 0."""
-    vol = next((d for d in reversed(_count_differences(inst, counter)) if d), 0)
+    return _top_difference(_count_differences(inst, counter))
+
+
+def normalized_volume_box(counter: FlowCounter, box) -> list[int]:
+    """normalized_volume_oracle at (h, -sum(h)) for every h in product(*box),
+    in that order, on the counter's graph; each point's dilated counts are
+    its column in count_box of the box times t, for t = 0..|E| - |V| + 1."""
+    graph = counter.graph
+    if not graph.is_connected():
+        raise ValueError("ehrhart_polynomial requires a connected graph")
+    bound = graph.edge_count - graph.vertex_count + 1
+    box = checked_box(box, graph, 0, "netflow")
+    # L(1) is counted even for a tree: 0 there means an empty polytope
+    dilates = counter._count_dilates(box, range(max(bound, 1) + 1))
+    return [_top_difference(_differences(row[:bound + 1])) if row[1] else 0 for row in zip(*dilates)]
+
+
+def _top_difference(diffs: list[int]) -> int:
+    """The highest nonzero forward difference, 0 if none; a negative one is
+    no volume and is refused."""
+    vol = next((d for d in reversed(diffs) if d), 0)
     if vol < 0:
         raise ArithmeticError(f"normalized volume came out as {vol}, expected a nonnegative integer")
     return vol

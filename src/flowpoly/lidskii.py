@@ -15,6 +15,13 @@ three formulas differ only in the weight:
   count         prod multiset_coeff(a_i - in(i), j_i)
   count_c_form  prod multiset_coeff(c_i, j_i)
 
+The sum is taken over a box at once: one range of netflow heads or c
+values per non-sink vertex, whose product lists the points (volumes,
+counts, c_form_counts).  Each vertex gets a row of weights over its range
+per part, built once, and a composition adds K_j times the outer product
+of its rows, so K_j is looked up once per box rather than once per point.
+volume, count and count_c_form are the same sum over a one-point box,
+whose weights are taken per composition without rows.
 lidskii_volume, lidskii_count and lidskii_count_c_form evaluate one
 netflow or c vector on a fresh LidskiiTerms; a caller with many on one
 graph keeps one.  The shifted counts come from the brute-force counter.
@@ -22,7 +29,10 @@ graph keeps one.  The shifted counts come from the brute-force counter.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import product, repeat
 from math import comb, factorial, prod
+from operator import add, getitem, sub
 from typing import Callable, Sequence
 
 from .kostant import FlowCounter
@@ -30,6 +40,7 @@ from .multigraph import (
     DirectedMultigraph,
     NetflowVector,
     _checked_c,
+    checked_box,
     checked_degree_stats,
     degree_stats,
     integers,
@@ -56,17 +67,6 @@ def multiset_coeff(n: int, k: int) -> int:
     for t in range(k):
         prod *= n + t
     return prod // factorial(k)
-
-
-def dominates(parts: Sequence[int], lower: Sequence[int]) -> bool:
-    """Prefix-sum dominance: every prefix of parts sums to at least the
-    corresponding prefix of lower."""
-    acc = 0
-    for p, b in zip(parts, lower):
-        acc += p - b
-        if acc < 0:
-            return False
-    return True
 
 
 def dominant_compositions(total: int, lower: Sequence[int]) -> list[tuple[int, ...]]:
@@ -119,7 +119,7 @@ class LidskiiTerms:
     dominant compositions and the flow count at each shifted netflow
     (j - out, 0), counted the first time a nonzero weight needs it and kept
     for the object's life.  Build one per graph and evaluate any number of
-    netflows or c vectors on it."""
+    netflows, c vectors or boxes of them on it."""
 
     def __init__(self, graph: DirectedMultigraph, counter: FlowCounter | None = None):
         stats = checked_degree_stats(graph)
@@ -135,48 +135,84 @@ class LidskiiTerms:
         """Flow count at netflow (j - out, 0)."""
         k = self._shifted.get(j)
         if k is None:
-            netflow = tuple(ji - oi for ji, oi in zip(j, self.out_shift)) + (0,)
+            netflow = (*map(sub, j, self.out_shift), 0)
             k = self._shifted[j] = self.counter.count(netflow)
         return k
 
-    def _sum(self, weight: Callable[[tuple[int, ...]], int]) -> int:
-        total = 0
+    def _sum(self, box: Sequence[Sequence[int]], weight: Callable[[int, int], int],
+             scale: Callable[[tuple[int, ...]], int] | None = None) -> list[int]:
+        """sum_j scale(j) * K_j * prod_i weight(v_i, j_i) at every point v of
+        product(*box), in that order, K_j being the shifted count.  Each
+        vertex gets a row of weights over its range per part, up to its
+        largest part; a composition adds K_j times the outer product of its
+        rows.  K_j is counted only when some point gives it a nonzero
+        weight."""
+        points = prod(map(len, box))
+        if not points:
+            return []
+        if points == 1:
+            # one point: its weight per composition is a product of numbers,
+            # cheaper than rows that few compositions would read
+            point = [r[0] for r in box]
+            total = 0
+            for j in self.compositions:
+                w = prod(map(weight, point, j))
+                if w and (k := self.shifted_count(j)):
+                    total += w * k * scale(j) if scale else w * k
+            return [total]
+        # a row per part up to the largest part the vertex takes
+        rows = [[tuple(map(weight, r, repeat(k))) for k in range(top + 1)]
+                for r, top in zip(box, map(max, zip(*self.compositions)))]
+        totals = [0] * points
         for j in self.compositions:
-            w = weight(j)
-            if w:
-                total += w * self.shifted_count(j)
-        return total
+            cols = list(map(getitem, rows, j))
+            # the outer product has a nonzero entry when every row has one
+            if all(map(any, cols)) and (k := self.shifted_count(j)):
+                if scale:
+                    k *= scale(j)
+                totals = list(map(add, totals, map(k.__mul__, map(prod, product(*cols)))))
+        return totals
 
-    def _nice_entries(self, netflow) -> tuple[int, ...]:
+    def _nice_point(self, netflow) -> list[tuple[int]]:
+        """The one-point box of a nice-chamber netflow's non-sink entries."""
         a = NetflowVector.coerce(netflow)
         if len(a) != self.graph.vertex_count:
             raise ValueError("netflow length does not match the graph")
         if not a.nice_chamber:
             bad = next(i for i, e in enumerate(a.entries[:-1]) if e < 0)
             raise ValueError(f"netflow entry {bad} is negative; nice chamber required")
-        return a.entries
+        return [(e,) for e in a.entries[:-1]]
 
     def volume(self, netflow) -> int:
         """Normalized volume of the flow polytope at a nice-chamber netflow."""
-        a = self._nice_entries(netflow)
-        m = self.excess
-
-        def weight(j):
-            power = prod(map(pow, a, j))
-            return power and power * multinomial(m, j)
-
-        return self._sum(weight)
+        return self.volumes(self._nice_point(netflow))[0]
 
     def count(self, netflow) -> int:
         """Number of integer flows at a nice-chamber netflow."""
-        b = tuple(ai - ii for ai, ii in zip(self._nice_entries(netflow), self.in_shift))
-        return self._sum(lambda j: prod(map(multiset_coeff, b, j)))
+        return self.counts(self._nice_point(netflow))[0]
 
     def count_c_form(self, c: Sequence[int]) -> int:
         """Flow count at netflow a_i = indeg(i) - 1 + c_i, written in terms
         of the positive vector c via rising factorials."""
-        c = _checked_c(c, self.graph)
-        return self._sum(lambda j: prod(map(multiset_coeff, c, j)))
+        return self.c_form_counts([(ci,) for ci in _checked_c(c, self.graph)])[0]
+
+    def volumes(self, box: Sequence[Sequence[int]]) -> list[int]:
+        """volume at (h, -sum(h)) for every h in product(*box), in that
+        order; box holds a range of nonnegative integers per non-sink vertex."""
+        return self._sum(checked_box(box, self.graph, 0, "netflow"), pow,
+                         partial(multinomial, self.excess))
+
+    def counts(self, box: Sequence[Sequence[int]]) -> list[int]:
+        """count at (h, -sum(h)) for every h in product(*box), in that
+        order; box holds a range of nonnegative integers per non-sink vertex."""
+        box = checked_box(box, self.graph, 0, "netflow")
+        # the count at a is the c-form count at c = a - in
+        return self._sum([[v - s for v in r] for r, s in zip(box, self.in_shift)], multiset_coeff)
+
+    def c_form_counts(self, box: Sequence[Sequence[int]]) -> list[int]:
+        """count_c_form at every c in product(*box), in that order; box
+        holds a range of positive integers per non-sink vertex."""
+        return self._sum(checked_box(box, self.graph, 1, "c"), multiset_coeff)
 
 
 def lidskii_volume(graph: DirectedMultigraph, netflow) -> int:

@@ -260,6 +260,27 @@ def _checked_c(c: Sequence[int], graph: DirectedMultigraph) -> tuple[int, ...]:
     return c
 
 
+def checked_box(box: Sequence[Sequence[int]], graph: DirectedMultigraph, low: int,
+                what: str) -> list[Sequence[int]]:
+    """The box product(*box) of netflow heads or c vectors as one range or
+    tuple of ints per non-sink vertex, every entry an integer of at least
+    low."""
+    try:
+        # a range holds ints already
+        ranges = [r if type(r) is range else tuple(map(index, r)) for r in box]
+    except TypeError:
+        for i, r in enumerate(box):
+            integers(r, f"{what} range {i}")
+        raise
+    n = graph.vertex_count - 1
+    if len(ranges) != n:
+        raise ValueError(f"{what} box must have {n} ranges, one per non-sink vertex, got {len(ranges)}")
+    for i, r in enumerate(ranges):
+        if r and min(r) < low:
+            raise ValueError(f"{what} range {i} holds {min(r)}, below {low}")
+    return ranges
+
+
 def attach_source(graph: DirectedMultigraph, c: Sequence[int]) -> DirectedMultigraph:
     """Add a source vertex 0 with c[i] parallel edges (0, i+1) prepended;
     the restriction to the original vertices equals the input graph."""

@@ -8,9 +8,13 @@ instances and collects the counterexamples.  A suite gives it a title
 and, per graph, a generator over its parameter box that compares a
 closed-form evaluator against the brute-force counter (or runs the full
 dissection reports) and yields None for a passing instance or the
-counterexample's fields.  The formula side keeps one LidskiiTerms per
-graph, so the graph checks, the dominant compositions and the shifted
-counts are done once per graph rather than once per instance.
+counterexample's fields.  On one graph the instances of the eq2, eq1 and
+thm41 suites form a box, one range of netflow heads or c values per
+non-sink vertex, and each side is evaluated over the whole box at once:
+the formula side by one LidskiiTerms (counts, volumes, c_form_counts),
+the oracle side by its FlowCounter (count_box, or normalized_volume_box
+for eq1).  The two lists are compared point by point, in the box's
+product order.
 
 No state is shared across graphs, so _run_family splits the family
 round-robin by graph index over forked worker processes, one per usable
@@ -29,11 +33,11 @@ from operator import itemgetter
 from typing import Callable, Iterator
 
 from .geometry import _GraphShare, verify_dissection, verify_in_vector_bijection
-from .kostant import FlowInstance, normalized_volume_oracle
+from .kostant import normalized_volume_box
 from .lidskii import LidskiiTerms
 # the evaluators stay importable from this module
 from .lidskii import lidskii_count, lidskii_count_c_form, lidskii_volume  # noqa: F401
-from .multigraph import DirectedMultigraph, NetflowVector, degree_stats
+from .multigraph import DirectedMultigraph
 from .reduction import DEFAULT_NODE_CAP, iter_reduction_leaves, leaf_census
 
 
@@ -84,9 +88,10 @@ def _graph_payload(graph: DirectedMultigraph) -> dict:
     return {"vertices": graph.vertex_count, "edges": [list(e) for e in graph.edges]}
 
 
-def _box(graph: DirectedMultigraph, low: int, high: int):
-    """Every vector of graph.vertex_count - 1 entries in low..high."""
-    return product(range(low, high + 1), repeat=graph.vertex_count - 1)
+def _box(graph: DirectedMultigraph, low: int, high: int) -> list[range]:
+    """The range low..high at every non-sink vertex: the box whose product
+    is every vector of those entries."""
+    return [range(low, high + 1)] * (graph.vertex_count - 1)
 
 
 Instances = Callable[[DirectedMultigraph], Iterator[dict | None]]
@@ -208,12 +213,10 @@ def run_eq2_suite(max_vertices: int = 5, max_edges: int = 8, max_netflow: int = 
 
     def instances(graph):
         terms = LidskiiTerms(graph)
-        for head in _box(graph, 0, max_netflow):
-            a = NetflowVector.completing(head)
-            formula = terms.count(a)
-            direct = terms.counter.count(a)
+        box = _box(graph, 0, max_netflow)
+        for head, formula, direct in zip(product(*box), terms.counts(box), terms.counter.count_box(box)):
             yield None if formula == direct else {
-                "netflow": list(a.entries), "formula": formula, "count": direct}
+                "netflow": [*head, -sum(head)], "formula": formula, "count": direct}
 
     return _run_family("eq2 (lattice-point formula)", max_vertices, max_edges, instances)
 
@@ -224,12 +227,11 @@ def run_eq1_suite(max_vertices: int = 5, max_edges: int = 8, max_netflow: int = 
 
     def instances(graph):
         terms = LidskiiTerms(graph)
-        for head in _box(graph, 1, max_netflow):
-            a = NetflowVector.completing(head)
-            formula = terms.volume(a)
-            oracle = normalized_volume_oracle(FlowInstance(graph, a), counter=terms.counter)
+        box = _box(graph, 1, max_netflow)
+        oracles = normalized_volume_box(terms.counter, box)
+        for head, formula, oracle in zip(product(*box), terms.volumes(box), oracles):
             yield None if formula == oracle else {
-                "netflow": list(a.entries), "formula": formula, "volume": oracle}
+                "netflow": [*head, -sum(head)], "formula": formula, "volume": oracle}
 
     return _run_family("eq1 (volume formula)", max_vertices, max_edges, instances)
 
@@ -240,12 +242,11 @@ def run_thm41_suite(max_vertices: int = 5, max_edges: int = 8, max_c: int = 3) -
 
     def instances(graph):
         terms = LidskiiTerms(graph)
+        box = _box(graph, 1, max_c)
         # the oracle's netflows indeg-1+c, from the graph's own degree counts
-        in_shift = degree_stats(graph).in_shift
-        for c in _box(graph, 1, max_c):
-            formula = terms.count_c_form(c)
-            netflow = NetflowVector.completing([i + ci for i, ci in zip(in_shift, c)])
-            direct = terms.counter.count(netflow)
+        shifted = [range(i + 1, i + max_c + 1) for i in terms.in_shift]
+        for c, formula, direct in zip(product(*box), terms.c_form_counts(box),
+                                      terms.counter.count_box(shifted)):
             yield None if formula == direct else {
                 "c": list(c), "formula": formula, "count": direct}
 
@@ -282,8 +283,8 @@ def run_dissection_suite(
         # the plain tree's leaves and a counter for the reports' check (d),
         # never terms.counter, which gives the expected cell count
         share = _GraphShare.of(graph, node_cap)
-        for c in _box(graph, 1, max_c):
-            expected_cells = terms.count_c_form(c)
+        box = _box(graph, 1, max_c)
+        for c, expected_cells in zip(product(*box), terms.c_form_counts(box)):
             report = verify_dissection(graph, c, node_cap=node_cap, _share=share)
             cell_count = next(
                 ch.details["cells"] for ch in report.checks if ch.name == "cell_count_equals_flow_count"
@@ -300,7 +301,7 @@ def run_in_vector_suite(max_vertices: int = 5, max_edges: int = 6, max_c: int = 
     source-augmented form, over c with entries 1..max_c."""
 
     def instances(graph):
-        for c in _box(graph, 1, max_c):
+        for c in product(*_box(graph, 1, max_c)):
             report = verify_in_vector_bijection(graph, c)
             yield None if report.passed else {"c": list(c), "report": report.to_json()}
 

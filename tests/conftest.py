@@ -5,8 +5,8 @@ import pytest
 import flowpoly.verify
 from flowpoly.lidskii import LidskiiTerms
 
-# the LidskiiTerms method that gives the formula side of each Lidskii suite
-FORMULA_SIDES = {"eq2": "count", "eq1": "volume", "thm41": "count_c_form"}
+# the LidskiiTerms box method that gives the formula side of each Lidskii suite
+FORMULA_SIDES = {"eq2": "counts", "eq1": "volumes", "thm41": "c_form_counts"}
 
 
 @pytest.fixture()
@@ -28,12 +28,12 @@ def workers(monkeypatch):
 @pytest.fixture()
 def spoil_formula(monkeypatch):
     """A setter: spoil_formula(suite) makes the formula side of the eq2,
-    eq1 or thm41 suite one too large for the rest of the test.  Forked
-    verify workers inherit the patch."""
+    eq1 or thm41 suite one too large at every point of every box for the
+    rest of the test.  Forked verify workers inherit the patch."""
 
     def spoil(suite):
         name = FORMULA_SIDES[suite]
         real = getattr(LidskiiTerms, name)
-        monkeypatch.setattr(LidskiiTerms, name, lambda self, arg: real(self, arg) + 1)
+        monkeypatch.setattr(LidskiiTerms, name, lambda self, box: [v + 1 for v in real(self, box)])
 
     return spoil

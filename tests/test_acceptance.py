@@ -32,12 +32,29 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion} failed: {detail}"
 
 
+# Instance counts of the family boxes, so that a suite which skips
+# instances cannot pass: one per family graph and point of its box.
+EQ2_INSTANCES = 1_316_352
+EQ1_INSTANCES = THM41_INSTANCES = 418_887
+EQ2_SIX_VERTEX_INSTANCES = 280_848
+
+
 def test_criterion_1_count_formula_identity():
     t0 = time.time()
     result = run_eq2_suite(max_vertices=5, max_edges=8, max_netflow=3)
     _report(
         "criterion 1 (count formula = brute force, netflows 0..3)",
-        result.passed,
+        result.passed and result.instances == EQ2_INSTANCES,
+        f"{result.instances} instances, {len(result.failures)} failures, {time.time() - t0:.0f}s",
+    )
+
+
+def test_criterion_1_six_vertex_slice():
+    t0 = time.time()
+    result = run_eq2_suite(max_vertices=6, max_edges=7, max_netflow=1)
+    _report(
+        "criterion 1 (count formula = brute force, up to 6 vertices and 7 edges, netflows 0..1)",
+        result.passed and result.instances == EQ2_SIX_VERTEX_INSTANCES,
         f"{result.instances} instances, {len(result.failures)} failures, {time.time() - t0:.0f}s",
     )
 
@@ -47,7 +64,7 @@ def test_criterion_2_volume_formula_identity():
     result = run_eq1_suite(max_vertices=5, max_edges=8, max_netflow=3)
     _report(
         "criterion 2 (volume formula = Ehrhart leading term, netflows 1..3)",
-        result.passed,
+        result.passed and result.instances == EQ1_INSTANCES,
         f"{result.instances} instances, {len(result.failures)} failures, {time.time() - t0:.0f}s",
     )
 
@@ -63,7 +80,7 @@ def test_criterion_3_c_form_identity():
     result = run_thm41_suite(max_vertices=5, max_edges=8, max_c=3)
     _report(
         "criterion 3 (c-form count formula, c entries 1..3)",
-        result.passed and pinned,
+        result.passed and pinned and result.instances == THM41_INSTANCES,
         f"{result.instances} instances, pinned K4 values {'ok' if pinned else 'WRONG'}, "
         f"{time.time() - t0:.0f}s",
     )

@@ -403,6 +403,15 @@ class TestVerify:
         assert code == 0
         assert "0 instances" in out
 
+    def test_empty_netflow_box_warns(self, capsys):
+        # eq1's heads run from 1, so max-netflow 0 leaves every graph's box empty
+        code, out, _ = run(
+            capsys, ["verify", "--suite", "eq1", "--max-vertices", "4", "--max-edges", "5",
+                     "--max-netflow", "0"]
+        )
+        assert (code, out) == (0, "PASS eq1 (volume formula): 0 instances\n"
+                                  "warning: 0 instances in the selected family bounds\n")
+
     def test_top_vertex_count_beyond_the_edges_finishes(self, capsys):
         # a family graph on nv vertices has at least nv - 1 edges, so 7/5
         # lists the graphs of 6/5; listing once filtered all 3^21

@@ -16,6 +16,7 @@ from flowpoly.kostant import (
     ehrhart_polynomial,
     enumerate_flows,
     iter_flows,
+    normalized_volume_box,
     normalized_volume_oracle,
     reciprocity_volume,
 )
@@ -25,6 +26,7 @@ from flowpoly.multigraph import (
     attach_source,
     build_gm,
     complete_graph,
+    degree_stats,
     path_graph,
 )
 from flowpoly.verify import iter_family
@@ -121,6 +123,54 @@ class TestCountFlows:
         )
         a = NetflowVector.completing(head)
         assert count_flows(FlowInstance(g, a)) == naive_count(FlowInstance(g, a))
+
+
+class TestCountBox:
+    """count_box against count, point by point, on the boxes the verify
+    suites hand it."""
+
+    @staticmethod
+    def boxes(graph):
+        n = graph.vertex_count - 1
+        in_shift = [d - 1 for d in degree_stats(graph).indeg[:-1]]
+        yield [range(3)] * n  # eq2: heads 0..2
+        # thm41: indeg - 1 + c for c in 1..2; the first vertex has no
+        # in-edge, so its range is 0..1
+        yield [range(i + 1, i + 3) for i in in_shift]
+        for t in (2, 3):  # the volume oracle's dilates: 1..2 times t, step t
+            yield [range(t, 2 * t + 1, t)] * n
+        yield [range(1, 3)] + [(2,)] * (n - 1)  # one wide range, the rest single
+
+    def test_equals_count_on_family(self):
+        points = 0
+        for g in iter_family(4, 6):
+            counter = FlowCounter(g)
+            for box in self.boxes(g):
+                single = FlowCounter(g)
+                expected = [single.count(NetflowVector.completing(h)) for h in product(*box)]
+                assert counter.count_box(box) == expected, (g.edges, box)
+                points += len(expected)
+        assert points == 9802
+
+    def test_thm41_box_starts_at_zero(self):
+        # indeg - 1 = -1 at the first vertex
+        k4 = complete_graph(4)
+        box = [range(0, 2), range(1, 3), range(2, 4)]
+        assert FlowCounter(k4).count_box(box) == [
+            count_flows(FlowInstance(k4, NetflowVector.completing(h))) for h in product(*box)]
+
+    def test_empty_range_gives_no_counts(self):
+        assert FlowCounter(complete_graph(4)).count_box([range(2), range(0), range(2)]) == []
+
+    @pytest.mark.parametrize("box, message", [
+        ([range(2)] * 2, "3 ranges, one per non-sink vertex, got 2"),
+        ([range(2)] * 4, "3 ranges, one per non-sink vertex, got 4"),
+        ([range(2), range(-1, 2), range(2)], "range 1 holds -1, below 0"),
+        ([range(2), range(2), (0, 1.5)], r"range 2 entry 1 = 1\.5 is not an integer"),
+    ])
+    def test_bad_boxes_refused(self, box, message):
+        with pytest.raises(ValueError, match=message):
+            FlowCounter(complete_graph(4)).count_box(box)
 
 
 class TestBuildGmLadder:
@@ -361,6 +411,44 @@ class TestNormalizedVolume:
         g1 = DirectedMultigraph(4, ((1, 2), (1, 4), (1, 4), (2, 4), (2, 4), (3, 4)))
         g2 = DirectedMultigraph(4, ((1, 4), (1, 4), (1, 2), (2, 4), (2, 4), (3, 4)))
         assert normalized_volume_oracle(inst(g1, a)) == normalized_volume_oracle(inst(g2, a))
+
+
+class TestNormalizedVolumeBox:
+    """normalized_volume_box against normalized_volume_oracle at every
+    point of a box."""
+
+    def test_equals_oracle_on_family(self):
+        graphs = list(iter_family(4, 6))
+        trees = [g for g in graphs if g.edge_count == g.vertex_count - 1]
+        assert trees and any(g.vertex_count == 3 for g in graphs)
+        points = 0
+        for g in graphs:
+            # heads from 0: zero entries give smaller polytopes
+            for box in ([range(1, 3)] * (g.vertex_count - 1), [range(3)] * (g.vertex_count - 1)):
+                expected = [normalized_volume_oracle(FlowInstance(g, NetflowVector.completing(h)))
+                            for h in product(*box)]
+                assert normalized_volume_box(FlowCounter(g), box) == expected, (g.edges, box)
+                points += len(expected)
+        assert points == 6438
+
+    def test_trees_have_volume_one(self):
+        tree = DirectedMultigraph(4, ((1, 2), (2, 3), (3, 4)))
+        assert normalized_volume_box(FlowCounter(tree), [range(1, 3)] * 3) == [1] * 8
+
+    def test_empty_polytope_volume_zero(self):
+        # vertex 2 has no out-edge, so a positive head there has no flow
+        g = DirectedMultigraph(3, ((1, 2), (1, 3)))
+        assert normalized_volume_box(FlowCounter(g), [range(2), range(2)]) == [1, 0, 1, 0]
+
+    def test_negative_top_difference_raises(self, monkeypatch):
+        monkeypatch.setattr(kostant, "_differences", lambda row: [1, -2, 0])
+        with pytest.raises(ArithmeticError, match="nonnegative"):
+            normalized_volume_box(FlowCounter(complete_graph(4)), [(1,), (0,), (0,)])
+
+    def test_disconnected_refused(self):
+        g = DirectedMultigraph(4, ((1, 2), (3, 4)))
+        with pytest.raises(ValueError, match="connected"):
+            normalized_volume_box(FlowCounter(g), [(1,), (0,), (1,)])
 
 
 def unit_instance(graph):

@@ -10,7 +10,6 @@ from flowpoly.kostant import FlowCounter, FlowInstance, count_flows
 from flowpoly.lidskii import (
     LidskiiTerms,
     dominant_compositions,
-    dominates,
     in_plus_c_netflow,
     lidskii_count,
     lidskii_count_c_form,
@@ -20,6 +19,17 @@ from flowpoly.lidskii import (
 )
 from flowpoly.multigraph import DirectedMultigraph, NetflowVector, complete_graph, path_graph
 from flowpoly.verify import iter_family
+
+
+def dominates(parts, lower):
+    """Prefix-sum dominance: every prefix of parts sums to at least the
+    corresponding prefix of lower."""
+    acc = 0
+    for p, b in zip(parts, lower):
+        acc += p - b
+        if acc < 0:
+            return False
+    return True
 
 
 class TestMultisetCoeff:
@@ -273,6 +283,59 @@ class TestLidskiiTerms:
             terms.count_c_form((1, 1))
         with pytest.raises(ValueError, match="positive"):
             terms.count_c_form((1, 0, 1))
+
+
+class TestLidskiiBoxes:
+    """The box methods against the one-point methods at every point."""
+
+    @staticmethod
+    def boxes(n, low):
+        yield [range(low, low + 3)] * n
+        yield [range(low, low + 2)] + [(low + 1,)] * (n - 1)  # one wide range, the rest single
+        yield [(low + 2,)] * n  # one point
+
+    def test_equal_the_one_point_methods_on_family(self):
+        points = 0
+        for g in iter_family(4, 6):
+            n = g.vertex_count - 1
+            terms = LidskiiTerms(g)
+            for box in self.boxes(n, 0):
+                heads = [NetflowVector.completing(h) for h in product(*box)]
+                single = LidskiiTerms(g)
+                assert terms.counts(box) == [single.count(a) for a in heads], (g.edges, box)
+                assert terms.volumes(box) == [single.volume(a) for a in heads], (g.edges, box)
+                points += len(heads)
+            for box in self.boxes(n, 1):
+                single = LidskiiTerms(g)
+                c_values = [single.count_c_form(c) for c in product(*box)]
+                assert terms.c_form_counts(box) == c_values, (g.edges, box)
+        assert points == 5532
+
+    def test_empty_range_gives_no_values(self):
+        terms = LidskiiTerms(complete_graph(4))
+        assert terms.counts([range(2), range(0), range(2)]) == []
+        assert terms.volumes([range(1, 1)] * 3) == []
+        assert terms.c_form_counts([range(1, 3), range(1, 3), ()]) == []
+
+    def test_zero_weights_are_never_counted(self):
+        # over heads (h, 0, ..., 0) only the composition (|E|-n, 0, ..., 0)
+        # has a nonzero volume weight at any point
+        g = complete_graph(6)
+        spy = _SpyCounter(g)
+        volumes = LidskiiTerms(g, spy).volumes([range(1, 4)] + [(0,)] * 4)
+        assert volumes == [prod(catalan(i) for i in range(1, 4)) * h ** 10 for h in range(1, 4)]
+        assert len(spy.asked) == 1
+
+    @pytest.mark.parametrize("method, box, message", [
+        ("counts", [range(2)] * 2, "3 ranges, one per non-sink vertex, got 2"),
+        ("volumes", [range(2), range(-1, 1), range(2)], "range 1 holds -1, below 0"),
+        ("counts", [range(2), range(2), (1.5,)], r"range 2 entry 0 = 1\.5 is not an integer"),
+        ("c_form_counts", [range(1, 3), range(0, 2), range(1, 3)], "range 1 holds 0, below 1"),
+        ("c_form_counts", [range(1, 3)] * 4, "3 ranges, one per non-sink vertex, got 4"),
+    ])
+    def test_bad_boxes_refused(self, method, box, message):
+        with pytest.raises(ValueError, match=message):
+            getattr(LidskiiTerms(complete_graph(4)), method)(box)
 
 
 @settings(deadline=None, max_examples=30)

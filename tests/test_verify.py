@@ -83,15 +83,15 @@ def test_serial_and_parallel_results_equal(workers, spoil_formula, name, bounds,
     assert len(serial.failures) == (serial.instances if corrupt else 0)
 
 
-# `flowpoly verify` with the LidskiiTerms method named by argv[1] made one
-# too large, as the spoil_formula fixture does it
+# `flowpoly verify` with the LidskiiTerms box method named by argv[1] made
+# one too large at every point, as the spoil_formula fixture does it
 SPOILED_VERIFY = """
 import sys
 import flowpoly.cli
 from flowpoly.lidskii import LidskiiTerms
 
 real = getattr(LidskiiTerms, sys.argv[1])
-setattr(LidskiiTerms, sys.argv[1], lambda self, arg: real(self, arg) + 1)
+setattr(LidskiiTerms, sys.argv[1], lambda self, box: [v + 1 for v in real(self, box)])
 sys.exit(flowpoly.cli.main(["verify", *sys.argv[2:]]))
 """
 
@@ -110,7 +110,7 @@ def cli_stdout(workers, *args, spoiled=None):
 
 @pytest.mark.parametrize("args, spoiled", [
     (["--suite", "all", "--max-vertices", "4", "--max-edges", "5", "--max-netflow", "1"], None),
-    (["--suite", "eq2", "--max-vertices", "4", "--max-edges", "4", "--max-netflow", "1"], "count"),
+    (["--suite", "eq2", "--max-vertices", "4", "--max-edges", "4", "--max-netflow", "1"], "counts"),
 ], ids=["all", "corrupt"])
 def test_cli_output_is_byte_identical(args, spoiled):
     serial = cli_stdout(1, *args, spoiled=spoiled)
