@@ -62,7 +62,8 @@ class FlowCounter:
     vertex still has to send; slot k holds the residual netflow of the k-th
     vertex after it, the sink included.  The memo table is keyed on that
     state and persists across calls, so evaluating many netflow vectors on
-    the same graph shares work.
+    the same graph shares work, and a repeated netflow is answered from the
+    memo at its root state.
 
     Closed-form tail: the last non-sink vertex can only send its residual b
     down its m parallel sink edges, so it counts comb(b + m - 1, m - 1) for
@@ -109,14 +110,10 @@ class FlowCounter:
                 gs[g] + gs[g + 1] + (g + 3 == len(gs),) for g in range(len(gs) - 1)
             ))
         self._room = -1  # the largest residual the slots hold; none yet
-        self._results: dict[tuple[int, ...], int] = {}
 
     def count(self, netflow) -> int:
-        # ints before the memo: (1.0, 0, -1.0) would hit the entry of (1, 0, -1)
+        # ints before the packing: an entry of 1.0 would pack into a float state
         key = netflow.entries if isinstance(netflow, NetflowVector) else integers(netflow, "netflow")
-        hit = self._results.get(key)
-        if hit is not None:
-            return hit
         if not key or sum(key):
             NetflowVector(key)  # raises: a netflow is nonempty and sums to zero
         if len(key) != self.graph.vertex_count:
@@ -124,16 +121,13 @@ class FlowCounter:
         prefix = list(accumulate(key))
         if min(prefix) < 0:
             # a cut would carry negative flow
-            value = 0
-        else:
-            # a residual never exceeds the largest prefix sum, nor falls
-            # below the smallest entry
-            bound = max(max(prefix), -min(key))
-            if bound > self._room:
-                self._widen(bound)
-            value = self._recursion(0, 0, self._base + sum(map(mul, key, self._steps)))
-        self._results[key] = value
-        return value
+            return 0
+        # a residual never exceeds the largest prefix sum, nor falls below
+        # the smallest entry
+        bound = max(max(prefix), -min(key))
+        if bound > self._room:
+            self._widen(bound)
+        return self._recursion(0, 0, self._base + sum(map(mul, key, self._steps)))
 
     def count_box(self, box) -> list[int]:
         """The counts at (h, -sum(h)) for every h in product(*box), in that
@@ -387,7 +381,7 @@ class EhrhartPolynomial:
         return [str(c) for c in self.coefficients]
 
 
-def _count_differences(inst: FlowInstance, counter: FlowCounter | None = None) -> list[int]:
+def _count_differences(inst: FlowInstance) -> list[int]:
     """Forward differences of the dilated flow counts L(t) at 0, of order
     k = 0..|E| - |V| + 1, so that L(t) = sum_k diffs[k] * C(t, k).  Empty
     for an empty polytope."""
@@ -395,8 +389,7 @@ def _count_differences(inst: FlowInstance, counter: FlowCounter | None = None) -
     if not graph.is_connected():
         raise ValueError("ehrhart_polynomial requires a connected graph")
     bound = graph.edge_count - graph.vertex_count + 1
-    if counter is None:
-        counter = FlowCounter(graph)
+    counter = FlowCounter(graph)
     if counter.count(inst.netflow) == 0:
         # empty polytope; the dilates are empty too
         return []
@@ -427,12 +420,12 @@ def ehrhart_polynomial(inst: FlowInstance) -> EhrhartPolynomial:
     return EhrhartPolynomial(tuple(coeffs))
 
 
-def normalized_volume_oracle(inst: FlowInstance, *, counter: FlowCounter | None = None) -> int:
+def normalized_volume_oracle(inst: FlowInstance) -> int:
     """The highest nonzero forward difference of the dilated flow counts,
     which is d! times the Ehrhart leading coefficient, d the actual degree:
     the volume normalized so a smallest lattice simplex has volume 1.  A
     point gives 1, an empty polytope 0."""
-    return _top_difference(_count_differences(inst, counter))
+    return _top_difference(_count_differences(inst))
 
 
 def normalized_volume_box(counter: FlowCounter, box) -> list[int]:

@@ -536,40 +536,6 @@ def zero_vertex_dissection_children(node: ProvenancedGraph, vertex: int) -> list
     ]
 
 
-class _LeafShape(NamedTuple):
-    """Dissection of the leaf shape (c, j) in the shape graph's edges, of
-    which the first sources = sum(c) are the source edges: per vertex i,
-    the count of its staircases, comb(c_i + j_i - 1, j_i), of which a cell
-    takes one per vertex; nodes counts what the reductions would make.  The
-    staircases themselves come from _staircases(c, j)."""
-
-    c: tuple[int, ...]
-    j: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    counts: tuple[int, ...]
-    nodes: int
-    sources: int
-
-
-@lru_cache(maxsize=4096)
-def _shape_dissection(c: tuple[int, ...], j: tuple[int, ...], node_cap: int) -> _LeafShape:
-    """What the zero-entry reductions at the vertices 1..n, in increasing
-    order, make of the shape graph of the leaves with composition j: c_i
-    edges (0, i) and j_i + 1 edges (i, sink), in canonical order.  The one
-    at i keeps the comb(c_i + j_i - 1, j_i) staircases on (c_i, j_i + 1); a
-    cell is one per vertex, and the reductions' depth-first walk makes
-    sum(accumulate(counts, mul)) nodes, which are charged to the cap before
-    anything is built."""
-    counts = tuple(comb(ci + ji - 1, ji) for ci, ji in zip(c, j))
-    nodes = sum(accumulate(counts, mul))
-    _Budget(node_cap).spend(nodes)
-    sink = len(c) + 1
-    edges = tuple((0, i) for i, ci in enumerate(c, 1) for _ in range(ci)) + tuple(
-        (i, sink) for i, ji in enumerate(j, 1) for _ in range(ji + 1)
-    )
-    return _LeafShape(c, j, edges, counts, nodes, sum(c))
-
-
 @lru_cache(maxsize=4096)
 def _staircases(
     c: tuple[int, ...], j: tuple[int, ...]
@@ -590,55 +556,62 @@ def _staircases(
 
 
 class _PlainTree(NamedTuple):
-    """The leaves of a graph's canonical reduction tree and the nodes its
-    walk made.  The source tree at any c is the same tree node for node
-    (see canonical_reduction_tree), so one plain tree serves every c."""
+    """The leaves of a graph's canonical reduction tree, each with its
+    composition j, and the nodes its walk made.  The source tree at any c
+    is the same tree node for node (see canonical_reduction_tree), so one
+    plain tree serves every c."""
 
-    leaves: tuple[ProvenancedGraph, ...]
+    leaves: tuple[tuple[ProvenancedGraph, tuple[int, ...]], ...]
     nodes: int
 
 
 def _plain_tree(graph: DirectedMultigraph, node_cap: int) -> _PlainTree:
+    """The plain tree of the graph, each leaf's composition j read once.  A
+    leaf's edges must be its j_i + 1 edges (i, sink) per vertex i in
+    canonical order, or LeafShapeError is raised."""
     budget = _Budget(node_cap)
-    leaves = tuple(iter_reduction_leaves(graph, None, _budget=budget))
-    return _PlainTree(leaves, budget.used)
+    leaves = []
+    for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, None, _budget=budget)):
+        j = _leaf_composition(leaf.graph)  # every edge points at the sink
+        if list(leaf.graph.edges) != sorted(leaf.graph.edges):
+            raise LeafShapeError(f"leaf {leaf_index} edges are not in canonical order, j={j}")
+        leaves.append((leaf, j))
+    return _PlainTree(tuple(leaves), budget.used)
 
 
 def _dissected_leaves(
     graph: DirectedMultigraph, c: Sequence[int], node_cap: int, plain: _PlainTree | None = None
-) -> Iterator[tuple[int, ProvenancedGraph, tuple[int, ...], _LeafShape]]:
-    """Leaves of the plain canonical tree with their index, composition
-    and shape dissection at c; plain, when given, is that tree, walked once
-    for all c.  The source tree's leaf at c is the plain leaf lifted: its
-    c_i source edges (0, i) with singleton provenance come first, and the
-    plain leaf's provenance moves up by sum(c).  The walk's nodes and then
-    every leaf's share of the shape nodes draw on one budget, so the cap
-    stops the same inputs as a walk of the source tree would."""
+) -> Iterator[tuple[int, ProvenancedGraph, tuple[int, ...], tuple[int, ...]]]:
+    """(index, leaf, j, counts) per leaf of the plain canonical tree; plain,
+    when given, is that tree, walked once for all c.  The source tree's
+    leaf at c is the plain leaf lifted to the leaf shape (c, j): its c_i
+    source edges (0, i) with singleton provenance come first, and the plain
+    leaf's provenance moves up by sum(c).  The zero-entry reduction at i
+    keeps counts_i = comb(c_i + j_i - 1, j_i) staircases, of which a cell
+    takes one per vertex.  The walk's nodes and then, per leaf, the
+    sum(accumulate(counts, mul)) nodes those reductions make draw on one
+    budget, so the cap stops the same inputs as a walk of the source tree
+    would."""
     if plain is None:
         plain = _plain_tree(graph, node_cap)
     c = _checked_c(c, graph)
     budget = _Budget(node_cap)
     budget.spend(plain.nodes)
-    for leaf_index, leaf in enumerate(plain.leaves):
-        composition = _leaf_composition(leaf.graph)
-        shape = _shape_dissection(c, composition, node_cap)
-        if leaf.graph.edges != shape.edges[shape.sources:]:
-            raise LeafShapeError(
-                f"leaf {leaf_index} edges differ from those of its shape c={c}, j={composition}"
-            )
-        budget.spend(shape.nodes)
-        yield leaf_index, leaf, composition, shape
+    for leaf_index, (leaf, j) in enumerate(plain.leaves):
+        counts = tuple(comb(ci + ji - 1, ji) for ci, ji in zip(c, j))
+        budget.spend(sum(accumulate(counts, mul)))
+        yield leaf_index, leaf, j, counts
 
 
 def _push_forward(
-    leaf: ProvenancedGraph, shape: _LeafShape
+    leaf: ProvenancedGraph, c: tuple[int, ...], j: tuple[int, ...]
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """The vertices of the shape's cells in the root coordinates of the
-    plain leaf lifted to the shape's c: the staircases' path flows, one
-    staircase per vertex.  A path takes one source edge s, which is root
-    edge s, and one sink edge t, which is the plain leaf's edge t - sum(c)
-    with its root edges moved up by sum(c)."""
-    shift = shape.sources
+    """The vertices of the cells of the leaf shape (c, j) in the root
+    coordinates of the plain leaf lifted to c: the staircases' path flows,
+    one staircase per vertex.  A path takes one source edge s, which is
+    root edge s, and one sink edge t, which is the plain leaf's edge
+    t - sum(c) with its root edges moved up by sum(c)."""
+    shift = sum(c)
     sources = leaf.provenance
     size = shift + leaf.root.edge_count
     vectors: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -653,8 +626,7 @@ def _push_forward(
             vectors[pair] = tuple(vec)
         return vectors[pair]
 
-    staircases = _staircases(shape.c, shape.j)
-    blocks = [[tuple(map(vector, tree)) for tree in trees] for trees in staircases]
+    blocks = [[tuple(map(vector, tree)) for tree in trees] for trees in _staircases(c, j)]
     for parts in product(*blocks):
         yield tuple(chain.from_iterable(parts))
 
@@ -668,8 +640,9 @@ def iter_dissection_cells(
 ) -> Iterator[SimplexCell]:
     """The cells of unimodular_dissection, streamed leaf by leaf without
     storing them."""
-    for leaf_index, leaf, composition, shape in _dissected_leaves(graph, c, node_cap, _plain):
-        for vertices in _push_forward(leaf, shape):
+    c = tuple(c)
+    for leaf_index, leaf, composition, _ in _dissected_leaves(graph, c, node_cap, _plain):
+        for vertices in _push_forward(leaf, c, composition):
             yield SimplexCell(vertices=vertices, leaf_index=leaf_index, leaf_composition=composition)
 
 
@@ -700,8 +673,8 @@ def dissection_cell_counts(
     unimodular_dissection, under the same node budget, without building
     the cells: prod_i binom(c_i + j_i - 1, j_i) at composition j."""
     return [
-        (leaf_index, composition, prod(shape.counts))
-        for leaf_index, _, composition, shape in _dissected_leaves(graph, c, node_cap)
+        (leaf_index, composition, prod(counts))
+        for leaf_index, _, composition, counts in _dissected_leaves(graph, c, node_cap)
     ]
 
 

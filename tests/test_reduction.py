@@ -1,6 +1,7 @@
 """Noncrossing trees, reductions, reduction trees, censuses, dissection."""
 
 import hashlib
+import tracemalloc
 from functools import partial
 from itertools import chain, product
 from math import comb, prod
@@ -273,14 +274,13 @@ class TestChildrenFromCheckedParts:
         g, c = complete_graph(4), (3, 2, 2)
         terminals = 0
         for composition in leaf_census(iter_reduction_leaves(g, c)):
-            shape = reduction._shape_dissection(c, composition, reduction.DEFAULT_NODE_CAP)
-            levels = zero_entry_levels(shape_root(shape), len(c))
+            levels = zero_entry_levels(shape_root(c, composition), len(c))
             for level in levels:
                 for node in level:
                     assert_fully_valid(node)
             # each cell, as flows on the shape edges, is its terminal's path
             # indicator flows pushed through the terminal's coordinate map
-            assert shape_cells(shape) == terminal_cells(levels[-1])
+            assert shape_cells(c, composition) == terminal_cells(levels[-1])
             terminals += len(levels[-1])
         assert terminals == 22
 
@@ -327,8 +327,7 @@ class TestSharedExpansion:
         n = len(c)
         expanded = 0
         for composition in leaf_census(iter_reduction_leaves(g, c)):
-            shape = reduction._shape_dissection(c, composition, reduction.DEFAULT_NODE_CAP)
-            levels = zero_entry_levels(shape_root(shape), n)
+            levels = zero_entry_levels(shape_root(c, composition), n)
             for vertex, level in enumerate(levels[:n], 1):
                 for node in level:
                     inc = by_length(node.graph, node.graph.in_edges_at(vertex))
@@ -740,19 +739,42 @@ def terminal_cells(terminals):
     return [tuple(phi_map(t).apply(v) for v in path_flow_vertices(t)) for t in terminals]
 
 
-def shape_root(shape):
-    """The shape graph of a cached leaf shape as a root of its own."""
-    n = len(shape.counts)
-    return ProvenancedGraph.as_root(DirectedMultigraph(n + 2, shape.edges, 0))
+def shape_plain(j):
+    """The plain leaf of composition j: j_i + 1 edges (i, sink) per vertex
+    i, in canonical order."""
+    sink = len(j) + 1
+    return DirectedMultigraph(sink, tuple((i, sink) for i, ji in enumerate(j, 1) for _ in range(ji + 1)))
 
 
-def shape_cells(shape):
-    """The cached shape's cells as flows on the shape edges: pushed through
-    the shape graph without its source edges, as a root of its own, which
-    lifts back to the shape graph."""
-    n = len(shape.counts)
-    plain = DirectedMultigraph(n + 1, shape.edges[shape.sources:])
-    return list(reduction._push_forward(ProvenancedGraph.as_root(plain), shape))
+def shape_graph(c, j):
+    """The shape graph of the leaf shape (c, j): c_i edges (0, i), then the
+    edges of shape_plain(j)."""
+    sources = tuple((0, i) for i, ci in enumerate(c, 1) for _ in range(ci))
+    return DirectedMultigraph(len(c) + 2, sources + shape_plain(j).edges, 0)
+
+
+def shape_root(c, j):
+    """The shape graph of the leaf shape (c, j) as a root of its own."""
+    return ProvenancedGraph.as_root(shape_graph(c, j))
+
+
+def shape_cells(c, j):
+    """The cells of the leaf shape (c, j) as flows on the shape edges:
+    pushed through the plain leaf, as a root of its own, which lifts back to
+    the shape graph."""
+    return list(reduction._push_forward(ProvenancedGraph.as_root(shape_plain(j)), c, j))
+
+
+def assert_node_charge(c, j, levels):
+    """At the plain leaf of j, as a graph of its own, the dissection at c
+    charges the walk's nodes plus the nodes the zero-entry reductions make
+    (levels, as zero_entry_levels gives them): a cap of that many passes,
+    one less raises."""
+    graph = shape_plain(j)
+    cap = canonical_reduction_tree(graph).node_count + sum(map(len, levels[1:]))
+    assert dissection_cell_counts(graph, c, node_cap=cap) == [(0, tuple(j), len(levels[-1]))]
+    with pytest.raises(NodeCapExceeded):
+        dissection_cell_counts(graph, c, node_cap=cap - 1)
 
 
 def reference_dissection(graph, c):
@@ -819,27 +841,31 @@ class TestShapeCache:
         assert sum(cells for _, _, cells in counts) == 2001
 
     def test_cached_shape_shares_repeated_values(self):
-        # The caches outlive every call.  They hold each vertex's staircases
-        # once, and a cell is one staircase per vertex, so what a run leaves
-        # in them grows with the sum of the staircase counts, not the product.
+        # The staircase cache outlives every call.  It holds each vertex's
+        # staircases once, and a cell is one staircase per vertex, so what a
+        # run leaves in it grows with the sum of the staircase counts, not
+        # the product.
         c, j = (2,) * 5, (0, 1, 1, 1, 2)
-        shape = reduction._shape_dissection(c, j, reduction.DEFAULT_NODE_CAP)
+        ((_, _, _, shape_counts),) = reduction._dissected_leaves(
+            shape_plain(j), c, reduction.DEFAULT_NODE_CAP
+        )
         counts = [len(trees) for trees in reduction._staircases(c, j)]
-        assert counts == list(shape.counts) == [multiset_coeff(2, k) for k in j] == [1, 2, 2, 2, 3]
-        levels = zero_entry_levels(shape_root(shape), len(c))
+        assert counts == list(shape_counts) == [multiset_coeff(2, k) for k in j] == [1, 2, 2, 2, 3]
+        levels = zero_entry_levels(shape_root(c, j), len(c))
         assert prod(counts) == len(levels[-1]) == 24
-        assert shape_cells(shape) == terminal_cells(levels[-1])
+        assert shape_cells(c, j) == terminal_cells(levels[-1])
+        assert_node_charge(c, j, levels)
 
     def test_closed_form_equals_zero_entry_reductions(self):
         # every shape with n <= 3, c_i in 1..3 and j_i in 0..2: the same
-        # cells in the same order, and the nodes the walk makes
+        # cells in the same order, and the nodes the walk makes, as the node
+        # budget charges them
         shapes = 0
         for n in range(1, 4):
             for c, j in product(product(range(1, 4), repeat=n), product(range(3), repeat=n)):
-                shape = reduction._shape_dissection(c, j, reduction.DEFAULT_NODE_CAP)
-                levels = zero_entry_levels(shape_root(shape), n)
-                assert shape_cells(shape) == terminal_cells(levels[-1]), (c, j)
-                assert shape.nodes == sum(map(len, levels[1:])), (c, j)
+                levels = zero_entry_levels(shape_root(c, j), n)
+                assert shape_cells(c, j) == terminal_cells(levels[-1]), (c, j)
+                assert_node_charge(c, j, levels)
                 shapes += 1
         assert shapes == 9 + 81 + 729
 
@@ -857,6 +883,21 @@ class TestShapeCache:
             unimodular_dissection(complete_graph(4), (1, 1, 1))
         with pytest.raises(LeafShapeError):
             dissection_cell_counts(complete_graph(4), (1, 1, 1))
+        # the plain walk and its leaf checks come before the check of c
+        with pytest.raises(LeafShapeError):
+            dissection_cell_counts(complete_graph(4), (0, 1, 1))
+
+    def test_long_source_fan_is_not_built(self):
+        # the counts read the leaf shape (c, j) off c and j alone; a shape
+        # graph would hold sum(c) source edges, here a million
+        tracemalloc.start()
+        try:
+            counts = dissection_cell_counts(path_graph(3), (1, 10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == [(0, (0, 0), 1)]
+        assert peak < 10**6
 
     def test_overlapping_provenance_rejected(self, monkeypatch):
         # path 1 -> 2 with c = (1,): the plain leaf is the root, edge (1,2),
@@ -883,8 +924,7 @@ def augmented_walk_dissection(graph, c):
     cells, counts = [], []
     for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, c)):
         (composition,) = leaf_census([leaf])
-        shape = reduction._shape_dissection(c, composition, reduction.DEFAULT_NODE_CAP)
-        assert leaf.graph.edges == shape.edges
+        assert leaf.graph.edges == shape_graph(c, composition).edges
 
         def vector(pair, leaf=leaf):
             vec = [0] * leaf.root.edge_count
