@@ -68,6 +68,7 @@ from .reduction import (
     leaf_census,
     phi_map,
     reduce_at_vertex,
+    tree_census,
     unimodular_dissection,
     zero_vertex_dissection_children,
 )

@@ -35,8 +35,7 @@ from .reduction import (
     dissection_cell_counts,
     dot_lines,
     iter_dissection_cells,
-    iter_reduction_leaves,
-    leaf_census,
+    tree_census,
 )
 from .verify import SUITES
 
@@ -131,8 +130,7 @@ def cmd_reduce(args) -> int:
         # the walk ends before the first line, so a node cap prints nothing
         sys.stdout.writelines(dot_lines(graph, c, node_cap=args.node_cap))
         return 0
-    # censuses never hold the tree in memory
-    census = leaf_census(iter_reduction_leaves(graph, c, node_cap=args.node_cap))
+    census = tree_census(graph, c, node_cap=args.node_cap)
     if args.emit == "json":
         print(json.dumps({
             "leaf_count": sum(census.values()),

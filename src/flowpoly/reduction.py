@@ -1,8 +1,8 @@
 """Graph-rewriting machinery that subdivides flow polytopes: bipartite
 noncrossing trees, single reductions at a vertex with edge provenance,
-canonical reduction trees (with or without an attached source), leaf
-censuses, and the dissection of the source-augmented polytope into
-unimodular simplices.
+canonical reduction trees (with or without an attached source), their leaf
+censuses and DOT renderings, and the dissection of the source-augmented
+polytope into unimodular simplices.
 
 A reduction at vertex i replaces ordered sub-multisets I (incoming) and O
 (outgoing) of edges at i by, for every noncrossing tree T on left vertices
@@ -17,6 +17,11 @@ staircases: left vertex p covers a contiguous interval of right vertices,
 consecutive intervals overlap in a single right vertex.  Enumerating the
 l-1 overlap points as a weakly increasing sequence in 1..r gives all
 binom(l+r-2, l-1) of them.
+
+The census and the DOT rendering read the interned plain tree
+(_interned_tree), which expands each distinct (depth, edge tuple) once:
+K7 has 6,787 nodes but 425 distinct ones.  The materialized tree, the
+streamed leaves and the dissection read provenance and walk every node.
 
 A source-tree leaf is the join over its vertices i of products of simplices
 Delta_{c_i - 1} x Delta_{j_i}, and the zero-entry reductions cut each into
@@ -458,6 +463,50 @@ def iter_reduction_leaves(
             yield node
 
 
+class _InternedTree(NamedTuple):
+    """The canonical reduction tree with each distinct node expanded once:
+    the subtree under a node depends only on its depth and its edge tuple,
+    so one id stands for every node that shares both.  Ids are numbered
+    level by level from the root, 0."""
+
+    c: tuple[int, ...]  # the checked c, or () for the plain tree
+    levels: list[range]  # the ids at each depth
+    nodes: list[ProvenancedGraph]  # per id, the first node met
+    children: list[list[tuple[int, NoncrossingTree]]]  # per id above the last level
+    counts: list[int]  # per id, how many tree nodes it stands for
+
+
+def _interned_tree(
+    graph: DirectedMultigraph, c: Sequence[int] | None, node_cap: int
+) -> _InternedTree:
+    """The interned canonical tree of the graph, after checking c when it is
+    given: the source tree at c is the plain tree node for node (see
+    canonical_reduction_tree).  Each child built spends one unit of the
+    budget, never more than the tree's node count; then that count is held
+    to the cap, so the thresholds are those of a walk over every node."""
+    root = _reduction_root(graph, None)
+    c = () if c is None else _checked_c(c, graph)
+    budget = _Budget(node_cap)
+    budget.spend()
+    levels, nodes, children, counts = [range(1)], [root], [], [1]
+    for vertex in _schedule(graph):
+        ids: dict[tuple, int] = {}  # by edge tuple, one level down
+        for parent in levels[-1]:
+            pairs = []
+            for tree, child in _expansions(nodes[parent], vertex):
+                budget.spend()
+                k = ids.setdefault(child.graph.edges, len(nodes))
+                if k == len(nodes):
+                    nodes.append(child)
+                    counts.append(0)
+                counts[k] += counts[parent]
+                pairs.append((k, tree))
+            children.append(pairs)
+        levels.append(range(levels[-1].stop, len(nodes)))
+    _Budget(node_cap).spend(sum(counts))
+    return _InternedTree(c, levels, nodes, children, counts)
+
+
 # --- leaf censuses -----------------------------------------------------------
 
 
@@ -491,6 +540,24 @@ def leaf_census(source) -> dict[tuple[int, ...], int]:
         graph = leaf.graph if isinstance(leaf, ProvenancedGraph) else leaf
         j = _leaf_composition(graph)
         census[j] = census.get(j, 0) + 1
+    return dict(sorted(census.items()))
+
+
+def tree_census(
+    graph: DirectedMultigraph,
+    c: Sequence[int] | None = None,
+    *,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> dict[tuple[int, ...], int]:
+    """leaf_census of canonical_reduction_tree(graph, c) under the same node
+    cap, from the interned tree: each distinct leaf's composition is read,
+    which checks its shape, and counted as often as the leaf occurs.  The
+    source tree at c has the plain tree's census."""
+    tree = _interned_tree(graph, c, node_cap)
+    census: dict[tuple[int, ...], int] = {}
+    for k in tree.levels[-1]:
+        j = _leaf_composition(tree.nodes[k].graph)
+        census[j] = census.get(j, 0) + tree.counts[k]
     return dict(sorted(census.items()))
 
 
@@ -700,49 +767,47 @@ def dot_lines(
     metadata (vertex, chosen tree) on each arc.  Nodes are numbered breadth
     first, boxes first, then arcs.
 
-    One depth-first walk keeps the labels and arcs of each level but not
-    the tree: in an ordered tree the nodes of one level come in the same
-    order breadth first as depth first, so a node's number is the size of
-    the levels above it plus its position in its own level, and its parent
-    is the last node seen one level up.  A label is built once per distinct
-    edge tuple and shared by the nodes that have it.  The walk, and so its
-    node budget, is done before this returns, so an error in it comes
-    before any line."""
-    schedule, walk = _canonical_walk(graph, c, _Budget(node_cap))
-    boxes: list[list[str]] = []  # per level: the label of each node
-    arcs: list[list[tuple[int, str]]] = []  # per level: (parent position, arc label)
-    labels: dict[tuple, str] = {}  # by the node's edge tuple
-    arc_labels: dict[tuple, str] = {}  # by (depth, tree)
-    for depth, tree, node in walk:
-        if depth == len(boxes):
-            boxes.append([])
-            arcs.append([])
-        edges = node.graph.edges
-        label = labels.get(edges)
-        if label is None:
-            label = labels[edges] = _edge_label(node.graph)
-        boxes[depth].append(label)
-        if depth:
-            arc = arc_labels.get((depth, tree))
-            if arc is None:
-                tlabel = ",".join(f"({p},{q})" for p, q in tree.edges)
-                arc = arc_labels[depth, tree] = f"i={schedule[depth - 1]} T={tlabel}"
-            arcs[depth].append((len(boxes[depth - 1]) - 1, arc))
+    The lines expand the interned tree (_interned_tree) level by level: the
+    nodes of level d + 1 are the children of the nodes of level d in order,
+    which is the breadth-first numbering.  A box label is built once per id:
+    at c it is the source prefix, `0→i` or `0→i ×c_i` per vertex i, then
+    the plain label, since the source tree's node adds those source edges
+    to the plain one.  An arc label is built once per (depth, tree).  The
+    interned tree, and so the node cap, is done before this returns, so an
+    error in it comes before any line."""
+    tree = _interned_tree(graph, c, node_cap)
+    prefix = "".join(f"0→{i}" + (f" ×{ci}" if ci > 1 else "") + ", " for i, ci in enumerate(tree.c, 1))
+    labels = [prefix + _edge_label(node.graph) for node in tree.nodes]
+    schedule = _schedule(graph)
+    arcs = []  # per id above the last level: (child id, arc label) per child
+    arc_labels: dict[tuple, str] = {}  # by (vertex, tree)
+    for vertex, ids in zip(schedule, tree.levels):
+        for k in ids:
+            pairs = []
+            for child, t in tree.children[k]:
+                label = arc_labels.get((vertex, t))
+                if label is None:
+                    tlabel = ",".join(f"({p},{q})" for p, q in t.edges)
+                    label = arc_labels[vertex, t] = f"i={vertex} T={tlabel}"
+                pairs.append((child, label))
+            arcs.append(pairs)
 
     def lines():
         yield "digraph reduction_tree {\n"
         yield "  node [shape=box];\n"
-        k = 0
-        for level in boxes:
-            for label in level:
-                yield f'  n{k} [label="{label}"];\n'
-                k += 1
-        above = 0  # number of the first node one level up
-        for level, level_arcs in zip(boxes, arcs[1:]):
-            first = above + len(level)
-            for position, (parent, arc) in enumerate(level_arcs):
-                yield f'  n{above + parent} -> n{first + position} [label="{arc}"];\n'
-            above = first
+        levels = [[0]]  # the id of each node, level by level
+        for _ in schedule:
+            levels.append([child for k in levels[-1] for child, _ in arcs[k]])
+        for number, k in enumerate(chain.from_iterable(levels)):
+            yield f'  n{number} [label="{labels[k]}"];\n'
+        above = 0  # number of the first node of the parent level
+        for level in levels[:-1]:
+            number = above + len(level)
+            for parent, k in enumerate(level, above):
+                for _, label in arcs[k]:
+                    yield f'  n{parent} -> n{number} [label="{label}"];\n'
+                    number += 1
+            above += len(level)
         yield "}\n"
 
     return lines()

@@ -38,7 +38,7 @@ from .lidskii import LidskiiTerms
 # the evaluators stay importable from this module
 from .lidskii import lidskii_count, lidskii_count_c_form, lidskii_volume  # noqa: F401
 from .multigraph import DirectedMultigraph
-from .reduction import DEFAULT_NODE_CAP, iter_reduction_leaves, leaf_census
+from .reduction import DEFAULT_NODE_CAP, tree_census
 
 
 def iter_family(max_vertices: int, max_edges: int) -> Iterator[DirectedMultigraph]:
@@ -259,12 +259,12 @@ def run_census_suite(
     """Canonical reduction tree leaf census against the flow counts at the
     shifted netflows: for each dominant composition j there must be exactly
     count(j - out, 0) leaves of shape j+1.  One instance per graph; the
-    leaves are streamed, not kept in a tree."""
+    census comes from the interned tree (tree_census)."""
 
     def instances(graph):
         terms = LidskiiTerms(graph)
         expected = {j: k for j in terms.compositions if (k := terms.shifted_count(j))}
-        census = leaf_census(iter_reduction_leaves(graph, node_cap=node_cap))
+        census = tree_census(graph, node_cap=node_cap)
         yield None if census == expected else {
             "census": {str(k): v for k, v in census.items()},
             "expected": {str(k): v for k, v in expected.items()}}

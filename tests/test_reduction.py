@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from flowpoly import reduction
 from flowpoly.geometry import SimplexCell, path_flow_vertices, verify_dissection
 from flowpoly.kostant import FlowInstance, count_flows, enumerate_flows
-from flowpoly.lidskii import multiset_coeff
+from flowpoly.lidskii import LidskiiTerms, multiset_coeff
 from flowpoly.multigraph import (
     DirectedMultigraph,
     NetflowVector,
@@ -35,6 +35,7 @@ from flowpoly.reduction import (
     leaf_census,
     phi_map,
     reduce_at_vertex,
+    tree_census,
     unimodular_dissection,
     zero_vertex_dissection_children,
 )
@@ -562,6 +563,12 @@ class TestOneWalk:
                 build(node_cap=count - 1)
             with pytest.raises(NodeCapExceeded):
                 list(iter_reduction_leaves(g, c, node_cap=count - 1))
+            assert tree_census(g, c, node_cap=count)
+            with pytest.raises(NodeCapExceeded):
+                tree_census(g, c, node_cap=count - 1)
+            assert list(dot_lines(g, c, node_cap=count))
+            with pytest.raises(NodeCapExceeded):
+                dot_lines(g, c, node_cap=count - 1)
 
 
 class TestLeafCensus:
@@ -650,6 +657,57 @@ class TestLeafCensus:
         census = leaf_census(canonical_reduction_tree(complete_graph(4)))
         data = census_to_json(census)
         assert {tuple(item["composition"]): item["count"] for item in data} == census
+
+
+class TestTreeCensus:
+    """The census of the interned tree against the census of the streamed
+    leaves, which walks every node."""
+
+    def test_family(self):
+        graphs = list(iter_family(5, 7))
+        assert len(graphs) == 2560
+        for g in graphs:
+            assert tree_census(g) == leaf_census(iter_reduction_leaves(g)), g
+
+    @pytest.mark.parametrize("nv, c", [
+        (4, (3, 2, 2)), (5, (3, 1, 2, 2)), (6, (1, 2, 1, 1, 1)), (7, (2, 1, 1, 3, 1, 1)),
+    ])
+    def test_complete_graphs(self, nv, c):
+        g = complete_graph(nv)
+        census = tree_census(g)
+        assert census == leaf_census(iter_reduction_leaves(g))
+        assert tree_census(g, c) == leaf_census(iter_reduction_leaves(g, c)) == census
+
+    def test_checks_c(self):
+        with pytest.raises(ValueError, match="c must have 3 entries"):
+            tree_census(complete_graph(4), (1, 1))
+        with pytest.raises(ValueError, match="must be positive"):
+            dot_lines(complete_graph(4), (1, 0, 1))
+
+    def test_large_c_costs_no_more(self):
+        # the source edges are never built: a walk of the augmented graph
+        # would carry all sum(c) of them in every node
+        g = complete_graph(4)
+        tracemalloc.start()
+        try:
+            census = tree_census(g, (1, 10**6, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert census == tree_census(g)
+        assert peak < 10**6
+
+    def test_k8_is_a_catalan_product(self):
+        # prod_{i=1}^{6} Cat(i) leaves (Chan-Robbins-Yuen), each composition
+        # j counted count(j - out, 0) times; the whole tree has 862,738 nodes
+        g = complete_graph(8)
+        census = tree_census(g)
+        assert sum(census.values()) == prod(comb(2 * i, i) // (i + 1) for i in range(1, 7)) == 776160
+        terms = LidskiiTerms(g)
+        assert census == {j: k for j in terms.compositions if (k := terms.shifted_count(j))}
+        assert tree_census(g, node_cap=862738) == census
+        with pytest.raises(NodeCapExceeded):
+            tree_census(g, node_cap=862737)
 
 
 class TestZeroVertexChildren:
