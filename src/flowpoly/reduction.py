@@ -1,8 +1,7 @@
 """Graph-rewriting machinery that subdivides flow polytopes: bipartite
 noncrossing trees, single reductions at a vertex with edge provenance,
-canonical reduction trees (with or without an attached source), their leaf
-censuses and DOT renderings, and the dissection of the source-augmented
-polytope into unimodular simplices.
+canonical reduction trees, their leaf censuses and DOT renderings, and the
+dissection of the source-augmented polytope into unimodular simplices.
 
 A reduction at vertex i replaces ordered sub-multisets I (incoming) and O
 (outgoing) of edges at i by, for every noncrossing tree T on left vertices
@@ -17,6 +16,13 @@ staircases: left vertex p covers a contiguous interval of right vertices,
 consecutive intervals overlap in a single right vertex.  Enumerating the
 l-1 overlap points as a weakly increasing sequence in 1..r gives all
 binom(l+r-2, l-1) of them.
+
+Canonical trees are built on the plain graph only.  The source tree at c,
+rooted at the source-augmented graph and never reducing a source edge, is
+the plain tree lifted node for node: each node gets the c_i source edges
+(0, i) first, with singleton provenance, and the plain provenance moves up
+by sum(c).  The census at c, the DOT rendering at c and the dissection all
+read the plain tree through that lift.
 
 The census and the DOT rendering read the interned plain tree
 (_interned_tree), which expands each distinct (depth, edge tuple) once:
@@ -39,13 +45,7 @@ from math import comb, prod
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .multigraph import (
-    DirectedMultigraph,
-    _checked_c,
-    attach_source,
-    checked_degree_stats,
-    integers,
-)
+from .multigraph import DirectedMultigraph, _checked_c, checked_degree_stats, integers
 
 DEFAULT_NODE_CAP = 10**6
 
@@ -292,18 +292,14 @@ def reduce_at_vertex(
     return _expansion.child(tree)
 
 
-def _ordered_incident(
-    graph: DirectedMultigraph, vertex: int, *, skip_source: bool = False
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _ordered_incident(graph: DirectedMultigraph, vertex: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(incoming, outgoing) edge indices at the vertex, each ordered by
-    decreasing edge length, ties by ascending index; skip_source leaves the
-    source's edges out of incoming."""
+    decreasing edge length, ties by ascending index."""
     incoming = []
     outgoing = []
     for k, (a, b) in enumerate(graph.edges):
         if b == vertex:
-            if not (skip_source and a == graph.first_vertex):
-                incoming.append((a - b, k))
+            incoming.append((a - b, k))
         elif a == vertex:
             outgoing.append((a - b, k))
     return (
@@ -372,20 +368,18 @@ class _Budget:
             )
 
 
-def _reduction_root(graph: DirectedMultigraph, c: Sequence[int] | None) -> ProvenancedGraph:
-    """Root of the canonical reduction tree, or of its source-augmented
-    variant when c is given."""
+def _reduction_root(graph: DirectedMultigraph) -> ProvenancedGraph:
+    """Root of the canonical reduction tree."""
     if graph.first_vertex != 1:
         raise ValueError("expected a graph on vertices 1..n+1")
     checked_degree_stats(graph)
-    return ProvenancedGraph.as_root(graph if c is None else attach_source(graph, c))
+    return ProvenancedGraph.as_root(graph)
 
 
 def _expansions(node: ProvenancedGraph, vertex: int):
     """(tree, child) for each noncrossing tree over the full incident edge
-    multisets at the vertex, in enumeration order; source edges are never
-    reduced."""
-    inc, out = _ordered_incident(node.graph, vertex, skip_source=node.graph.first_vertex == 0)
+    multisets at the vertex, in enumeration order."""
+    inc, out = _ordered_incident(node.graph, vertex)
     trees = enumerate_noncrossing_trees(len(inc) + 1, len(out))
     expansion = _Expansion(node, vertex, inc, out)
     for tree in trees:
@@ -409,29 +403,22 @@ def _walk(node, schedule: Sequence[int], budget: _Budget, depth: int = 0, tree=N
             yield from _walk(child, schedule, budget, depth + 1, child_tree)
 
 
-def _canonical_walk(graph: DirectedMultigraph, c: Sequence[int] | None, budget: _Budget):
-    """The schedule of the canonical reduction tree (or of its
-    source-augmented variant when c is given) and its depth-first walk;
-    the root spends its unit of the budget here."""
-    root = _reduction_root(graph, c)
+def _canonical_walk(graph: DirectedMultigraph, budget: _Budget):
+    """The schedule of the canonical reduction tree and its depth-first
+    walk; the root spends its unit of the budget here."""
+    root = _reduction_root(graph)
     schedule = _schedule(root.graph)
     budget.spend()
     return schedule, _walk(root, schedule, budget)
 
 
 def canonical_reduction_tree(
-    graph: DirectedMultigraph,
-    c: Sequence[int] | None = None,
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
+    graph: DirectedMultigraph, *, node_cap: int = DEFAULT_NODE_CAP
 ) -> ReductionTree:
     """Reduction tree using the full incoming and outgoing edge multisets at
     vertices n, n-1, ..., 2, each ordered by decreasing edge length.  All
-    leaves have every edge pointing at the sink.  When c is given the tree
-    is rooted at the source-augmented graph and the incoming multisets
-    exclude the source edges, so deleting everything incident to the source
-    at each node recovers the plain tree node for node."""
-    schedule, walk = _canonical_walk(graph, c, _Budget(node_cap))
+    leaves have every edge pointing at the sink."""
+    schedule, walk = _canonical_walk(graph, _Budget(node_cap))
     path: list[ReductionTreeNode] = []  # from the root to the last node made
     for depth, tree, pg in walk:
         del path[depth:]
@@ -446,18 +433,16 @@ def canonical_reduction_tree(
 
 def iter_reduction_leaves(
     graph: DirectedMultigraph,
-    c: Sequence[int] | None = None,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
     _budget: _Budget | None = None,
 ) -> Iterator[ProvenancedGraph]:
-    """Leaves of the canonical reduction tree (or its source-augmented
-    variant when c is given), streamed depth first in the same order the
-    materialized tree would produce, without storing the tree.  _budget,
-    when given, replaces node_cap so that a caller's later stages draw on
-    the same budget as the walk."""
+    """Leaves of the canonical reduction tree, streamed depth first in the
+    same order the materialized tree would produce, without storing the
+    tree.  _budget, when given, replaces node_cap so that a caller's later
+    stages draw on the same budget as the walk."""
     budget = _Budget(node_cap) if _budget is None else _budget
-    schedule, walk = _canonical_walk(graph, c, budget)
+    schedule, walk = _canonical_walk(graph, budget)
     for depth, _, node in walk:
         if depth == len(schedule):
             yield node
@@ -479,12 +464,12 @@ class _InternedTree(NamedTuple):
 def _interned_tree(
     graph: DirectedMultigraph, c: Sequence[int] | None, node_cap: int
 ) -> _InternedTree:
-    """The interned canonical tree of the graph, after checking c when it is
-    given: the source tree at c is the plain tree node for node (see
-    canonical_reduction_tree).  Each child built spends one unit of the
-    budget, never more than the tree's node count; then that count is held
-    to the cap, so the thresholds are those of a walk over every node."""
-    root = _reduction_root(graph, None)
+    """The interned canonical tree of the graph, which serves the source
+    tree at c lifted; c, when given, is checked and kept.  Each child
+    built spends one unit of the budget, never more than the tree's node
+    count; then that count is held to the cap, so the thresholds are those
+    of a walk over every node."""
+    root = _reduction_root(graph)
     c = () if c is None else _checked_c(c, graph)
     budget = _Budget(node_cap)
     budget.spend()
@@ -549,10 +534,11 @@ def tree_census(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> dict[tuple[int, ...], int]:
-    """leaf_census of canonical_reduction_tree(graph, c) under the same node
+    """leaf_census of canonical_reduction_tree(graph) under the same node
     cap, from the interned tree: each distinct leaf's composition is read,
     which checks its shape, and counted as often as the leaf occurs.  The
-    source tree at c has the plain tree's census."""
+    source tree at c, the plain tree lifted, has the same census; c is only
+    checked."""
     tree = _interned_tree(graph, c, node_cap)
     census: dict[tuple[int, ...], int] = {}
     for k in tree.levels[-1]:
@@ -625,8 +611,7 @@ def _staircases(
 class _PlainTree(NamedTuple):
     """The leaves of a graph's canonical reduction tree, each with its
     composition j, and the nodes its walk made.  The source tree at any c
-    is the same tree node for node (see canonical_reduction_tree), so one
-    plain tree serves every c."""
+    is this tree lifted, so one plain tree serves every c."""
 
     leaves: tuple[tuple[ProvenancedGraph, tuple[int, ...]], ...]
     nodes: int
@@ -638,7 +623,7 @@ def _plain_tree(graph: DirectedMultigraph, node_cap: int) -> _PlainTree:
     canonical order, or LeafShapeError is raised."""
     budget = _Budget(node_cap)
     leaves = []
-    for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, None, _budget=budget)):
+    for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, _budget=budget)):
         j = _leaf_composition(leaf.graph)  # every edge points at the sink
         if list(leaf.graph.edges) != sorted(leaf.graph.edges):
             raise LeafShapeError(f"leaf {leaf_index} edges are not in canonical order, j={j}")
@@ -651,14 +636,12 @@ def _dissected_leaves(
 ) -> Iterator[tuple[int, ProvenancedGraph, tuple[int, ...], tuple[int, ...]]]:
     """(index, leaf, j, counts) per leaf of the plain canonical tree; plain,
     when given, is that tree, walked once for all c.  The source tree's
-    leaf at c is the plain leaf lifted to the leaf shape (c, j): its c_i
-    source edges (0, i) with singleton provenance come first, and the plain
-    leaf's provenance moves up by sum(c).  The zero-entry reduction at i
-    keeps counts_i = comb(c_i + j_i - 1, j_i) staircases, of which a cell
-    takes one per vertex.  The walk's nodes and then, per leaf, the
-    sum(accumulate(counts, mul)) nodes those reductions make draw on one
-    budget, so the cap stops the same inputs as a walk of the source tree
-    would."""
+    leaf at c is the plain leaf lifted, of leaf shape (c, j).  The
+    zero-entry reduction at i keeps counts_i = comb(c_i + j_i - 1, j_i)
+    staircases, of which a cell takes one per vertex.  The walk's nodes
+    and then, per leaf, the sum(accumulate(counts, mul)) nodes those
+    reductions make draw on one budget, so the cap stops the same inputs
+    as a walk of the source tree would."""
     if plain is None:
         plain = _plain_tree(graph, node_cap)
     c = _checked_c(c, graph)
@@ -726,8 +709,8 @@ def unimodular_dissection(
     reductions at the vertices 1..n in increasing order would, into the
     join of per-vertex staircase triangulations; a cell's vertices are path
     indicator flows pushed back into the root's edge coordinates.  The
-    source tree's leaves are the plain tree's, lifted to c, and the cells
-    are made once per leaf shape (c, j) and reach each leaf through its
+    source tree's leaves are the plain tree's lifted, and the cells are
+    made once per leaf shape (c, j) and reach each leaf through its
     provenance; the tests check them against the reductions.  _plain, when
     given, is the graph's plain tree, shared by the calls for several c."""
     return list(iter_dissection_cells(graph, c, node_cap=node_cap, _plain=_plain))
@@ -762,19 +745,19 @@ def dot_lines(
     *,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> Iterator[str]:
-    """The lines of the Graphviz rendering of canonical_reduction_tree(graph,
-    c): one box per tree node labeled with its edge multiset, reduction
-    metadata (vertex, chosen tree) on each arc.  Nodes are numbered breadth
-    first, boxes first, then arcs.
+    """The lines of the Graphviz rendering of the canonical reduction tree,
+    or at c of the source tree: one box per tree node labeled with its edge
+    multiset, reduction metadata (vertex, chosen tree) on each arc.  Nodes
+    are numbered breadth first, boxes first, then arcs.
 
     The lines expand the interned tree (_interned_tree) level by level: the
     nodes of level d + 1 are the children of the nodes of level d in order,
     which is the breadth-first numbering.  A box label is built once per id:
     at c it is the source prefix, `0→i` or `0→i ×c_i` per vertex i, then
-    the plain label, since the source tree's node adds those source edges
-    to the plain one.  An arc label is built once per (depth, tree).  The
-    interned tree, and so the node cap, is done before this returns, so an
-    error in it comes before any line."""
+    the plain label, since the lift adds those source edges first.  An arc
+    label is built once per (depth, tree).  The interned tree, and so the
+    node cap, is done before this returns, so an error in it comes before
+    any line."""
     tree = _interned_tree(graph, c, node_cap)
     prefix = "".join(f"0→{i}" + (f" ×{ci}" if ci > 1 else "") + ", " for i, ci in enumerate(tree.c, 1))
     labels = [prefix + _edge_label(node.graph) for node in tree.nodes]

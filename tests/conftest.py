@@ -4,6 +4,8 @@ import pytest
 
 import flowpoly.verify
 from flowpoly.lidskii import LidskiiTerms
+from flowpoly.multigraph import attach_source
+from flowpoly.reduction import ProvenancedGraph, enumerate_noncrossing_trees, reduce_at_vertex
 
 # the LidskiiTerms box method that gives the formula side of each Lidskii suite
 FORMULA_SIDES = {"eq2": "counts", "eq1": "volumes", "thm41": "c_form_counts"}
@@ -37,3 +39,25 @@ def spoil_formula(monkeypatch):
         monkeypatch.setattr(LidskiiTerms, name, lambda self, box: [v + 1 for v in real(self, box)])
 
     return spoil
+
+
+def augmented_levels(graph, c):
+    """The source tree at c, walked on the source-augmented graph itself:
+    the reference for the plain tree lifted.  From the root
+    attach_source(graph, c), each node is reduced at n, ..., 2 in turn over
+    its non-source in-edges and all its out-edges, both by decreasing edge
+    length, ties by index.  Returns the nodes level by level, children in
+    noncrossing-tree order, so the last level holds the leaves in the order
+    of the depth-first walk."""
+    levels = [[ProvenancedGraph.as_root(attach_source(graph, c))]]
+    for vertex in range(graph.last_vertex - 1, 1, -1):
+        level = []
+        for node in levels[-1]:
+            edges = node.graph.edges
+            order = sorted(range(len(edges)), key=lambda k: (edges[k][0] - edges[k][1], k))
+            inc = tuple(k for k in order if edges[k][1] == vertex and edges[k][0] != 0)
+            out = tuple(k for k in order if edges[k][0] == vertex)
+            for tree in enumerate_noncrossing_trees(len(inc) + 1, len(out)):
+                level.append(reduce_at_vertex(node, vertex, inc, out, tree))
+        levels.append(level)
+    return levels

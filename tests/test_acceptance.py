@@ -6,6 +6,8 @@ dissection family."""
 import time
 from math import comb
 
+from conftest import augmented_levels
+
 from flowpoly.geometry import verify_integral_equivalence
 from flowpoly.multigraph import DirectedMultigraph, complete_graph
 from flowpoly.reduction import (
@@ -37,6 +39,8 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 EQ2_INSTANCES = 1_316_352
 EQ1_INSTANCES = THM41_INSTANCES = 418_887
 EQ2_SIX_VERTEX_INSTANCES = 280_848
+# graphs of up to 6 vertices and 7 edges, one point each for entries 1..1
+SIX_VERTEX_GRAPHS = 10_130
 
 
 def test_criterion_1_count_formula_identity():
@@ -69,6 +73,17 @@ def test_criterion_2_volume_formula_identity():
     )
 
 
+def test_criterion_2_six_vertex_slice():
+    t0 = time.time()
+    result = run_eq1_suite(max_vertices=6, max_edges=7, max_netflow=1)
+    _report(
+        "criterion 2 (volume formula = Ehrhart leading term, up to 6 vertices and 7 edges, "
+        "netflows 1..1)",
+        result.passed and result.instances == SIX_VERTEX_GRAPHS,
+        f"{result.instances} instances, {len(result.failures)} failures, {time.time() - t0:.0f}s",
+    )
+
+
 def test_criterion_3_c_form_identity():
     from flowpoly.lidskii import lidskii_count_c_form
 
@@ -86,6 +101,16 @@ def test_criterion_3_c_form_identity():
     )
 
 
+def test_criterion_3_six_vertex_slice():
+    t0 = time.time()
+    result = run_thm41_suite(max_vertices=6, max_edges=7, max_c=1)
+    _report(
+        "criterion 3 (c-form count formula, up to 6 vertices and 7 edges, c entries 1..1)",
+        result.passed and result.instances == SIX_VERTEX_GRAPHS,
+        f"{result.instances} instances, {len(result.failures)} failures, {time.time() - t0:.0f}s",
+    )
+
+
 def test_criterion_4_reduction_tree_census():
     census = leaf_census(canonical_reduction_tree(complete_graph(4)))
     pinned = census == {(2, 1, 0): 1, (3, 0, 0): 1}
@@ -96,6 +121,16 @@ def test_criterion_4_reduction_tree_census():
         result.passed and pinned,
         f"{result.instances} graphs, K4 census {'ok' if pinned else 'WRONG'}, "
         f"{time.time() - t0:.0f}s",
+    )
+
+
+def test_criterion_4_six_vertex_slice():
+    t0 = time.time()
+    result = run_census_suite(max_vertices=6, max_edges=7)
+    _report(
+        "criterion 4 (canonical tree leaf census, up to 6 vertices and 7 edges)",
+        result.passed and result.instances == SIX_VERTEX_GRAPHS,
+        f"{result.instances} graphs, {len(result.failures)} failures, {time.time() - t0:.0f}s",
     )
 
 
@@ -124,6 +159,16 @@ def test_criterion_6_unimodular_dissection():
     )
 
 
+def test_criterion_6_six_vertex_slice():
+    t0 = time.time()
+    result = run_dissection_suite(max_vertices=6, max_edges=7, max_c=1)
+    _report(
+        "criterion 6 (unimodular dissection, up to 6 vertices and 7 edges, c entries 1..1)",
+        result.passed and result.instances == SIX_VERTEX_GRAPHS,
+        f"{result.instances} instances, {len(result.failures)} failures, {time.time() - t0:.0f}s",
+    )
+
+
 def test_criterion_7_in_vector_bijection():
     t0 = time.time()
     result = run_in_vector_suite(max_vertices=5, max_edges=6, max_c=3)
@@ -140,9 +185,10 @@ def test_criterion_8_phi_lattice_fidelity():
     for node in canonical_reduction_tree(k4).nodes():
         if not verify_integral_equivalence(node.graph, (1, 1, 1, -3)).passed:
             ok = False
-    for node in canonical_reduction_tree(k4, (3, 2, 2)).nodes():
-        if not verify_integral_equivalence(node.graph, (1, 0, 0, 0, -1)).passed:
-            ok = False
+    for level in augmented_levels(k4, (3, 2, 2)):
+        for node in level:
+            if not verify_integral_equivalence(node, (1, 0, 0, 0, -1)).passed:
+                ok = False
 
     # golden coordinate-map value, reproduced bit-exactly
     root = DirectedMultigraph(4, ((1, 4), (1, 4), (1, 2), (2, 4), (2, 4), (3, 4)))

@@ -6,6 +6,7 @@ wraps one function or method per span, and look up the names its worker
 calls."""
 
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -41,6 +42,23 @@ def test_tracer_binds_every_span(tracer_module):
     finally:
         tracer.uninstall()
     assert flowpoly.verify.SUITES == suites
+
+
+def test_item_count_spans_name_generators(tracer_module):
+    # The tracer counts the items of a span whose work is an item count
+    # ({"leaves": None}) by wrapping it as a generator; around a plain
+    # function it would call None(args, result) and crash traced runs only.
+    # A generator under any other span would fail to install or drop its
+    # counts.
+    item_spans = 0
+    for span, modname, path, work in tracer_module.SPANS:
+        fn = importlib.import_module(f"flowpoly.{modname}")
+        for name in path.split("."):
+            fn = getattr(fn, name)
+        counts_items = bool(work) and all(count is None for count in work.values())
+        assert inspect.isgeneratorfunction(fn) == counts_items, span
+        item_spans += counts_items
+    assert item_spans == 2  # iter_reduction_leaves and iter_family
 
 
 def test_worker_names_exist():

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import flowpoly.cli
 import flowpoly.geometry
@@ -787,3 +788,61 @@ class TestDissectionArgumentFuzz:
         code, out, err = run(capsys, ["verify", "--suite", "dissection", "--max-vertices", "3"])
         assert (code, out) == (1, "")
         assert err == "error: reciprocity gives L(1) = 3, but the unit netflow has 2 flows\n"
+
+
+# c lists for `reduce --c` and `lidskii --mode c-form`: the dissection's
+# tokens, plus entries up to a million.  Neither command builds anything the
+# size of an entry: the census and the DOT read the plain tree, and the
+# c-form weights are binomials.
+LARGE_C_TEXT = st.one_of(
+    C_TEXT,
+    st.lists(st.integers(1, 10**6).map(str), min_size=2, max_size=3).map(",".join),
+    st.lists(st.one_of(C_TOKEN, st.integers(1, 10**6).map(str)), max_size=5).map(",".join),
+)
+REDUCE_ARGV = st.tuples(
+    st.just("reduce"), st.sampled_from(["k4", "path3"]), LARGE_C_TEXT, NODE_CAP,
+    st.sampled_from(["census", "json", "dot"]),
+)
+C_FORM_ARGV = st.tuples(
+    st.just("lidskii"), st.sampled_from(["k4", "path3"]), LARGE_C_TEXT, st.none(),
+    st.sampled_from(["human", "json"]),
+)
+
+
+class TestSourceArgumentFuzz:
+    """Any c given to `reduce` or to the c-form count gives an answer or one
+    clean error line, and a reduction at c prints what the plain one does,
+    the source prefixes of the DOT box labels aside."""
+
+    @staticmethod
+    def run_main(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.one_of(REDUCE_ARGV, C_FORM_ARGV))
+    @example(("reduce", "k4", "1,1000000,1", None, "dot"))
+    @example(("reduce", "k4", "1000000,2,1", "4", "census"))
+    @example(("lidskii", "k4", "1000000,1000000,1000000", None, "human"))
+    def test_exits_cleanly(self, args):
+        command, name, c, cap, emit = args
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{name}.graph"
+            write_graph(complete_graph(4) if name == "k4" else path_graph(3), path)
+            argv = [command, "--graph", str(path), f"--c={c}", "--emit", emit]
+            if command == "lidskii":
+                argv += ["--mode", "c-form"]
+            if cap is not None:
+                argv.append(f"--node-cap={cap}")
+            code, out, err = self.run_main(argv)
+            if command == "reduce":
+                plain = self.run_main(["reduce", "--graph", str(path), "--emit", emit])[1]
+        if code:
+            assert code == 1, argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            return
+        assert err == "", argv
+        if command == "reduce":
+            assert re.sub(r'label="(0→\d+( ×\d+)?, )+', 'label="', out) == plain, argv

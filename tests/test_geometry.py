@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from conftest import augmented_levels
 
 from flowpoly import geometry, reduction
 
@@ -486,9 +487,9 @@ class TestVerifyIntegralEquivalence:
             assert verify_integral_equivalence(leaf.graph, (1, 1, 1, -3)).passed
 
     def test_source_tree_nodes(self):
-        tree = canonical_reduction_tree(complete_graph(4), (3, 2, 2))
-        for node in tree.nodes():
-            assert verify_integral_equivalence(node.graph, (1, 0, 0, 0, -1)).passed
+        for level in augmented_levels(complete_graph(4), (3, 2, 2)):
+            for node in level:
+                assert verify_integral_equivalence(node, (1, 0, 0, 0, -1)).passed
 
 
 def test_volume_additivity_over_leaves():

@@ -2,11 +2,11 @@
 
 import hashlib
 import tracemalloc
-from functools import partial
 from itertools import chain, product
 from math import comb, prod
 
 import pytest
+from conftest import augmented_levels
 from hypothesis import given, settings, strategies as st
 
 from flowpoly import reduction
@@ -42,11 +42,17 @@ from flowpoly.reduction import (
 from flowpoly.verify import iter_family, run_dissection_suite
 
 
-def strip_source(graph):
-    """The graph without its source vertex 0 and the edges at it."""
-    assert graph.first_vertex == 0
-    edges = tuple(e for e in graph.edges if e[0] != 0)
-    return DirectedMultigraph(graph.vertex_count - 1, edges)
+def lifted(node, c):
+    """The plain tree's node lifted to the source tree at c: c_i source
+    edges (0, i) first, each its own root edge, then the node's edges with
+    their root edges moved up by sum(c)."""
+    shift = sum(c)
+    return ProvenancedGraph(
+        attach_source(node.graph, c),
+        tuple(frozenset((e,)) for e in range(shift))
+        + tuple(frozenset(d + shift for d in s) for s in node.provenance),
+        attach_source(node.root, c),
+    )
 
 
 def provenance_paths_ok(node):
@@ -266,15 +272,16 @@ class TestChildrenFromCheckedParts:
         assert tree.node_count == 15
 
     def test_source_tree_k6(self):
-        tree = canonical_reduction_tree(complete_graph(6), (2,) * 5)
-        for node in tree.nodes():
-            assert_fully_valid(node.graph)
-        assert len(tree.leaves()) == 140
+        levels = augmented_levels(complete_graph(6), (2,) * 5)
+        for level in levels:
+            for node in level:
+                assert_fully_valid(node)
+        assert len(levels[-1]) == 140
 
     def test_shape_dissection_k4(self):
         g, c = complete_graph(4), (3, 2, 2)
         terminals = 0
-        for composition in leaf_census(iter_reduction_leaves(g, c)):
+        for composition in leaf_census(augmented_levels(g, c)[-1]):
             levels = zero_entry_levels(shape_root(c, composition), len(c))
             for level in levels:
                 for node in level:
@@ -327,7 +334,7 @@ class TestSharedExpansion:
         g, c = complete_graph(4), (3, 2, 2)
         n = len(c)
         expanded = 0
-        for composition in leaf_census(iter_reduction_leaves(g, c)):
+        for composition in leaf_census(augmented_levels(g, c)[-1]):
             levels = zero_entry_levels(shape_root(c, composition), n)
             for vertex, level in enumerate(levels[:n], 1):
                 for node in level:
@@ -497,9 +504,11 @@ class TestCanonicalTree:
 
 
 class TestSourceTree:
+    """The source tree at c, walked on the augmented graph, is the plain
+    tree lifted node for node."""
+
     def test_k4_322_leaves(self):
-        tree = canonical_reduction_tree(complete_graph(4), (3, 2, 2))
-        leaves = [n.graph.graph for n in tree.leaves()]
+        leaves = [leaf.graph for leaf in augmented_levels(complete_graph(4), (3, 2, 2))[-1]]
         assert len(leaves) == 2
         expected = sorted(
             (
@@ -509,41 +518,39 @@ class TestSourceTree:
         )
         assert sorted(leaf.edge_multiset() for leaf in leaves) == expected
 
-    def test_stripping_source_recovers_plain_tree(self):
-        k4 = complete_graph(4)
-        plain = list(canonical_reduction_tree(k4).nodes())
-        augmented = list(canonical_reduction_tree(k4, (3, 2, 2)).nodes())
-        assert len(plain) == len(augmented)
-        for p, q in zip(plain, augmented):
-            assert strip_source(q.graph.graph).edge_multiset() == p.graph.graph.edge_multiset()
+    def test_plain_tree_lifted_is_augmented_walk(self):
+        # breadth first, node for node, in edges and provenance
+        cases = [(g, c) for g in iter_family(4, 6)
+                 for c in product((1, 2), repeat=g.vertex_count - 1)]
+        cases += [(complete_graph(4), (3, 2, 2)), (complete_graph(5), (3, 1, 2, 2)),
+                  (complete_graph(6), (2,) * 5)]
+        assert len(cases) == 1491
+        for g, c in cases:
+            plain = [lifted(node.graph, c) for node in canonical_reduction_tree(g).nodes()]
+            assert plain == list(chain.from_iterable(augmented_levels(g, c))), (g.edges, c)
 
     def test_path_single_leaf(self):
-        tree = canonical_reduction_tree(path_graph(3), (1, 1))
-        assert len(tree.leaves()) == 1
+        assert len(augmented_levels(path_graph(3), (1, 1))[-1]) == 1
 
 
 def walked_trees():
-    """(graph, c, build) for the plain K5 tree and the source tree of K4 at
-    c = (3, 2, 2); build takes the tree's keyword arguments."""
-    k5, k4 = complete_graph(5), complete_graph(4)
-    return (
-        (k5, None, partial(canonical_reduction_tree, k5)),
-        (k4, (3, 2, 2), partial(canonical_reduction_tree, k4, (3, 2, 2))),
-    )
+    """(graph, c) for the plain K5 tree and the source tree of K4 at
+    c = (3, 2, 2), which is the plain K4 tree lifted."""
+    return (complete_graph(5), None), (complete_graph(4), (3, 2, 2))
 
 
 class TestOneWalk:
     """The materialized trees and the leaf stream come from one walk."""
 
     def test_tree_leaves_equal_streamed_leaves(self):
-        for g, c, build in walked_trees():
-            leaves = [n.graph for n in build().leaves()]
+        for g, _ in walked_trees():
+            leaves = [n.graph for n in canonical_reduction_tree(g).leaves()]
             assert len(leaves) > 1
-            assert leaves == list(iter_reduction_leaves(g, c))
+            assert leaves == list(iter_reduction_leaves(g))
 
     def test_parent_links_and_schedule(self):
-        for _, _, build in walked_trees():
-            tree = build()
+        for g, _ in walked_trees():
+            tree = canonical_reduction_tree(g)
             assert tree.root.parent is None and tree.root.vertex is None
             for node in tree.nodes():
                 if node is tree.root:
@@ -555,14 +562,16 @@ class TestOneWalk:
                 assert node.vertex == tree.schedule[depth - 1]
 
     def test_node_cap_is_exact(self):
-        for g, c, build in walked_trees():
-            count = build().node_count
-            assert build(node_cap=count).node_count == count
-            assert list(iter_reduction_leaves(g, c, node_cap=count))
+        for g, c in walked_trees():
+            count = canonical_reduction_tree(g).node_count
+            if c is not None:
+                assert count == sum(map(len, augmented_levels(g, c)))
+            assert canonical_reduction_tree(g, node_cap=count).node_count == count
+            assert list(iter_reduction_leaves(g, node_cap=count))
             with pytest.raises(NodeCapExceeded):
-                build(node_cap=count - 1)
+                canonical_reduction_tree(g, node_cap=count - 1)
             with pytest.raises(NodeCapExceeded):
-                list(iter_reduction_leaves(g, c, node_cap=count - 1))
+                list(iter_reduction_leaves(g, node_cap=count - 1))
             assert tree_census(g, c, node_cap=count)
             with pytest.raises(NodeCapExceeded):
                 tree_census(g, c, node_cap=count - 1)
@@ -577,8 +586,8 @@ class TestLeafCensus:
         assert leaf_census(tree) == {(2, 1, 0): 1, (3, 0, 0): 1}
 
     def test_k4_with_source(self):
-        tree = canonical_reduction_tree(complete_graph(4), (3, 2, 2))
-        assert leaf_census(tree) == {(2, 1, 0): 1, (3, 0, 0): 1}
+        leaves = augmented_levels(complete_graph(4), (3, 2, 2))[-1]
+        assert leaf_census(leaves) == {(2, 1, 0): 1, (3, 0, 0): 1}
 
     def test_path(self):
         assert leaf_census(canonical_reduction_tree(path_graph(3))) == {(0, 0): 1}
@@ -587,8 +596,7 @@ class TestLeafCensus:
         k4 = complete_graph(4)
         streamed = leaf_census(iter_reduction_leaves(k4))
         assert streamed == leaf_census(canonical_reduction_tree(k4))
-        streamed_c = leaf_census(iter_reduction_leaves(k4, (2, 1, 1)))
-        assert streamed_c == leaf_census(canonical_reduction_tree(k4, (2, 1, 1)))
+        assert streamed == leaf_census(augmented_levels(k4, (2, 1, 1))[-1])
 
     def test_bad_leaf_shape(self):
         with pytest.raises(LeafShapeError):
@@ -676,7 +684,7 @@ class TestTreeCensus:
         g = complete_graph(nv)
         census = tree_census(g)
         assert census == leaf_census(iter_reduction_leaves(g))
-        assert tree_census(g, c) == leaf_census(iter_reduction_leaves(g, c)) == census
+        assert tree_census(g, c) == leaf_census(augmented_levels(g, c)[-1]) == census
 
     def test_checks_c(self):
         with pytest.raises(ValueError, match="c must have 3 entries"):
@@ -843,7 +851,7 @@ def reference_dissection(graph, c):
     n = graph.vertex_count - 1
     cells = []
     nodes = 0
-    for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, c)):
+    for leaf_index, leaf in enumerate(augmented_levels(graph, c)[-1]):
         (composition,) = leaf_census([leaf])
         levels = zero_entry_levels(leaf, n)
         nodes += sum(map(len, levels[1:]))
@@ -930,8 +938,8 @@ class TestShapeCache:
     def test_leaf_edges_must_match_shape(self, monkeypatch):
         real = iter_reduction_leaves
 
-        def reversed_leaves(graph, c, **kwargs):
-            for leaf in real(graph, c, **kwargs):
+        def reversed_leaves(graph, **kwargs):
+            for leaf in real(graph, **kwargs):
                 g = leaf.graph
                 flipped = DirectedMultigraph(g.vertex_count, g.edges[::-1], g.first_vertex)
                 yield ProvenancedGraph(flipped, leaf.provenance[::-1], leaf.root)
@@ -964,8 +972,8 @@ class TestShapeCache:
         # so a plain provenance {-1, 0} lands on {0, 1} and overlaps the
         # source edge's {0}: the path counts root edge 0 twice, the cell
         # vertex leaves the affine span, and the certificate refuses it.
-        def overlapping_leaves(graph, c, **kwargs):
-            (leaf,) = iter_reduction_leaves(graph, c)
+        def overlapping_leaves(graph, **kwargs):
+            (leaf,) = iter_reduction_leaves(graph)
             yield ProvenancedGraph._from_checked(leaf.graph, (frozenset((-1, 0)),), leaf.root)
 
         monkeypatch.setattr(reduction, "iter_reduction_leaves", overlapping_leaves)
@@ -976,11 +984,11 @@ class TestShapeCache:
 
 def augmented_walk_dissection(graph, c):
     """The cells and the per-leaf cell counts as the source tree's own walk
-    gives them: each leaf of iter_reduction_leaves(graph, c) cut by its
-    shape, the cells' vertices pushed through that leaf's own provenance."""
+    gives them: each leaf of augmented_levels(graph, c) cut by its shape,
+    the cells' vertices pushed through that leaf's own provenance."""
     c = tuple(c)
     cells, counts = [], []
-    for leaf_index, leaf in enumerate(iter_reduction_leaves(graph, c)):
+    for leaf_index, leaf in enumerate(augmented_levels(graph, c)[-1]):
         (composition,) = leaf_census([leaf])
         assert leaf.graph.edges == shape_graph(c, composition).edges
 
@@ -1028,14 +1036,14 @@ class TestSharedWalk:
         real = iter_reduction_leaves
         walks = []
 
-        def counted(graph, c=None, **kwargs):
-            walks.append(c)
-            return real(graph, c, **kwargs)
+        def counted(graph, **kwargs):
+            walks.append(graph)
+            return real(graph, **kwargs)
 
         monkeypatch.setattr(reduction, "iter_reduction_leaves", counted)
         result = run_dissection_suite(4, 5, 2)
         assert result.passed
-        assert walks == [None] * sum(1 for _ in iter_family(4, 5))
+        assert walks == list(iter_family(4, 5))
 
 
 class TestDissectionBudget:
@@ -1043,7 +1051,7 @@ class TestDissectionBudget:
 
     def test_walk_plus_dissection_exceed_cap(self):
         g, c = complete_graph(4), (3, 2, 2)
-        walk = canonical_reduction_tree(g, c).node_count
+        walk = sum(map(len, augmented_levels(g, c)))
         _, dissection = reference_dissection(g, c)
         assert (walk, dissection) == (4, 60)
         cap = max(walk, dissection)
