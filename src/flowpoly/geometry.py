@@ -10,20 +10,32 @@ vector is fixed by its entries on the cotree edges (those left out of the
 forest), and any integer entries there extend to one.  Cotree entries are
 therefore lattice coordinates, and a simplex is unimodular exactly when its
 edge vectors, restricted to the cotree, have determinant +-1.
+
+The dissection is certified per graph over a box of c vectors
+(certify_dissection_box): one plain tree walk and one flow counter on the
+graph serve every c, the volume coming from reciprocity with the source's
+units split over its parallel edges (kostant.source_split_volumes).  Each c
+yields its check outcomes, a DissectionChecks; its report is built only
+when asked for, and verify_dissection is the box of one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, compress, product, starmap
+from operator import gt, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from . import reduction
-from .kostant import FlowCounter, FlowInstance, count_flows, enumerate_flows, reciprocity_volume
+from .kostant import FlowCounter, FlowInstance, count_flows, enumerate_flows, source_split_volumes
 from .multigraph import (
     DirectedMultigraph,
     NetflowVector,
+    _checked_c,
     apply_incidence,
     attach_source,
+    checked_box,
+    degree_stats,
     integers,
 )
 from .lidskii import in_plus_c_netflow
@@ -65,13 +77,14 @@ def _det_bareiss(rows: Sequence[Sequence[int]]) -> int:
                 return 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
+        top = m[k]
+        rkk = top[k]
         for i in range(k + 1, n):
+            # columns up to k come out 0: they were 0 in both rows, or cancel
             rik = m[i][k]
-            rkk = m[k][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * rkk - rik * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+            if rik or rkk != prev:  # else the row stays as it is
+                m[i] = [(a * rkk - rik * b) // prev for a, b in zip(m[i], top)]
+        prev = rkk
     return sign * m[n - 1][n - 1]
 
 
@@ -86,17 +99,6 @@ class AmbientLattice:
         self.dim = len(self.cotree)
 
 
-def _lattice_coordinates(
-    lattice: AmbientLattice, ref: Sequence[int], point: Sequence[int]
-) -> tuple[int, ...] | None:
-    """Lattice coordinates of point - ref, its cotree entries; None when the
-    difference leaves the affine span."""
-    diff = [a - b for a, b in zip(point, ref)]
-    if any(apply_incidence(lattice.graph, diff)):
-        return None
-    return tuple(diff[j] for j in lattice.cotree)
-
-
 def is_unimodular(
     cell: SimplexCell, ambient: FlowInstance, *, lattice: AmbientLattice | None = None
 ) -> bool:
@@ -107,10 +109,11 @@ def is_unimodular(
     verts = cell.vertices
     if len(verts) != lat.dim + 1:
         raise ValueError(f"cell has {len(verts)} vertices, ambient span needs {lat.dim + 1}")
-    rows = [_lattice_coordinates(lat, verts[0], v) for v in verts[1:]]
-    if None in rows:
+    edges = [list(map(sub, v, verts[0])) for v in verts[1:]]
+    if any(any(apply_incidence(lat.graph, e)) for e in edges):
         raise ValueError("cell vertices do not lie in one affine span fiber")
-    return abs(_det_bareiss(rows)) == 1
+    # lattice coordinates: the cotree entries
+    return abs(_det_bareiss([[e[j] for j in lat.cotree] for e in edges])) == 1
 
 
 def contains_flow(inst: FlowInstance, point: Sequence) -> bool:
@@ -172,32 +175,58 @@ def unit_source_sink_netflow(graph: DirectedMultigraph) -> NetflowVector:
     return NetflowVector(tuple(entries))
 
 
-class _GraphShare(NamedTuple):
-    """What the dissection reports of one graph can share across c: its
-    plain canonical tree, which every source tree lifts, and a flow counter
-    on the graph for check (d)."""
+class DissectionChecks(NamedTuple):
+    """The outcomes of the five checks of verify_dissection at one c: the
+    first counterexample of checks (a), (b) and (e), or None, and the three
+    numbers that checks (c) and (d) compare."""
 
-    plain: reduction._PlainTree
-    counter: FlowCounter
+    c: tuple[int, ...]
+    cells: int
+    bad_vertex: dict | None
+    dimension: int
+    bad_cell: dict | None
+    normalized_volume: int
+    flow_count: int
+    overlap: dict | None
 
-    @classmethod
-    def of(cls, graph: DirectedMultigraph, node_cap: int) -> "_GraphShare":
-        return cls(reduction._plain_tree(graph, node_cap), FlowCounter(graph))
+    @property
+    def passed(self) -> bool:
+        return (self.bad_vertex is None and self.bad_cell is None and self.overlap is None
+                and self.cells == self.normalized_volume == self.flow_count)
+
+    def report(self) -> VerificationReport:
+        report = VerificationReport(f"dissection c={self.c}")
+        report.add("cell_vertices_in_polytope", self.bad_vertex is None,
+                   cells=self.cells, counterexample=self.bad_vertex)
+        report.add("cells_unimodular_full_dimensional", self.bad_cell is None,
+                   dimension=self.dimension, counterexample=self.bad_cell)
+        report.add("cell_count_equals_normalized_volume", self.cells == self.normalized_volume,
+                   cells=self.cells, normalized_volume=self.normalized_volume)
+        report.add("cell_count_equals_flow_count", self.cells == self.flow_count,
+                   cells=self.cells, flow_count=self.flow_count)
+        report.add("pairwise_interiors_disjoint", self.overlap is None, counterexample=self.overlap)
+        return report
 
 
 def verify_dissection(
-    graph: DirectedMultigraph,
-    c: Sequence[int],
-    *,
-    node_cap: int = DEFAULT_NODE_CAP,
-    _share: _GraphShare | None = None,
+    graph: DirectedMultigraph, c: Sequence[int], *, node_cap: int = DEFAULT_NODE_CAP
 ) -> VerificationReport:
     """Certify that the unimodular dissection of the source-augmented
-    polytope P tiles it.  Five checks, each run whatever the others find:
-    (a) every cell vertex is a point of P; (b) every cell is a
-    full-dimensional unimodular simplex; (c) the cell count equals the
-    normalized volume of P; (d) the cell count equals the flow count of the
-    original graph at netflow indeg-1+c; (e) the facet rule,
+    polytope P tiles it: certify_dissection_box at the one point c."""
+    c = _checked_c(c, graph)
+    return next(certify_dissection_box(graph, [(ci,) for ci in c], node_cap=node_cap)).report()
+
+
+def certify_dissection_box(
+    graph: DirectedMultigraph, box: Sequence[Sequence[int]], *, node_cap: int = DEFAULT_NODE_CAP
+) -> Iterator[DissectionChecks]:
+    """The checks of the unimodular dissection of the source-augmented
+    polytope P at each c in product(*box), in that order; box holds a range
+    of positive c entries per non-sink vertex.  Five checks, each run
+    whatever the others find: (a) every cell vertex is a point of P; (b)
+    every cell is a full-dimensional unimodular simplex; (c) the cell count
+    equals the normalized volume of P; (d) the cell count equals the flow
+    count of the original graph at netflow indeg-1+c; (e) the facet rule,
     pairwise_interiors_disjoint: no cell repeats a vertex or another cell,
     a facet of two cells has them on opposite sides, none lies in three or
     more, and a facet of one cell lies on the boundary of P, where some
@@ -209,92 +238,75 @@ def verify_dissection(
     the cells tile P.  Raises ValueError when a cell vertex leaves the
     affine span of P.
 
-    The volume in (c) comes from Ehrhart-Macdonald reciprocity
-    (kostant.reciprocity_volume): P's Ehrhart polynomial at -s is, up to
-    sign, the number of flows at the s-th dilate with every edge at least
-    1, which is 0 until s reaches sum(c).  Its premise, that every edge lies
-    on a source-sink path, holds for every graph the reductions accept: the
-    source feeds every vertex, and every vertex but the sink has an
-    out-edge.  _share, when given, holds the graph's plain tree and a
-    counter for (d), kept by the caller across the c values of one graph."""
-    plain, counter = _share if _share is not None else (None, FlowCounter(graph))
-    cells = reduction.unimodular_dissection(graph, c, node_cap=node_cap, _plain=plain)
-    augmented = attach_source(graph, c)
-    ambient = FlowInstance(augmented, unit_source_sink_netflow(augmented))
-    lattice = AmbientLattice(augmented)
-    report = VerificationReport(f"dissection c={tuple(c)}")
+    Per graph, one plain tree walk, which every source tree lifts, and one
+    flow counter: (d) is one count_box over the shifted box, and (c) comes
+    from Ehrhart-Macdonald reciprocity (kostant.source_split_volumes),
+    whose premise holds for every graph the reductions accept.  Checks (a),
+    (b) and (e) run per c."""
+    plain = reduction._plain_tree(graph, node_cap)
+    box = checked_box(box, graph, 1, "c")
+    counter = FlowCounter(graph)
+    flow_counts = counter.count_box([[ci + i for ci in r] for r, i in zip(box, degree_stats(graph).in_shift)])
+    volumes = source_split_volumes(counter, ((*c, 0) for c in product(*box)))
+    for c, flow_count in zip(product(*box), flow_counts):
+        cells = reduction.unimodular_dissection(graph, c, node_cap=node_cap, _plain=plain)
+        augmented = attach_source(graph, c)
+        netflow = unit_source_sink_netflow(augmented).entries
+        cotree = augmented.cotree()
+        bits = [1 << j for j in range(augmented.edge_count)]
 
-    # Cells share most of their vertices: each distinct point is tested
-    # once and named by an id that indexes its lattice coordinates (its
-    # cotree entries) and its support, a bit mask over the edges.
-    ids: dict[tuple[int, ...], int] = {}
-    coords: list[tuple[int, ...]] = []
-    supports: list[int] = []
-    named_cells: list[list[int]] = []
-    bad_vertex = None
-    for idx, cell in enumerate(cells):
-        named = []
-        for v in cell.vertices:
-            k = ids.get(v)
-            if k is None:
-                if not contains_flow(ambient, v):
-                    if apply_incidence(augmented, v) != ambient.netflow.entries:
+        # Cells share most of their vertices: each distinct point is tested
+        # once and named by an id that indexes its lattice coordinates (its
+        # cotree entries) and its support, a bit mask over the edges.
+        ids: dict[tuple[int, ...], int] = {}
+        coords: list[list[int]] = []
+        supports: list[int] = []
+        named_cells: list[list[int]] = []
+        bad_vertex = None
+        for idx, cell in enumerate(cells):
+            for v in cell.vertices:
+                if v not in ids:
+                    if apply_incidence(augmented, v) != netflow:
                         raise ValueError("cell vertices do not lie in one affine span fiber")
-                    if bad_vertex is None:
+                    if min(v) < 0 and bad_vertex is None:
                         bad_vertex = {"cell": idx, "vertex": list(v)}
-                k = ids[v] = len(coords)
-                coords.append(tuple(v[j] for j in lattice.cotree))
-                supports.append(sum(1 << j for j, x in enumerate(v) if x))
-            named.append(k)
-        named_cells.append(named)
-    report.add("cell_vertices_in_polytope", bad_vertex is None,
-               cells=len(cells), counterexample=bad_vertex)
+                    ids[v] = len(coords)
+                    coords.append(list(map(v.__getitem__, cotree)))
+                    supports.append(sum(compress(bits, v)))
+            named_cells.append(list(map(ids.__getitem__, cell.vertices)))
 
-    dets = []
-    bad_cell = None
-    for idx, named in enumerate(named_cells):
-        if len(named) != lattice.dim + 1:
-            det, reason = 0, f"expected {lattice.dim + 1} vertices"
-        else:
-            base = coords[named[0]]
-            det = _det_bareiss([[x - y for x, y in zip(coords[k], base)] for k in named[1:]])
-            reason = "determinant not +-1"
-        dets.append(det)
-        if abs(det) != 1 and bad_cell is None:
-            bad_cell = {"cell": idx, "vertices": list(cells[idx].vertices), "reason": reason}
-    report.add("cells_unimodular_full_dimensional", bad_cell is None,
-               dimension=lattice.dim, counterexample=bad_cell)
+        dets = []
+        bad_cell = None
+        for idx, named in enumerate(named_cells):
+            if len(named) != len(cotree) + 1:
+                det, reason = 0, f"expected {len(cotree) + 1} vertices"
+            else:
+                base = coords[named[0]]
+                det = _det_bareiss([list(map(sub, coords[k], base)) for k in named[1:]])
+                reason = "determinant not +-1"
+            dets.append(det)
+            if abs(det) != 1 and bad_cell is None:
+                bad_cell = {"cell": idx, "vertices": list(cells[idx].vertices), "reason": reason}
 
-    volume = reciprocity_volume(augmented)
-    report.add("cell_count_equals_normalized_volume", len(cells) == volume,
-               cells=len(cells), normalized_volume=volume)
-
-    target = counter.count(in_plus_c_netflow(graph, c))
-    report.add("cell_count_equals_flow_count", len(cells) == target,
-               cells=len(cells), flow_count=target)
-
-    overlap = _facet_rule(named_cells, dets, supports, augmented.edge_count)
-    report.add("pairwise_interiors_disjoint", overlap is None, counterexample=overlap)
-    return report
+        yield DissectionChecks(c, len(cells), bad_vertex, len(cotree), bad_cell, next(volumes),
+                               flow_count, _facet_rule(named_cells, dets, supports, len(bits)))
 
 
-def _oriented_facets(named: Sequence[int], det: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The facets of a simplex given by its vertex ids, each keyed by its
-    sorted ids, with the side of it the simplex lies on: +1 or -1 against
-    the facet's vertices in key order, 0 when det is 0.  det is the
-    determinant of the edge vectors from named[0] to the other vertices.
+def _oriented_facets(named: Sequence[int], det: int) -> list[tuple[int, int]]:
+    """The facets of a simplex given by its vertex ids, each keyed by the
+    bit mask of its ids, with the side of it the simplex lies on: +1 or -1
+    against the facet's vertices in increasing id order, 0 when det is 0.
+    det is the determinant of the edge vectors from named[0] to the other
+    vertices.
 
     The oriented volume of a simplex alternates in its d+1 vertices, so the
     side of the facet opposite sorted rank r is sign(det) times the parity
     of the sorting permutation times (-1)**(d - r)."""
-    d = len(named) - 1
-    key = sorted(named)
-    inversions = sum(a > b for i, a in enumerate(named) for b in named[i + 1:])
     side = (det > 0) - (det < 0)
-    if (inversions + d) % 2:
+    if (sum(starmap(gt, combinations(named, 2))) + len(named) - 1) % 2:  # inversions + d
         side = -side
-    for r in range(d + 1):
-        yield tuple(key[:r] + key[r + 1:]), -side if r % 2 else side
+    mask = sum(map((1).__lshift__, named))
+    return [(mask ^ (1 << k), -side if r % 2 else side) for r, k in enumerate(sorted(named))]
 
 
 def _facet_rule(
@@ -305,17 +317,16 @@ def _facet_rule(
     supports as bit masks.  Every edge of a graph that the reductions
     accept lies on a source-sink path, so each edge coordinate is positive
     somewhere on P, and a facet where one vanishes lies on P's boundary."""
-    keys = [tuple(sorted(named)) for named in named_cells]
-    for idx, key in enumerate(keys):
-        if len(set(key)) != len(key):
+    for idx, named in enumerate(named_cells):
+        if len(set(named)) != len(named):
             return {"reason": "repeated vertex inside a cell", "cell": idx}
-    first: dict[tuple[int, ...], int] = {}
-    for idx, key in enumerate(keys):
-        seen = first.setdefault(key, idx)
+    first: dict[int, int] = {}
+    for idx, named in enumerate(named_cells):
+        seen = first.setdefault(sum(map((1).__lshift__, named)), idx)
         if seen != idx:
             return {"reason": "duplicate cell", "cells": [seen, idx]}
 
-    owners: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    owners: dict[int, list[tuple[int, int]]] = {}
     for idx, (named, det) in enumerate(zip(named_cells, dets)):
         for facet, side in _oriented_facets(named, det):
             owners.setdefault(facet, []).append((idx, side))
@@ -329,8 +340,9 @@ def _facet_rule(
                 return {"reason": "cells on the same side of a shared facet", "cells": [a, b]}
             continue
         touched = 0
-        for k in facet:
-            touched |= supports[k]
+        for k in named_cells[owned[0][0]]:
+            if facet >> k & 1:
+                touched |= supports[k]
         if touched == every_edge:
             return {"reason": "boundary facet off the polytope boundary", "cells": [owned[0][0]]}
     return None

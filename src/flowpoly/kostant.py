@@ -6,9 +6,10 @@ The unit source-to-sink polytope of a graph on which every edge lies on a
 source-sink path has a cheaper volume (reciprocity_volume): by
 Ehrhart-Macdonald reciprocity (Macdonald 1971) the Ehrhart polynomial at
 -s is, up to sign, the number of flows at the s-th dilate with every edge
-at least 1.  Those are the flows of a shifted netflow, and they vanish
-until s reaches the first vertex's out-degree, so most of the values the
-volume needs are 0 without a count.
+at least 1.  They vanish until s reaches the first vertex's out-degree;
+past it they are counted on the rest of the graph, the extra units split
+over the first vertex's out-edges (source_split_volumes), so one counter
+serves the source-augmented graphs of every c.
 
 Everything here is exact integer / rational arithmetic.  Vertices are
 processed in increasing order, so all inflow into a vertex is known when its
@@ -27,10 +28,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import comb, factorial
-from operator import mul
-from typing import Iterator, Sequence
+from functools import lru_cache
+from itertools import accumulate, combinations_with_replacement
+from math import comb, factorial, prod
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence
 
 from .multigraph import DirectedMultigraph, NetflowVector, checked_box, degree_stats, integers
 
@@ -456,13 +458,11 @@ def reciprocity_volume(graph: DirectedMultigraph) -> int:
     graph (netflow +1 at the first vertex, -1 at the last) on which every
     edge lies on a first-to-last path, from Ehrhart-Macdonald reciprocity:
     L(-t) = (-1)^D L°(t), where D = |E| - |V| + 1 is the dimension of P and
-    L° counts the lattice points in the relative interior of tP.  Those are
-    the flows with every edge at least 1, so L°(s) is the count at
-    s·a - ∂1, with ∂1 the out-degree minus the in-degree at each vertex; it
-    is 0 for s below the first vertex's out-degree, and only the other s
-    are counted.  The values at t = -D..0, with L(0) = 1, fix L,
-    and their D-th difference is D! times its leading coefficient.  All the
-    counts share one counter.
+    L° counts the lattice points in the relative interior of tP: the flows
+    with every edge at least 1, which source_split_volumes counts on the
+    graph with its first vertex taken as the source.  The values at t =
+    -D..0, with L(0) = 1, fix L, and their D-th difference is D! times its
+    leading coefficient.
 
     Raises ValueError unless every vertex but the first has an in-edge and
     every vertex but the last an out-edge, and ArithmeticError unless the
@@ -476,28 +476,59 @@ def reciprocity_volume(graph: DirectedMultigraph) -> int:
         if k < nv - 1 and not stats.outdeg[k]:
             raise ValueError(f"vertex {v} has no outgoing edge, so not every edge lies on a "
                              "source-sink path")
-    dim = graph.edge_count - nv + 1
-    unit = [0] * nv
-    unit[0] += 1
-    unit[-1] -= 1
-    boundary = [o - i for o, i in zip(stats.outdeg, stats.indeg)]
-    counter = FlowCounter(graph)
-    sign = -1 if dim % 2 else 1
-    # L(-D), ..., L(-1), then L(0); below the first vertex's out-degree one
-    # of its out-edges would carry 0, so the interior count is 0 uncounted
-    row = [
-        sign * counter.count(NetflowVector(tuple(s * u - b for u, b in zip(unit, boundary))))
-        if s >= stats.outdeg[0] else 0
-        for s in range(dim, 0, -1)
-    ] + [1]
-    backward = []  # the backward differences of L at 0, of order 0..D
-    while row:
-        backward.append(row[-1])
-        row = [b - a for a, b in zip(row, row[1:])]
-    # Newton's backward formula at t = 1: L(1) is the sum of them
-    paths = counter.count(NetflowVector(tuple(unit)))
-    if sum(backward) != paths:
-        raise ArithmeticError(
-            f"reciprocity gives L(1) = {sum(backward)}, but the unit netflow has {paths} flows"
-        )
-    return backward[-1]
+    if nv == 1:
+        return 1  # a point
+    lo = graph.first_vertex
+    sources = [graph.edges.count((lo, v)) for v in graph.vertices[1:]]
+    rest = DirectedMultigraph(nv - 1, tuple((a - lo, b - lo) for a, b in graph.edges if a != lo))
+    return next(source_split_volumes(FlowCounter(rest), [sources]))
+
+
+def source_split_volumes(counter: FlowCounter, sources: Iterable[Sequence[int]]) -> Iterator[int]:
+    """reciprocity_volume of the counter's graph G with a source in front
+    that has m_i parallel edges to the i-th vertex of G (the sink included),
+    for each m in sources, in that order; every m reads G's one counter.
+
+    An interior flow at the s-th dilate, less 1 on every edge, has the
+    source send r = s - sum(m) units, y_i of them to vertex i in
+    prod_i C(y_i + m_i - 1, y_i) ways, and G carry the rest.  With K the
+    count on G: L°(sum(m) + r) = sum over |y| = r of that product times
+    K(m + indeg - outdeg + y), for r up to D - sum(m) = |E(G)| - |V(G)|;
+    below sum(m) a source edge would carry 0.  L(1) = sum_i m_i K(e_i - e_sink)."""
+    graph = counter.graph
+    n = graph.vertex_count
+    stats = degree_stats(graph)
+    shift = [i - o for i, o in zip(stats.indeg, stats.outdeg[:-1])]
+    extra = graph.edge_count - n
+    # every y with sum(y) <= extra: extra units over the n vertices and a slack
+    splits = [tuple(map(multiset.count, range(n)))
+              for multiset in (combinations_with_replacement(range(n + 1), extra) if extra >= 0 else ())]
+    # K at the netflow with these non-sink entries
+    count = lru_cache(maxsize=None)(lambda heads: counter.count((*heads, -sum(heads))))
+    units = [count(tuple(int(i == k) for i in range(n - 1))) for k in range(n - 1)] + [1]
+    for m in sources:
+        # y units go over m_i parallel edges in C(y + m_i - 1, y) ways, over none only if y = 0
+        ways = [[comb(y + mi - 1, y) if mi else int(not y) for y in range(extra + 1)] for mi in m]
+        base = list(map(add, m, shift))  # no sink entry: units sent to the sink change none
+        interior = [0] * (extra + 1)
+        for y in splits:
+            w = prod(map(list.__getitem__, ways, y))
+            if w:
+                interior[sum(y)] += w * count(tuple(map(add, base, y)))
+        # L(0) = 1, L(-k) = 0 for 0 < k < sum(m), and L(-k) = (-1)^D L°(k)
+        # above.  The backward difference of L at 0 of order j is
+        # sum_k (-1)^k C(j, k) L(-k): the D-th is the volume, and those of
+        # order 0..D add up to L(1) by Newton's backward formula; summed over
+        # j, C(j, k) gives C(D + 1, k + 1).  signed[r] is (-1)^k L(-k) at
+        # k = sum(m) + r.
+        low, dim = sum(m), extra + sum(m)
+        signed = [(-1) ** (extra - r) * k for r, k in enumerate(interior)]
+        volume = 1 + sum(k * comb(dim, low + r) for r, k in enumerate(signed))
+        at_one = dim + 1 + sum(k * comb(dim + 1, low + r + 1) for r, k in enumerate(signed))
+        paths = sum(map(mul, m, units))
+        if at_one != paths:
+            raise ArithmeticError(
+                f"reciprocity gives L(1) = {at_one}, but the unit netflow has {paths} flows"
+            )
+        yield volume
+

@@ -290,9 +290,7 @@ def attach_source(graph: DirectedMultigraph, c: Sequence[int]) -> DirectedMultig
     source_edges = []
     for i, ci in enumerate(c, start=1):
         source_edges.extend([(0, i)] * ci)
-    return DirectedMultigraph(
-        graph.vertex_count + 1, tuple(source_edges) + graph.edges, first_vertex=0
-    )
+    return DirectedMultigraph._from_checked(graph.vertex_count + 1, tuple(source_edges) + graph.edges, 0)
 
 
 def apply_incidence(graph: DirectedMultigraph, flow: Sequence) -> tuple:
@@ -301,10 +299,10 @@ def apply_incidence(graph: DirectedMultigraph, flow: Sequence) -> tuple:
         raise ValueError(f"flow has {len(flow)} coordinates, graph has {graph.edge_count} edges")
     lo = graph.first_vertex
     net = [0] * graph.vertex_count
-    for k, (a, b) in enumerate(graph.edges):
-        f = flow[k]
-        net[a - lo] += f
-        net[b - lo] -= f
+    for (a, b), f in zip(graph.edges, flow):
+        if f:
+            net[a - lo] += f
+            net[b - lo] -= f
     return tuple(net)
 
 

@@ -6,15 +6,16 @@ at most 2, and at least one outgoing edge at every non-sink vertex.
 One family walk, _run_family, serves every suite: it counts the
 instances and collects the counterexamples.  A suite gives it a title
 and, per graph, a generator over its parameter box that compares a
-closed-form evaluator against the brute-force counter (or runs the full
-dissection reports) and yields None for a passing instance or the
-counterexample's fields.  On one graph the instances of the eq2, eq1 and
-thm41 suites form a box, one range of netflow heads or c values per
-non-sink vertex, and each side is evaluated over the whole box at once:
-the formula side by one LidskiiTerms (counts, volumes, c_form_counts),
-the oracle side by its FlowCounter (count_box, or normalized_volume_box
-for eq1).  The two lists are compared point by point, in the box's
-product order.
+closed-form evaluator against the brute-force counter (or certifies the
+dissection) and yields None for a passing instance or the
+counterexample's fields.  On one graph the instances of the eq2, eq1,
+thm41 and dissection suites form a box, one range of netflow heads or c
+values per non-sink vertex, and each side is evaluated over the whole box
+at once: the formula side by one LidskiiTerms (counts, volumes,
+c_form_counts), the oracle side by its FlowCounter (count_box, or
+normalized_volume_box for eq1), and the dissection's five checks by
+geometry.certify_dissection_box, which builds a report only for a failing
+c.  The lists are compared point by point, in the box's product order.
 
 No state is shared across graphs, so _run_family splits the family
 round-robin by graph index over forked worker processes, one per usable
@@ -32,7 +33,7 @@ from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .geometry import _GraphShare, verify_dissection, verify_in_vector_bijection
+from .geometry import certify_dissection_box, verify_in_vector_bijection
 from .kostant import normalized_volume_box
 from .lidskii import LidskiiTerms
 # the evaluators stay importable from this module
@@ -280,18 +281,14 @@ def run_dissection_suite(
 
     def instances(graph):
         terms = LidskiiTerms(graph)
-        # the plain tree's leaves and a counter for the reports' check (d),
-        # never terms.counter, which gives the expected cell count
-        share = _GraphShare.of(graph, node_cap)
         box = _box(graph, 1, max_c)
-        for c, expected_cells in zip(product(*box), terms.c_form_counts(box)):
-            report = verify_dissection(graph, c, node_cap=node_cap, _share=share)
-            cell_count = next(
-                ch.details["cells"] for ch in report.checks if ch.name == "cell_count_equals_flow_count"
-            )
-            yield None if report.passed and cell_count == expected_cells else {
-                "c": list(c), "cells": cell_count, "expected_cells": expected_cells,
-                "report": report.to_json()}
+        # the certificate counts with a counter of its own for checks (c) and
+        # (d), never terms.counter, which gives the expected cell count
+        for checks, expected_cells in zip(certify_dissection_box(graph, box, node_cap=node_cap),
+                                          terms.c_form_counts(box)):
+            yield None if checks.passed and checks.cells == expected_cells else {
+                "c": list(checks.c), "cells": checks.cells, "expected_cells": expected_cells,
+                "report": checks.report().to_json()}
 
     return _run_family("dissection (unimodular cells)", max_vertices, max_edges, instances)
 

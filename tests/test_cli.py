@@ -56,6 +56,12 @@ def _failing_report(report):
     return report
 
 
+def _failing_first_checks(checks):
+    """The dissection checks of a box with the first c's facet rule failed."""
+    yield next(checks)._replace(overlap={"reason": "spoiled"})
+    yield from checks
+
+
 def reversed_graph_text(nv):
     """The complete graph's file with its edge lines in reverse order."""
     header, *edges = format_graph(complete_graph(nv)).splitlines()
@@ -447,7 +453,7 @@ class TestVerify:
 
     SPOILED_SIDES = [
         ("census", "tree_census", lambda census: {**census, (9,): 1}),
-        ("dissection", "verify_dissection", _failing_report),
+        ("dissection", "certify_dissection_box", _failing_first_checks),
         ("in-vector", "verify_in_vector_bijection", _failing_report),
     ]
 
@@ -485,7 +491,7 @@ class TestVerify:
         real = getattr(flowpoly.verify, side)
 
         def spoiled_first(arg, *args, **kwargs):
-            if side == "tree_census":  # the graph alone
+            if side in ("tree_census", "certify_dissection_box"):  # the graph alone
                 hit = arg == first
             else:  # the graph and c
                 hit = (arg, tuple(args[0])) == (first, (1, 1))
@@ -780,11 +786,12 @@ class TestDissectionArgumentFuzz:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
 
     def test_reciprocity_guard_is_one_error_line(self, capsys, monkeypatch):
-        def broken(graph):
+        def broken(counter, sources):
             raise ArithmeticError("reciprocity gives L(1) = 3, but the unit netflow has 2 flows")
+            yield
 
         monkeypatch.setenv("FLOWPOLY_WORKERS", "1")
-        monkeypatch.setattr(flowpoly.geometry, "reciprocity_volume", broken)
+        monkeypatch.setattr(flowpoly.geometry, "source_split_volumes", broken)
         code, out, err = run(capsys, ["verify", "--suite", "dissection", "--max-vertices", "3"])
         assert (code, out) == (1, "")
         assert err == "error: reciprocity gives L(1) = 3, but the unit netflow has 2 flows\n"
@@ -846,3 +853,41 @@ class TestSourceArgumentFuzz:
         assert err == "", argv
         if command == "reduce":
             assert re.sub(r'label="(0→\d+( ×\d+)?, )+', 'label="', out) == plain, argv
+
+
+# netflows for `kostant` and `ehrhart`: entries -5..50, from two entries
+# short of the graph's vertex count to one past it
+NETFLOW_GRAPHS = {"k3": complete_graph(3), "k4": complete_graph(4), "p3": path_graph(3)}
+
+
+@st.composite
+def netflow_argv(draw):
+    command = draw(st.sampled_from(["kostant", "ehrhart"]))
+    name = draw(st.sampled_from(sorted(NETFLOW_GRAPHS)))
+    n = NETFLOW_GRAPHS[name].vertex_count
+    entries = draw(st.lists(st.integers(-5, 50), min_size=n - 2, max_size=n + 1))
+    return command, name, ",".join(map(str, entries))
+
+
+class TestNetflowArgumentFuzz:
+    """Any netflow given to `kostant` or `ehrhart` gives one value or one
+    clean error line."""
+
+    VALUE = {"kostant": r"\d+\n", "ehrhart": r"-?\d+(/\d+)?(, -?\d+(/\d+)?)*\n"}
+
+    @settings(deadline=None, max_examples=100)
+    @given(netflow_argv())
+    @example(("ehrhart", "k4", "50,50,50"))
+    @example(("kostant", "p3", "-5,50,-45"))
+    def test_exits_cleanly(self, args):
+        command, name, netflow = args
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{name}.graph"
+            write_graph(NETFLOW_GRAPHS[name], path)
+            argv = [command, "--graph", str(path), f"--netflow={netflow}"]
+            code, out, err = TestSourceArgumentFuzz.run_main(argv)
+        if code:
+            assert (code, out) == (1, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+        else:
+            assert err == "" and re.fullmatch(self.VALUE[command], out), argv

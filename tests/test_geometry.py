@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 from conftest import augmented_levels
 
+import flowpoly.verify
 from flowpoly import geometry, reduction
 
 from flowpoly.geometry import (
@@ -319,16 +320,7 @@ class TestVerifyDissection:
         # membership is tested once per distinct point; a spoiled copy of a
         # point that passed in earlier cells is still caught, in its own cell
         g, c = complete_graph(4), (3, 2, 2)
-        cells = unimodular_dissection(g, c)
-        last = len(cells) - 1
-        earlier = {v for cell in cells[:last] for v in cell.vertices}
-        k = next(k for k, v in enumerate(cells[last].vertices) if v in earlier)
-        # minus twice a kernel vector: in the affine span, off the polytope
-        w = fundamental_cycle_basis(attach_source(g, c))[0]
-        bad = tuple(x - 2 * y for x, y in zip(cells[last].vertices[k], w))
-        vertices = list(cells[last].vertices)
-        vertices[k] = bad
-        spoiled = cells[:last] + [replace(cells[last], vertices=tuple(vertices))]
+        spoiled, bad = off_polytope_spoil(c)
         monkeypatch.setattr(reduction, "unimodular_dissection", lambda *a, **kw: spoiled)
         check = verify_dissection(g, c).checks[0]
         assert check.name == "cell_vertices_in_polytope" and not check.passed
@@ -353,8 +345,7 @@ class TestVerifyDissection:
 
     def test_spoiled_flat_cell_has_no_side(self, monkeypatch):
         # b's apex moved into the hyperplane of its facet shared with cell 0
-        cells, b = moved_apex_spoil(
-            lambda a, b, facet: tuple(x + y - z for x, y, z in zip(*facet[:3])))
+        cells, b = moved_apex_spoil(flat_apex)
         found = self.pairwise_counterexample(monkeypatch, cells)
         assert found == {"reason": "cells on the same side of a shared facet", "cells": [0, b]}
 
@@ -369,11 +360,27 @@ class TestVerifyDissection:
         assert len(set(cells[j].vertices) & set(dropped.vertices)) == len(dropped.vertices) - 1
 
 
-def moved_apex_spoil(move):
-    """The dissection of K4 at c = (3, 2, 2) with the apex of a facet
-    neighbour b of cell 0 moved to move(cell 0's apex, b's apex, their
-    shared facet's points)."""
-    cells = unimodular_dissection(complete_graph(4), (3, 2, 2))
+def off_polytope_spoil(c):
+    """The dissection of K4 at c with a point of its last cell that earlier
+    cells share moved by minus twice a kernel vector: in the affine span,
+    off the polytope.  Returns the cells and the moved point."""
+    g = complete_graph(4)
+    cells = unimodular_dissection(g, c)
+    last = len(cells) - 1
+    earlier = {v for cell in cells[:last] for v in cell.vertices}
+    k = next(k for k, v in enumerate(cells[last].vertices) if v in earlier)
+    w = fundamental_cycle_basis(attach_source(g, c))[0]
+    bad = tuple(x - 2 * y for x, y in zip(cells[last].vertices[k], w))
+    vertices = list(cells[last].vertices)
+    vertices[k] = bad
+    return cells[:last] + [replace(cells[last], vertices=tuple(vertices))], bad
+
+
+def moved_apex_spoil(move, c=(3, 2, 2)):
+    """The dissection of K4 at c with the apex of a facet neighbour b of
+    cell 0 moved to move(cell 0's apex, b's apex, their shared facet's
+    points)."""
+    cells = unimodular_dissection(complete_graph(4), c)
     first = set(cells[0].vertices)
     b = next(j for j, cell in enumerate(cells)
              if len(first & set(cell.vertices)) == len(first) - 1)
@@ -401,6 +408,74 @@ def opposite_sides_by_two_determinants(facet, apex_a, apex_b, coords):
     side_a = _det(rows + [[x - y for x, y in zip(coords(apex_a), base)]])
     side_b = _det(rows + [[x - y for x, y in zip(coords(apex_b), base)]])
     return side_a * side_b < 0
+
+
+def flat_apex(a, b, facet):
+    """An apex moved into the hyperplane of its facet."""
+    return tuple(x + y - z for x, y, z in zip(*facet[:3]))
+
+
+class TestCertifyDissectionBox:
+    """A spoil at the one inner c of K4's box (1..3)^3 fails that c alone,
+    and the dissection suite's counterexample there is verify_dissection's
+    report under the same spoil."""
+
+    C = (2, 2, 2)
+
+    @staticmethod
+    def spoil_cells(monkeypatch, spoiled):
+        real = reduction.unimodular_dissection
+
+        def cells(graph, c, **kwargs):
+            return spoiled if tuple(c) == TestCertifyDissectionBox.C else real(graph, c, **kwargs)
+
+        monkeypatch.setattr(reduction, "unimodular_dissection", cells)
+
+    def spoil(self, monkeypatch, check):
+        if check == "cell_vertices_in_polytope":
+            self.spoil_cells(monkeypatch, off_polytope_spoil(self.C)[0])
+        elif check == "cells_unimodular_full_dimensional":
+            self.spoil_cells(monkeypatch, moved_apex_spoil(flat_apex, self.C)[0])
+        elif check == "pairwise_interiors_disjoint":
+            cells = unimodular_dissection(complete_graph(4), self.C)
+            self.spoil_cells(monkeypatch, cells + [cells[5]])
+        elif check == "cell_count_equals_normalized_volume":
+            real = geometry.source_split_volumes
+
+            def volumes(counter, sources):
+                sources = list(sources)
+                for m, volume in zip(sources, real(counter, sources)):
+                    yield volume + (tuple(m[:-1]) == self.C)
+
+            monkeypatch.setattr(geometry, "source_split_volumes", volumes)
+        else:  # the flow count at indeg - 1 + c, (1, 2, 3) on K4
+            class Counter(geometry.FlowCounter):
+                def count_box(self, box):
+                    counts = super().count_box(box)
+                    return [k + (h == (1, 2, 3)) for h, k in zip(product(*box), counts)]
+
+            monkeypatch.setattr(geometry, "FlowCounter", Counter)
+
+    @pytest.mark.parametrize("check", [
+        "cell_vertices_in_polytope", "cells_unimodular_full_dimensional",
+        "cell_count_equals_normalized_volume", "cell_count_equals_flow_count",
+        "pairwise_interiors_disjoint"])
+    def test_spoil_fails_its_c_alone(self, monkeypatch, check):
+        k4 = complete_graph(4)
+        box = [range(1, 4)] * 3
+        honest = list(geometry.certify_dissection_box(k4, box))
+        assert all(checks.passed for checks in honest)
+        self.spoil(monkeypatch, check)
+        failed = [checks.c for checks in geometry.certify_dissection_box(k4, box) if not checks.passed]
+        assert failed == [self.C]
+        monkeypatch.setenv("FLOWPOLY_WORKERS", "1")
+        monkeypatch.setattr(flowpoly.verify, "iter_family", lambda *bounds: iter([k4]))
+        result = flowpoly.verify.run_dissection_suite(4, 6, 3)
+        assert result.instances == 27 and len(result.failures) == 1
+        (failure,) = result.failures
+        report = verify_dissection(k4, self.C)
+        assert failure["c"] == list(self.C) and failure["report"] == report.to_json()
+        assert not next(ch for ch in report.checks if ch.name == check).passed
 
 
 class TestOrientedFacets:
@@ -431,7 +506,7 @@ class TestOrientedFacets:
             if len(owned) != 2:
                 continue
             (a, side_a), (b, side_b) = owned
-            pts = sorted(points[k] for k in facet)
+            pts = sorted(points[k] for k in points if facet >> k & 1)  # facet: a mask of ids
             (apex_a,) = set(cells[a].vertices) - set(pts)
             (apex_b,) = set(cells[b].vertices) - set(pts)
             opposite = side_a * side_b < 0

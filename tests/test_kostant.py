@@ -19,6 +19,7 @@ from flowpoly.kostant import (
     normalized_volume_box,
     normalized_volume_oracle,
     reciprocity_volume,
+    source_split_volumes,
 )
 from flowpoly.multigraph import (
     DirectedMultigraph,
@@ -457,9 +458,36 @@ def unit_instance(graph):
     return FlowInstance(graph, NetflowVector(tuple(netflow)))
 
 
+def augmented_reciprocity_volume(graph):
+    """Reference: reciprocity_volume with one counter on the whole graph,
+    the interior count L°(s) taken at s·a - ∂1 on the graph itself rather
+    than split at its first vertex."""
+    stats = degree_stats(graph)
+    nv = graph.vertex_count
+    dim = graph.edge_count - nv + 1
+    unit = [0] * nv
+    unit[0] += 1
+    unit[-1] -= 1
+    boundary = [o - i for o, i in zip(stats.outdeg, stats.indeg)]
+    counter = FlowCounter(graph)
+    sign = -1 if dim % 2 else 1
+    row = [
+        sign * counter.count(NetflowVector(tuple(s * u - b for u, b in zip(unit, boundary))))
+        if s >= stats.outdeg[0] else 0
+        for s in range(dim, 0, -1)
+    ] + [1]
+    backward = []
+    while row:
+        backward.append(row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    assert sum(backward) == counter.count(NetflowVector(tuple(unit)))
+    return backward[-1]
+
+
 class TestReciprocityVolume:
     """The unit source-to-sink volume from the interior counts at the
-    negative dilates, against the forward difference table."""
+    negative dilates, against the forward difference table and against the
+    interior counts taken on the augmented graph itself."""
 
     def test_equals_oracle_on_family(self):
         instances = 0
@@ -468,6 +496,7 @@ class TestReciprocityVolume:
                 augmented = attach_source(g, c)
                 oracle = normalized_volume_oracle(unit_instance(augmented))
                 assert reciprocity_volume(augmented) == oracle, (g.edges, c)
+                assert augmented_reciprocity_volume(augmented) == oracle, (g.edges, c)
                 instances += 1
         assert instances == 1488
 
@@ -478,7 +507,18 @@ class TestReciprocityVolume:
         (complete_graph(5), (2, 2, 2, 2), 140),
     ])
     def test_named_values(self, graph, c, volume):
-        assert reciprocity_volume(attach_source(graph, c)) == volume
+        augmented = attach_source(graph, c)
+        assert reciprocity_volume(augmented) == volume
+        assert augmented_reciprocity_volume(augmented) == volume
+        assert normalized_volume_oracle(unit_instance(augmented)) == volume
+
+    def test_box_shares_one_counter(self):
+        # a box of c on one counter gives the one-point volumes, in order
+        graph = complete_graph(4)
+        box = list(product((1, 2, 3), (1, 2), (2, 1)))
+        volumes = list(source_split_volumes(FlowCounter(graph), ((*c, 0) for c in box)))
+        assert volumes == [reciprocity_volume(attach_source(graph, c)) for c in box]
+        assert volumes[box.index((3, 2, 2))] == 22
 
     def test_graphs_without_source(self):
         # CRY K5 and a single edge, where every edge is on a source-sink path
@@ -496,11 +536,13 @@ class TestReciprocityVolume:
             reciprocity_volume(graph)
 
     def test_counter_off_by_one_at_one_raises(self, monkeypatch):
+        # L(1) on K4 with a source in front sums the counts on K4 from each
+        # vertex to the sink; the one from vertex 1 is spoiled
         real = FlowCounter.count
 
         def off_at_unit(self, netflow):
             value = real(self, netflow)
-            return value + 1 if NetflowVector.coerce(netflow).entries == (1, 0, 0, 0, -1) else value
+            return value + 1 if NetflowVector.coerce(netflow).entries == (1, 0, 0, -1) else value
 
         monkeypatch.setattr(kostant.FlowCounter, "count", off_at_unit)
         with pytest.raises(ArithmeticError, match="L\\(1\\)"):
