@@ -19,8 +19,8 @@ group at a time, a group being the parallel edges to one head; its state is
 (vertex, group, residual netflow packed into one integer with a slot width
 taken from the netflow's size), and it prunes any split that would leave
 negative flow across a cut.  It finishes the last two non-sink vertices in
-closed form, as binomial coefficients, without recursing to the sink.  Both
-must agree, which the tests check.
+closed form, a binomial and a Newton forward sum, whatever the netflow's
+size.  Both must agree, which the tests check.
 """
 
 from __future__ import annotations
@@ -70,9 +70,12 @@ class FlowCounter:
     Closed-form tail: the last non-sink vertex can only send its residual b
     down its m parallel sink edges, so it counts comb(b + m - 1, m - 1) for
     b >= 0 and 0 for b < 0 (with no out-edge: 1 at b = 0, else 0), with no
-    state in the memo.  The vertex before it splits its units between the
-    last vertex and the sink, and sums three binomials per split.  So the
-    recursion never enters the last vertex or the sink.
+    state in the memo.  The vertex before it sends x of its b units to the
+    last vertex and b - x to the sink, a product of three binomials that is
+    a polynomial in x of degree deg = m + m2 + sink_m - 3.  Its sum over
+    the N allowed x is sum_k D_k C(N, k + 1), D_k the forward differences
+    of its first min(N, deg + 1) values (Newton's forward formula), so a
+    state costs O(deg^2), not O(b); with no sink edge only x = -r counts.
 
     Cut pruning: the flow across the cut in front of a vertex is the sum
     of all residuals before it, so it must never be negative.  Sending x
@@ -170,8 +173,7 @@ class FlowCounter:
         table.  It stops at the last non-sink vertex, whose count is one
         binomial of its residual b: the sink's residual is -b because the
         residuals sum to zero, so the sink needs no state.  The vertex
-        before it sends x units to the last vertex and b - x to the sink,
-        and sums three binomials per x instead of recursing."""
+        before it sums its splits in closed form (tail_sum), not recursing."""
         off = 1 << (width - 1)
         mask = (1 << width) - 1
         groups_at = self._groups
@@ -189,14 +191,22 @@ class FlowCounter:
         # vertices before the last
         memo_at = [[{} for _ in gs or (0,)] for gs in groups_at[:last]]
 
-        if sink_m:
-            def finish(b: int) -> int:
-                """Flows from the last non-sink vertex when it holds b."""
-                return comb(b + sink_m - 1, sink_m - 1) if b >= 0 else 0
-        else:
-            def finish(b: int) -> int:
-                # no out-edge: the last vertex must hold nothing
-                return 1 if b == 0 else 0
+        def finish(b: int) -> int:
+            """Flows from the last non-sink vertex when it holds b; with no
+            out-edge it must hold nothing."""
+            return (comb(b + sink_m - 1, sink_m - 1) if sink_m else int(not b)) if b >= 0 else 0
+
+        def tail_sum(m: int, m2: int, b: int, low: int, r: int) -> int:
+            """Flows when the second-to-last vertex sends x = low..b units
+            over m edges to the last vertex, which then holds r + x >= 0, and
+            b - x over m2 edges to the sink; with no sink edge only x = -r.
+            Kept out of count: a comprehension there makes its locals cells."""
+            if not sink_m:
+                return comb(m - r - 1, m - 1) * comb(b + r + m2 - 1, m2 - 1) if low <= -r <= b else 0
+            span = b - low + 1
+            diffs = _differences([comb(x + m - 1, m - 1) * comb(b - x + m2 - 1, m2 - 1) * finish(r + x)
+                                  for x in range(low, low + min(span, m + m2 + sink_m - 2))])
+            return sum(dk * comb(span, k) for k, dk in enumerate(diffs, 1))
 
         def cuts_hold(packed: int, d: int) -> bool:
             """Whether slots 1..d-1 have nonnegative prefix sums."""
@@ -255,15 +265,7 @@ class FlowCounter:
                         low = -acc
             total = 0
             if tail and pos + 1 == last:
-                # x units to the last vertex, which then holds r + x >= 0,
-                # and b - x straight to the sink; with single edges every x
-                # gives one flow
-                if m == m2 == sink_m == 1:
-                    total = b - low + 1
-                else:
-                    r = ((packed >> width) & mask) - off
-                    for x in range(low, b + 1):
-                        total += comb(x + m - 1, m - 1) * comb(b - x + m2 - 1, m2 - 1) * finish(r + x)
+                total = tail_sum(m, m2, b, low, ((packed >> width) & mask) - off)
             elif tail:
                 # the next group is the last one and takes the rest
                 sh, sh2 = width * d, width * d2

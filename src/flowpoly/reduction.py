@@ -561,16 +561,14 @@ def census_to_json(census: dict[tuple[int, ...], int]) -> list[dict]:
 class SimplexCell:
     """A lattice simplex in the root graph's edge coordinates.
 
-    vertices: d+1 integer vectors.  leaf_index / leaf_composition identify
-    the reduction-tree leaf the cell came from.
+    vertices: d+1 integer vectors, tuples of ints, stored as given.
+    leaf_index / leaf_composition identify the reduction-tree leaf the cell
+    came from.
     """
 
     vertices: tuple[tuple[int, ...], ...]
     leaf_index: int = 0
     leaf_composition: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
 
 
 def zero_vertex_dissection_children(node: ProvenancedGraph, vertex: int) -> list[ProvenancedGraph]:

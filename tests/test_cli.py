@@ -14,6 +14,7 @@ import time
 import tracemalloc
 import unittest.mock
 from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -855,39 +856,80 @@ class TestSourceArgumentFuzz:
             assert re.sub(r'label="(0→\d+( ×\d+)?, )+', 'label="', out) == plain, argv
 
 
-# netflows for `kostant` and `ehrhart`: entries -5..50, from two entries
-# short of the graph's vertex count to one past it
+# netflows for `kostant`, `ehrhart` and `lidskii --mode volume|count`:
+# entries -5..50, from two entries short of the graph's vertex count to one
+# past it
 NETFLOW_GRAPHS = {"k3": complete_graph(3), "k4": complete_graph(4), "p3": path_graph(3)}
+NETFLOW_COMMANDS = ("kostant", "ehrhart", "lidskii --mode=volume", "lidskii --mode=count")
 
 
 @st.composite
 def netflow_argv(draw):
-    command = draw(st.sampled_from(["kostant", "ehrhart"]))
+    command = draw(st.sampled_from(NETFLOW_COMMANDS))
     name = draw(st.sampled_from(sorted(NETFLOW_GRAPHS)))
     n = NETFLOW_GRAPHS[name].vertex_count
     entries = draw(st.lists(st.integers(-5, 50), min_size=n - 2, max_size=n + 1))
     return command, name, ",".join(map(str, entries))
 
 
+# three-vertex multigraphs whose count at (p, q, -p - q) is one
+# Chu-Vandermonde binomial C(s + 4, 4): "a3" has 3 edges 1->2, 2 edges 1->3
+# and one edge 2->3, so s = p for q >= 0; "b3" has one edge 1->2, 2 edges
+# 1->3 and 3 edges 2->3, so s = p + q for q <= 0 (no flow if s < 0)
+VANDERMONDE_GRAPHS = {
+    "a3": DirectedMultigraph(3, ((1, 2),) * 3 + ((1, 3),) * 2 + ((2, 3),)),
+    "b3": DirectedMultigraph(3, ((1, 2),) + ((1, 3),) * 2 + ((2, 3),) * 3),
+}
+
+
+@st.composite
+def vandermonde_netflows(draw):
+    name = draw(st.sampled_from(sorted(VANDERMONDE_GRAPHS)))
+    p = draw(st.integers(0, 10**9))
+    q = draw(st.integers(0, 10**9)) * (1 if name == "a3" else -1)
+    return name, [p, q] + draw(st.sampled_from(([], [-p - q])))
+
+
 class TestNetflowArgumentFuzz:
-    """Any netflow given to `kostant` or `ehrhart` gives one value or one
-    clean error line."""
+    """Any netflow given to `kostant`, `ehrhart` or `lidskii --mode
+    volume|count` gives one value or one clean error line."""
 
-    VALUE = {"kostant": r"\d+\n", "ehrhart": r"-?\d+(/\d+)?(, -?\d+(/\d+)?)*\n"}
+    VALUE = {"kostant": r"\d+\n", "ehrhart": r"-?\d+(/\d+)?(, -?\d+(/\d+)?)*\n", "lidskii": r"\d+\n"}
 
-    @settings(deadline=None, max_examples=100)
+    @staticmethod
+    def run_on(graph, name, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"{name}.graph"
+            write_graph(graph, path)
+            return TestSourceArgumentFuzz.run_main([*argv, "--graph", str(path)])
+
+    @settings(deadline=None, max_examples=150)
     @given(netflow_argv())
     @example(("ehrhart", "k4", "50,50,50"))
     @example(("kostant", "p3", "-5,50,-45"))
+    @example(("lidskii --mode=count", "k4", "50,50,50"))
+    @example(("lidskii --mode=volume", "k3", "0,-5"))
     def test_exits_cleanly(self, args):
         command, name, netflow = args
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / f"{name}.graph"
-            write_graph(NETFLOW_GRAPHS[name], path)
-            argv = [command, "--graph", str(path), f"--netflow={netflow}"]
-            code, out, err = TestSourceArgumentFuzz.run_main(argv)
+        argv = [*command.split(), f"--netflow={netflow}"]
+        code, out, err = self.run_on(NETFLOW_GRAPHS[name], name, argv)
         if code:
             assert (code, out) == (1, ""), argv
             assert err.startswith("error: ") and err.count("\n") == 1, argv
         else:
-            assert err == "" and re.fullmatch(self.VALUE[command], out), argv
+            assert err == "" and re.fullmatch(self.VALUE[argv[0]], out), argv
+        if command == "lidskii --mode=count" and not code:
+            # in the nice chamber the Lidskii count is the flow count
+            assert self.run_on(NETFLOW_GRAPHS[name], name, ["kostant", argv[-1]]) == (0, out, ""), argv
+
+    @settings(deadline=None, max_examples=50)
+    @given(vandermonde_netflows())
+    @example(("a3", [10**9, 10**9, -2 * 10**9]))
+    @example(("b3", [10**9, -10**9]))
+    @example(("b3", [5, -6]))
+    def test_multigraph_counts_match_vandermonde(self, args):
+        name, entries = args
+        argv = ["kostant", f"--netflow={','.join(map(str, entries))}"]
+        s = entries[0] + (entries[1] if name == "b3" else 0)
+        expected = comb(s + 4, 4) if s >= 0 else 0
+        assert self.run_on(VANDERMONDE_GRAPHS[name], name, argv) == (0, f"{expected}\n", ""), argv

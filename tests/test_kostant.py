@@ -274,9 +274,24 @@ def forward_multigraphs(nv):
         yield DirectedMultigraph(nv, tuple(pair for pair, k in zip(pairs, mults) for _ in range(k)))
 
 
+def triangle(m12, m13, m23):
+    """The three-vertex multigraph with m12 edges 1->2, m13 edges 1->3 and
+    m23 edges 2->3."""
+    return DirectedMultigraph(3, ((1, 2),) * m12 + ((1, 3),) * m13 + ((2, 3),) * m23)
+
+
+def triangle_count(m12, m13, m23, p, q):
+    """Flows on triangle(m12, m13, m23) at (p, q, -p - q), one term per x
+    units sent from 1 to 2: y units go over m parallel edges in
+    C(y + m - 1, m - 1) ways, over none only if y = 0."""
+    def ways(y, m):
+        return comb(y + m - 1, m - 1) if m else int(y == 0)
+    return sum(ways(x, m12) * ways(p - x, m13) * ways(x + q, m23) for x in range(max(0, -q), p + 1))
+
+
 class TestClosedFormTail:
     """The last non-sink vertex and the one before it, which the counter
-    finishes with binomials, against plain enumeration."""
+    finishes in closed form, against plain enumeration and direct sums."""
 
     def test_matches_naive_on_every_small_multigraph(self):
         # includes a last vertex without out-edges, and a second-to-last
@@ -306,6 +321,25 @@ class TestClosedFormTail:
         counter = FlowCounter(g)
         for p, q in ((3, 0), (2, -1), (40000, 5), (40000, -5), (3, 0), (4, -2), (0, 0)):
             assert counter.count((p, q, -p - q)) == direct(p, q), (p, q)
+
+    def test_matches_direct_sum_on_every_triangle(self):
+        # spans of up to 61 units, past the deg + 1 <= 7 values the Newton
+        # sum reads, on every multiplicity vector with 0-3 edges per pair
+        for mults in product(range(4), repeat=3):
+            counter = FlowCounter(triangle(*mults))
+            for p, q in product(range(61), range(-5, 6)):
+                assert counter.count((p, q, -p - q)) == triangle_count(*mults, p, q), (mults, p, q)
+
+    def test_chu_vandermonde_at_ten_to_twelve(self):
+        # counter-free anchors no per-unit sum could reach: with one edge
+        # 2->3 the count at (p, 0, -p) is sum_x C(x + a - 1, a - 1) C(p - x +
+        # b - 1, b - 1) = C(p + a + b - 1, a + b - 1), a and b the numbers
+        # of edges 1->2 and 1->3, and with one edge 1->2 the same with a and
+        # b those of 1->3 and 2->3
+        p = 10**12
+        for a, b in product(range(1, 5), repeat=2):
+            for g in (triangle(a, b, 1), triangle(1, a, b)):
+                assert count_flows(inst(g, (p, 0, -p))) == comb(p + a + b - 1, a + b - 1), g.edges
 
 
 class TestEnumerateFlows:
