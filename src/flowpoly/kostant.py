@@ -129,10 +129,8 @@ class FlowCounter:
             return 0
         # a residual never exceeds the largest prefix sum, nor falls below
         # the smallest entry
-        bound = max(max(prefix), -min(key))
-        if bound > self._room:
-            self._widen(bound)
-        return self._recursion(0, 0, self._base + sum(map(mul, key, self._steps)))
+        recursion, base, steps = self._packing(max(max(prefix), -min(key)))
+        return recursion(0, 0, base + sum(map(mul, key, steps)))
 
     def count_box(self, box) -> list[int]:
         """The counts at (h, -sum(h)) for every h in product(*box), in that
@@ -145,28 +143,27 @@ class FlowCounter:
         if not all(box):
             return [[] for _ in dilations]
         # a residual lies within -t*sum(h)..t*sum(h)
-        bound = max(dilations) * sum(map(max, box))
-        if bound > self._room:
-            self._widen(bound)
+        recursion, base, steps = self._packing(max(dilations) * sum(map(max, box)))
         sums = [0]
-        for r, step in zip(box, self._steps):  # sum_k h_k * step_k, in product order
+        for r, step in zip(box, steps):  # sum_k h_k * step_k, in product order
             sums = [s + h * step for s in sums for h in r]
-        base, recursion = self._base, self._recursion
         return [[recursion(0, 0, base + t * s) for s in sums] for t in dilations]
 
-    def _widen(self, bound: int) -> None:
-        """Slots for residuals within -bound..bound, in whole bytes, and a
-        fresh memo table; with them the packed state with every residual 0
-        and, per non-sink vertex k, the step that moves one unit from the
-        sink's slot to slot k."""
-        width = 8 * (bound.bit_length() // 8 + 1)
-        self._room = (1 << (width - 1)) - 1
-        self._recursion = self._build(width)
-        n = self.graph.vertex_count - 1
-        sink = 1 << width * n
-        # 1 << (width - 1) in every slot 0..n
-        self._base = ((sink << width) - 1) // ((1 << width) - 1) << (width - 1)
-        self._steps = [(1 << width * k) - sink for k in range(n)]
+    def _packing(self, bound: int):
+        """The recursion for residuals within -bound..bound, the packed state
+        with every residual 0 and, per non-sink vertex k, the step that
+        moves one unit from the sink's slot to slot k: the state at netflow
+        (h, -sum(h)) is that state plus sum_k h_k * step_k.  A bound past
+        the slots widens them, in whole bytes, with a fresh memo table."""
+        if bound > self._room:
+            width = 8 * (bound.bit_length() // 8 + 1)
+            self._room = (1 << (width - 1)) - 1
+            n = self.graph.vertex_count - 1
+            sink = 1 << width * n
+            # 1 << (width - 1) in every slot 0..n
+            base = ((sink << width) - 1) // ((1 << width) - 1) << (width - 1)
+            self._packed = self._build(width), base, [(1 << width * k) - sink for k in range(n)]
+        return self._packed
 
     def _build(self, width: int):
         """The recursion for slots of the given width, with a fresh memo

@@ -4,12 +4,13 @@ with three weights.
 
 The composition set depends only on the graph: the weak compositions j of
 |E| - n (n the number of non-sink vertices) whose prefix sums dominate the
-shifted outdegree vector.  Each term is a weight times the flow count at
-the shifted netflow (j - out, 0), which also depends only on the graph.
-LidskiiTerms holds both for one graph: it checks the graph once, lists
-the compositions once, and counts each shifted netflow the first time a
-nonzero weight needs it, so a zero-weight term is never counted.  The
-three formulas differ only in the weight:
+shifted outdegree vector.  Each term is a weight times the flow count K_j
+at the shifted netflow (j - out, 0), which also depends only on the graph.
+LidskiiTerms checks the graph once and keeps each K_j, read from the
+counter's packed state the first time a term needs it.  Every weight
+vanishes from some part on, so an evaluation lists only the compositions
+under those caps (one at the unit netflow).  The formulas differ only in
+the weight:
 
   volume        multinomial(|E|-n; j) * prod a_i^{j_i}
   count         prod multiset_coeff(a_i - in(i), j_i)
@@ -21,7 +22,7 @@ counts, c_form_counts).  Each vertex gets a row of weights over its range
 per part, built once, and a composition adds K_j times the outer product
 of its rows, so K_j is looked up once per box rather than once per point.
 volume, count and count_c_form are the same sum over a one-point box,
-whose weights are taken per composition without rows.
+whose rows hold numbers, multiplied per composition.
 lidskii_volume, lidskii_count and lidskii_count_c_form evaluate one
 netflow or c vector on a fresh LidskiiTerms; a caller with many on one
 graph keeps one.  The shifted counts come from the brute-force counter.
@@ -30,9 +31,9 @@ graph keeps one.  The shifted counts come from the brute-force counter.
 from __future__ import annotations
 
 from functools import partial
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 from math import comb, factorial, prod
-from operator import add, getitem, sub
+from operator import add, getitem, mul, sub
 from typing import Callable, Sequence
 
 from .kostant import FlowCounter
@@ -69,9 +70,11 @@ def multiset_coeff(n: int, k: int) -> int:
     return prod // factorial(k)
 
 
-def dominant_compositions(total: int, lower: Sequence[int]) -> list[tuple[int, ...]]:
+def dominant_compositions(total: int, lower: Sequence[int],
+                          upper: Sequence[int] | None = None) -> list[tuple[int, ...]]:
     """All weak compositions of `total` into len(lower) parts that dominate
-    `lower`, in ascending lexicographic order."""
+    `lower`, in ascending lexicographic order; with `upper`, only those whose
+    i-th part is at most upper[i]."""
     (total,) = integers((total,), "total")
     lower = integers(lower, "lower")
     if total < 0:
@@ -79,23 +82,24 @@ def dominant_compositions(total: int, lower: Sequence[int]) -> list[tuple[int, .
     if sum(lower) != total:
         raise ValueError(f"lower bounds sum to {sum(lower)}, expected {total}")
     n = len(lower)
-    prefix_lower = []
-    acc = 0
-    for b in lower:
-        acc += b
-        prefix_lower.append(acc)
+    upper = (total,) * n if upper is None else integers(upper, "upper")
+    if len(upper) != n or min(upper, default=0) < 0:
+        raise ValueError(f"upper must hold {n} nonnegative caps, got {upper}")
+    prefix_lower = list(accumulate(lower))
+    # room[k]: the most that parts k+1, k+2, ... can take together
+    room = list(accumulate(reversed(upper), initial=0))[-2::-1]
     out: list[tuple[int, ...]] = []
     parts = [0] * n
 
     def rec(k: int, assigned: int):
+        left = total - assigned
         if k == n - 1:
-            last = total - assigned
-            if last >= 0:
-                parts[k] = last
+            if left <= upper[k]:
+                parts[k] = left
                 out.append(tuple(parts))
             return
-        low = max(0, prefix_lower[k] - assigned)
-        for v in range(low, total - assigned + 1):
+        low = max(0, prefix_lower[k] - assigned, left - room[k])
+        for v in range(low, min(upper[k], left) + 1):
             parts[k] = v
             rec(k + 1, assigned + v)
 
@@ -119,58 +123,74 @@ class LidskiiTerms:
     dominant compositions and the flow count at each shifted netflow
     (j - out, 0), counted the first time a nonzero weight needs it and kept
     for the object's life.  Build one per graph and evaluate any number of
-    netflows, c vectors or boxes of them on it."""
+    netflows, c vectors or boxes of them on it, with its own counter or one
+    passed in on the same graph."""
 
     def __init__(self, graph: DirectedMultigraph, counter: FlowCounter | None = None):
         stats = checked_degree_stats(graph)
+        if counter is not None and counter.graph != graph:
+            raise ValueError("the counter counts flows on another graph")
         self.graph = graph
         self.counter = FlowCounter(graph) if counter is None else counter
         self.in_shift = stats.in_shift
         self.out_shift = stats.out_shift
         self.excess = graph.edge_count - (graph.vertex_count - 1)
-        self.compositions = dominant_compositions(self.excess, self.out_shift)
         self._shifted: dict[tuple[int, ...], int] = {}
 
+    @property
+    def compositions(self) -> list[tuple[int, ...]]:
+        """Every dominant composition of the excess |E| - n."""
+        return dominant_compositions(self.excess, self.out_shift)
+
     def shifted_count(self, j: tuple[int, ...]) -> int:
-        """Flow count at netflow (j - out, 0)."""
+        """Flow count at netflow (j - out, 0), through the counter's checks."""
         k = self._shifted.get(j)
-        if k is None:
-            netflow = (*map(sub, j, self.out_shift), 0)
-            k = self._shifted[j] = self.counter.count(netflow)
-        return k
+        return self.counter.count((*map(sub, j, self.out_shift), 0)) if k is None else k
 
     def _sum(self, box: Sequence[Sequence[int]], weight: Callable[[int, int], int],
              scale: Callable[[tuple[int, ...]], int] | None = None) -> list[int]:
         """sum_j scale(j) * K_j * prod_i weight(v_i, j_i) at every point v of
         product(*box), in that order, K_j being the shifted count.  Each
-        vertex gets a row of weights over its range per part, up to its
-        largest part; a composition adds K_j times the outer product of its
-        rows.  K_j is counted only when some point gives it a nonzero
-        weight."""
+        vertex gets a row of weights over its range per part, up to the
+        last part at which some weight is nonzero: both weights vanish from
+        some part on, so that part caps the vertex's part, and only the
+        compositions under the caps are listed.  A composition adds K_j
+        times the outer product of its rows, which has a nonzero entry."""
         points = prod(map(len, box))
         if not points:
             return []
-        if points == 1:
-            # one point: its weight per composition is a product of numbers,
-            # cheaper than rows that few compositions would read
-            point = [r[0] for r in box]
-            total = 0
-            for j in self.compositions:
-                w = prod(map(weight, point, j))
-                if w and (k := self.shifted_count(j)):
-                    total += w * k * scale(j) if scale else w * k
-            return [total]
-        # a row per part up to the largest part the vertex takes
-        rows = [[tuple(map(weight, r, repeat(k))) for k in range(top + 1)]
-                for r, top in zip(box, map(max, zip(*self.compositions)))]
+        # a vertex's part is at most the excess less what those before it take
+        tops = list(accumulate(self.out_shift, sub, initial=self.excess))
+        rows = []
+        for r, top in zip(box, tops):
+            rows.append(row := [])
+            for k in range(top + 1):
+                if not any(w := tuple(map(weight, r, repeat(k)))):
+                    break
+                # one point: numbers, a product per composition, not an outer one
+                row.append(w if points > 1 else w[0])
+        caps = [len(row) - 1 for row in rows]
+        compositions = dominant_compositions(self.excess, self.out_shift,
+                                             caps if caps != tops[:-1] else None)
+        # K_j is the recursion at the state of (-out, 0) plus sum_i j_i * step_i:
+        # a dominant j needs none of count's checks, and its residuals lie
+        # within -max(out)..excess
+        recursion, base, steps = self.counter._packing(max(self.excess, *self.out_shift, 0))
+        root = base - sum(map(mul, self.out_shift, steps))
+        shifted = self._shifted
         totals = [0] * points
-        for j in self.compositions:
-            cols = list(map(getitem, rows, j))
-            # the outer product has a nonzero entry when every row has one
-            if all(map(any, cols)) and (k := self.shifted_count(j)):
+        for j in compositions:
+            k = shifted.get(j)
+            if k is None:
+                k = shifted[j] = recursion(0, 0, root + sum(map(mul, j, steps)))
+            if k:
                 if scale:
                     k *= scale(j)
-                totals = list(map(add, totals, map(k.__mul__, map(prod, product(*cols)))))
+                cols = map(getitem, rows, j)
+                if points == 1:
+                    totals[0] += k * prod(cols)
+                else:
+                    totals = list(map(add, totals, map(k.__mul__, map(prod, product(*cols)))))
         return totals
 
     def _nice_point(self, netflow) -> list[tuple[int]]:

@@ -67,3 +67,16 @@ def test_worker_names_exist():
                  "write_graph"):
         assert callable(getattr(flowpoly, name)), name
     assert callable(flowpoly.cli.main)
+
+
+@pytest.mark.parametrize("name, netflow", [("lidskii_count", (1, 1, 1, -3)),
+                                           ("lidskii_volume", (1, 0, 0, -1))])
+def test_one_evaluation_lists_compositions_once(monkeypatch, name, netflow):
+    # the benchmark's tracer reads lidskii.dominant_compositions through the
+    # module and counts one call per lidskii_count
+    calls = []
+    real = flowpoly.lidskii.dominant_compositions
+    monkeypatch.setattr(flowpoly.lidskii, "dominant_compositions",
+                        lambda *args: calls.append(args) or real(*args))
+    getattr(flowpoly.lidskii, name)(flowpoly.complete_graph(4), netflow)
+    assert len(calls) == 1

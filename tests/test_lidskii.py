@@ -2,10 +2,12 @@
 
 from itertools import product
 from math import comb, factorial, prod
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flowpoly import lidskii
 from flowpoly.kostant import FlowCounter, FlowInstance, count_flows
 from flowpoly.lidskii import (
     LidskiiTerms,
@@ -97,6 +99,28 @@ class TestDominantCompositions:
         got = dominant_compositions(4, (2, 1, 1))
         assert got == sorted(got)
 
+    def test_caps_filter_the_uncapped_list(self):
+        # the capped list is the uncapped one, in its order, less every
+        # composition with a part above its cap
+        for n in range(1, 4):
+            for lower in product(range(3), repeat=n):
+                total = sum(lower)
+                every = dominant_compositions(total, lower)
+                for upper in product(range(total + 2), repeat=n):
+                    kept = [j for j in every if all(map(le, j, upper))]
+                    assert dominant_compositions(total, lower, upper) == kept, (lower, upper)
+        assert dominant_compositions(4, (2, 1, 1), None) == dominant_compositions(4, (2, 1, 1))
+
+    @pytest.mark.parametrize("upper, message", [
+        ((2, 2), r"upper must hold 3 nonnegative caps, got \(2, 2\)"),
+        ((2, 2, 2, 2), r"upper must hold 3 nonnegative caps, got \(2, 2, 2, 2\)"),
+        ((2, -1, 2), r"upper must hold 3 nonnegative caps, got \(2, -1, 2\)"),
+        ((2, 1.5, 2), r"upper entry 1 = 1\.5 is not an integer"),
+    ])
+    def test_bad_caps_refused(self, upper, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dominant_compositions(4, (2, 1, 1), upper)
+
 
 class TestMultinomial:
     def test_values(self):
@@ -133,7 +157,7 @@ class TestVolumeLadders:
     """Volumes of complete-graph flow polytopes against closed forms that do
     not use the counter."""
 
-    @pytest.mark.parametrize("nv", range(4, 10))
+    @pytest.mark.parametrize("nv", range(4, 11))
     def test_chan_robbins_yuen(self, nv):
         # unit netflow: prod_{i=1}^{nv-3} Cat(i) (Zeilberger 1999)
         a = (1,) + (0,) * (nv - 2) + (-1,)
@@ -216,13 +240,21 @@ class TestCForm:
 
 
 class _SpyCounter(FlowCounter):
+    """Records the packed root state of every count, whether it comes
+    through count or from the packing that LidskiiTerms reads K_j with."""
+
     def __init__(self, graph):
         super().__init__(graph)
         self.asked = []
 
-    def count(self, netflow):
-        self.asked.append(tuple(netflow))
-        return super().count(netflow)
+    def _packing(self, bound):
+        recursion, base, steps = super()._packing(bound)
+
+        def spy(pos, g, packed):
+            self.asked.append(packed)
+            return recursion(pos, g, packed)
+
+        return spy, base, steps
 
 
 class TestLidskiiTerms:
@@ -251,16 +283,36 @@ class TestLidskiiTerms:
         for j in terms.compositions:
             shifted = tuple(ji - oi for ji, oi in zip(j, (2, 1, 0))) + (0,)
             assert terms.shifted_count(j) == counter.count(shifted)
+        # any j, not only a composition: (300, 0, -297) has a negative part
+        # and needs wider slots than the compositions do
+        assert terms.shifted_count((300, 0, -297)) == counter.count((298, -1, -297, 0)) == 298
+        assert terms.shifted_count((0, 0, 3)) == 0
 
     @pytest.mark.parametrize("nv", range(5, 9))
-    def test_zero_weights_are_never_counted(self, nv):
+    def test_zero_weights_are_never_counted(self, nv, monkeypatch):
         # at the unit netflow only the composition (|E|-n, 0, ..., 0) has a
-        # nonzero volume weight
+        # nonzero volume weight, and it is the only one listed
+        listed = []
+        real = lidskii.dominant_compositions
+        monkeypatch.setattr(lidskii, "dominant_compositions",
+                            lambda *args: listed.append(real(*args)) or listed[-1])
         g = complete_graph(nv)
         spy = _SpyCounter(g)
         a = (1,) + (0,) * (nv - 2) + (-1,)
         assert LidskiiTerms(g, spy).volume(a) == prod(catalan(i) for i in range(1, nv - 2))
         assert len(spy.asked) == 1
+        assert listed == [[(comb(nv - 1, 2),) + (0,) * (nv - 2)]]
+
+    def test_counter_on_another_graph_refused(self):
+        # the doubled graph has K4's vertex count, so no length check sees
+        # it: K4's terms read off its counter gave volume 5, not 4; counters
+        # on more or fewer vertices are refused as well
+        k4 = complete_graph(4)
+        doubled = DirectedMultigraph(4, ((1, 2), (1, 2), (2, 3), (2, 3), (3, 4), (1, 4)))
+        for graph in (doubled, complete_graph(5), path_graph(4)):
+            with pytest.raises(ValueError, match="another graph"):
+                LidskiiTerms(k4, FlowCounter(graph))
+        assert LidskiiTerms(k4, FlowCounter(complete_graph(4))).volume((1, 1, 1, -3)) == 4
 
     def test_shifted_counts_are_kept(self):
         g = complete_graph(5)
