@@ -56,7 +56,6 @@ from .reduction import (
     LeafShapeError,
     NodeCapExceeded,
     NoncrossingTree,
-    PhiMap,
     ProvenancedGraph,
     ReductionTree,
     SimplexCell,

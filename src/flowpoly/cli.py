@@ -175,10 +175,8 @@ def cmd_dissect(args) -> int:
     graph = _load_graph(args.graph)
     c = _parse_int_list(args.c, "c")
     if args.emit == "cells":
-        # The counts spend and check the node budget, so an error prints
-        # nothing; a second walk then writes the JSON list of the cells one
-        # cell at a time.
-        dissection_cell_counts(graph, c, node_cap=args.node_cap)
+        # the node budget is spent before the first cell, so an error prints
+        # nothing; the JSON list is written one cell at a time
         separator = "[\n  "
         vertex_json: dict[tuple[int, ...], str] = {}
         for cell in iter_dissection_cells(graph, c, node_cap=args.node_cap):

@@ -382,13 +382,12 @@ def verify_integral_equivalence(node, netflow) -> VerificationReport:
     count-preserving injection on lattice points: node flows map to distinct
     root flows, at the netflow and at twice the netflow."""
     a = NetflowVector.coerce(netflow)
-    phi = reduction.phi_map(node)
     root = node.root
     report = VerificationReport("integral equivalence")
     for t in (1, 2):
         scaled = a.dilate(t)
         node_flows = enumerate_flows(FlowInstance(node.graph, scaled))
-        images = {phi.apply(f) for f in node_flows}
+        images = {reduction.phi_map(node, f) for f in node_flows}
         root_inst = FlowInstance(root, scaled)
         in_root = sum(1 for v in images if contains_flow(root_inst, v))
         report.add(

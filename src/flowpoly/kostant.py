@@ -1,6 +1,7 @@
 """Ground-truth lattice-point machinery for flow polytopes: brute-force
 flow counting and enumeration, and exact Ehrhart polynomials and
-normalized volumes from the forward differences of the dilated counts.
+normalized volumes from one table of forward differences of the dilated
+counts over a box of netflow heads, a netflow being a one-point box.
 
 The unit source-to-sink polytope of a graph on which every edge lies on a
 source-sink path has a cheaper volume (reciprocity_volume): by
@@ -91,8 +92,8 @@ class FlowCounter:
     netflow and never falls below its smallest entry, so each call takes
     the slot width from that bound.  Each slot stores its value plus half
     its range.  Widths only grow: a call that needs wider slots than the
-    counter has drops the memo table.  Widths come in whole bytes, so the
-    growing netflows of one Ehrhart difference table rarely drop it.
+    counter has drops the memo table.  Widths come in whole bytes, so a
+    counter reused over growing netflows rarely drops it.
     count_box packs a whole box of netflows (h, -sum(h)) at one width, the
     box's largest sum(h): each state is the packed zero residual plus
     sum_k h_k times the step that moves a unit from the sink's slot to
@@ -138,12 +139,16 @@ class FlowCounter:
         return self._count_dilates(checked_box(box, self.graph, 0, "netflow"), (1,))[0]
 
     def _count_dilates(self, box: list[Sequence[int]], dilations) -> list[list[int]]:
-        """count_box of a checked box with every range times t, for each t in
-        dilations: the state at t*h packs as base + t * sum_k h_k * step_k."""
+        """count_box of a box of integer heads, negative ones allowed, with
+        every range times t, for each t in dilations: the state at t*h packs
+        as base + t * sum_k h_k * step_k.  A point with a negative prefix
+        sum needs no root check: the recursion finds no flow there."""
         if not all(box):
             return [[] for _ in dilations]
-        # a residual lies within -t*sum(h)..t*sum(h)
-        recursion, base, steps = self._packing(max(dilations) * sum(map(max, box)))
+        # a non-sink residual lies within t*min(h)..t*(sum of the positive
+        # heads); the sink's slot is the top one and is never read
+        recursion, base, steps = self._packing(max(dilations) * max(
+            sum(max(max(r), 0) for r in box), -min(map(min, box), default=0)))
         sums = [0]
         for r, step in zip(box, steps):  # sum_k h_k * step_k, in product order
             sums = [s + h * step for s in sums for h in r]
@@ -382,19 +387,18 @@ class EhrhartPolynomial:
         return [str(c) for c in self.coefficients]
 
 
-def _count_differences(inst: FlowInstance) -> list[int]:
-    """Forward differences of the dilated flow counts L(t) at 0, of order
-    k = 0..|E| - |V| + 1, so that L(t) = sum_k diffs[k] * C(t, k).  Empty
-    for an empty polytope."""
-    graph = inst.graph
+def _difference_table(counter: FlowCounter, box: list[Sequence[int]]) -> list[list[int]]:
+    """Per h in product(*box) of integer heads, in that order, the forward
+    differences at 0 of the counts L(t) at (t*h, -t*sum(h)), of order k =
+    0..|E| - |V| + 1, so that L(t) = sum_k diffs[k] * C(t, k); empty for an
+    empty polytope.  A netflow is the one-point box of its non-sink entries."""
+    graph = counter.graph
     if not graph.is_connected():
         raise ValueError("ehrhart_polynomial requires a connected graph")
     bound = graph.edge_count - graph.vertex_count + 1
-    counter = FlowCounter(graph)
-    if counter.count(inst.netflow) == 0:
-        # empty polytope; the dilates are empty too
-        return []
-    return _differences([counter.count(inst.netflow.dilate(t)) for t in range(bound + 1)])
+    # L(1) is counted even for a tree: 0 there means an empty polytope
+    dilates = counter._count_dilates(box, range(max(bound, 1) + 1))
+    return [_differences(row[:bound + 1]) if row[1] else [] for row in zip(*dilates)]
 
 
 def _differences(row: list[int]) -> list[int]:
@@ -411,7 +415,7 @@ def ehrhart_polynomial(inst: FlowInstance) -> EhrhartPolynomial:
     counts of the dilated netflow at t = 0, 1, ..., that bound, expanded
     from the binomial basis C(t, k) of their difference table.  Infeasible
     instances give the zero polynomial."""
-    diffs = _count_differences(inst)
+    (diffs,) = _difference_table(FlowCounter(inst.graph), [(h,) for h in inst.netflow.entries[:-1]])
     coeffs = [Fraction(0)] * len(diffs)
     falling = [1]  # t (t - 1) ... (t - k + 1), low degree first
     for k, d in enumerate(diffs):
@@ -426,21 +430,16 @@ def normalized_volume_oracle(inst: FlowInstance) -> int:
     which is d! times the Ehrhart leading coefficient, d the actual degree:
     the volume normalized so a smallest lattice simplex has volume 1.  A
     point gives 1, an empty polytope 0."""
-    return _top_difference(_count_differences(inst))
+    (diffs,) = _difference_table(FlowCounter(inst.graph), [(h,) for h in inst.netflow.entries[:-1]])
+    return _top_difference(diffs)
 
 
 def normalized_volume_box(counter: FlowCounter, box) -> list[int]:
     """normalized_volume_oracle at (h, -sum(h)) for every h in product(*box),
-    in that order, on the counter's graph; each point's dilated counts are
-    its column in count_box of the box times t, for t = 0..|E| - |V| + 1."""
-    graph = counter.graph
-    if not graph.is_connected():
-        raise ValueError("ehrhart_polynomial requires a connected graph")
-    bound = graph.edge_count - graph.vertex_count + 1
-    box = checked_box(box, graph, 0, "netflow")
-    # L(1) is counted even for a tree: 0 there means an empty polytope
-    dilates = counter._count_dilates(box, range(max(bound, 1) + 1))
-    return [_top_difference(_differences(row[:bound + 1])) if row[1] else 0 for row in zip(*dilates)]
+    in that order, on the counter's graph: the top of each row of the one
+    difference table."""
+    box = checked_box(box, counter.graph, 0, "netflow")
+    return [_top_difference(diffs) for diffs in _difference_table(counter, box)]
 
 
 def _top_difference(diffs: list[int]) -> int:

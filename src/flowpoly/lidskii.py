@@ -25,14 +25,15 @@ volume, count and count_c_form are the same sum over a one-point box,
 whose rows hold numbers, multiplied per composition.
 lidskii_volume, lidskii_count and lidskii_count_c_form evaluate one
 netflow or c vector on a fresh LidskiiTerms; a caller with many on one
-graph keeps one.  The shifted counts come from the brute-force counter.
+graph keeps one.  The shifted counts come from the brute-force counter,
+and multiset_coeff is one binomial, signed for n <= 0.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate, product, repeat
-from math import comb, factorial, prod
+from math import comb, prod
 from operator import add, getitem, mul, sub
 from typing import Callable, Sequence
 
@@ -58,16 +59,11 @@ def multiset_coeff(n: int, k: int) -> int:
     the lattice-point formula an identity at netflows with small entries."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if k == 0:
-        return 1
     if n >= 1:
         return comb(n + k - 1, k)
-    if n <= 0 <= n + k - 1:
-        return 0
-    prod = 1
-    for t in range(k):
-        prod *= n + t
-    return prod // factorial(k)
+    # the product is (-1)^k (-n)(-n - 1)...(-n - k + 1): 0 once it crosses
+    # zero, at k > -n, as comb(-n, k) is
+    return (-1) ** k * comb(-n, k)
 
 
 def dominant_compositions(total: int, lower: Sequence[int],

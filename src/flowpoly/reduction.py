@@ -7,9 +7,9 @@ A reduction at vertex i replaces ordered sub-multisets I (incoming) and O
 (outgoing) of edges at i by, for every noncrossing tree T on left vertices
 I + [i] and right vertices O, the edge set {tail(I_p) -> head(O_q)} over
 tree edges, where the appended left vertex maps an out-edge to itself.
-Every derived edge remembers the set s(e) of root edges it sums, so the
-linear map back into root coordinates (c_d = sum over e with d in s(e)) is
-available at every node.
+Every derived edge remembers the set s(e) of root edges it sums, so
+phi_map takes a vector at any node back into root coordinates (c_d = sum
+over e with d in s(e)).
 
 Noncrossing trees on ordered parts of sizes (l, r) are exactly the
 staircases: left vertex p covers a contiguous interval of right vertices,
@@ -27,7 +27,8 @@ read the plain tree through that lift.
 The census and the DOT rendering read the interned plain tree
 (_interned_tree), which expands each distinct (depth, edge tuple) once:
 K7 has 6,787 nodes but 425 distinct ones.  The materialized tree, the
-streamed leaves and the dissection read provenance and walk every node.
+streamed leaves and the dissection read provenance and walk every node;
+the dissection, like the DOT rendering, spends its node budget first.
 
 A source-tree leaf is the join over its vertices i of products of simplices
 Delta_{c_i - 1} x Delta_{j_i}, and the zero-entry reductions cut each into
@@ -169,29 +170,17 @@ class ProvenancedGraph:
         return ProvenancedGraph(graph, tuple(frozenset((e,)) for e in range(graph.edge_count)), graph)
 
 
-@dataclass(frozen=True)
-class PhiMap:
-    """Linear map from a node's edge coordinates to the root's, summing
-    each node coordinate into all the root edges it covers."""
-
-    root_size: int
-    node_size: int
-    provenance: tuple[frozenset[int], ...]
-
-    def apply(self, vec: Sequence) -> tuple:
-        if len(vec) != self.node_size:
-            raise ValueError(f"vector has {len(vec)} coordinates, node has {self.node_size} edges")
-        out = [0] * self.root_size
-        for e, s in enumerate(self.provenance):
-            v = vec[e]
-            if v:
-                for d in s:
-                    out[d] += v
-        return tuple(out)
-
-
-def phi_map(node: ProvenancedGraph) -> PhiMap:
-    return PhiMap(node.root.edge_count, node.graph.edge_count, node.provenance)
+def phi_map(node: ProvenancedGraph, vector: Sequence) -> tuple:
+    """The image of a vector in the node's edge coordinates in the root's:
+    each node coordinate is summed into all the root edges it covers."""
+    if len(vector) != node.graph.edge_count:
+        raise ValueError(f"vector has {len(vector)} coordinates, node has {node.graph.edge_count} edges")
+    out = [0] * node.root.edge_count
+    for v, s in zip(vector, node.provenance):
+        if v:
+            for d in s:
+                out[d] += v
+    return tuple(out)
 
 
 class _Expansion:
@@ -637,17 +626,15 @@ def _dissected_leaves(
     leaf at c is the plain leaf lifted, of leaf shape (c, j).  The
     zero-entry reduction at i keeps counts_i = comb(c_i + j_i - 1, j_i)
     staircases, of which a cell takes one per vertex.  The walk's nodes
-    and then, per leaf, the sum(accumulate(counts, mul)) nodes those
-    reductions make draw on one budget, so the cap stops the same inputs
-    as a walk of the source tree would."""
+    plus, per leaf, the sum(accumulate(counts, mul)) nodes those reductions
+    make are held to the cap before the first leaf: the cap stops the same
+    inputs as a walk of the source tree would, and before any output."""
     if plain is None:
         plain = _plain_tree(graph, node_cap)
     c = _checked_c(c, graph)
-    budget = _Budget(node_cap)
-    budget.spend(plain.nodes)
-    for leaf_index, (leaf, j) in enumerate(plain.leaves):
-        counts = tuple(comb(ci + ji - 1, ji) for ci, ji in zip(c, j))
-        budget.spend(sum(accumulate(counts, mul)))
+    leaf_counts = [tuple(comb(ci + ji - 1, ji) for ci, ji in zip(c, j)) for _, j in plain.leaves]
+    _Budget(node_cap).spend(plain.nodes + sum(sum(accumulate(counts, mul)) for counts in leaf_counts))
+    for leaf_index, ((leaf, j), counts) in enumerate(zip(plain.leaves, leaf_counts)):
         yield leaf_index, leaf, j, counts
 
 

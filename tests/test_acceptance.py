@@ -199,7 +199,7 @@ def test_criterion_8_phi_lattice_fidelity():
         (3, 4),
         NoncrossingTree(2, 2, ((1, 1), (1, 2), (2, 2))),
     )
-    golden = phi_map(node).apply((0, 1, 0, 1, 1, 1)) == (0, 1, 1, 0, 2, 1)
+    golden = phi_map(node, (0, 1, 0, 1, 1, 1)) == (0, 1, 1, 0, 2, 1)
     if not verify_integral_equivalence(node, (2, 1, 0, -3)).passed:
         ok = False
     _report(

@@ -18,7 +18,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import flowpoly.cli
 import flowpoly.geometry
@@ -363,6 +363,19 @@ class TestDissect:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "26dac3973aa5b32df9f22d33090624164c99e8b9ccd6b317888c41c6bc75772b"
         )
+
+    def test_cells_walk_the_plain_tree_once(self, capsys, monkeypatch, k4_file):
+        calls = []
+        real = reduction._plain_tree
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(reduction, "_plain_tree", spy)
+        code, out, _ = run(capsys, ["dissect", "--graph", k4_file, "--c", "3,2,2", "--emit", "cells"])
+        assert code == 0 and len(json.loads(out)) == 22
+        assert len(calls) == 1
 
     def test_node_cap_counts_walk_and_dissection(self, capsys, k4_file):
         # 4 walk nodes and 60 dissection nodes: one budget for both
@@ -796,6 +809,44 @@ class TestDissectionArgumentFuzz:
         code, out, err = run(capsys, ["verify", "--suite", "dissection", "--max-vertices", "3"])
         assert (code, out) == (1, "")
         assert err == "error: reciprocity gives L(1) = 3, but the unit netflow has 2 flows\n"
+
+
+# each bound is also drawn from its upper end, where the family is not empty
+VERIFY_BOUNDS = st.tuples(
+    st.sampled_from([*SUITES, "all"]), st.integers(-1, 4) | st.integers(3, 4),
+    st.integers(-1, 5) | st.integers(3, 5), st.integers(-2, 2) | st.integers(1, 2),
+    st.none() | st.integers(1, 40),
+)
+PASS_LINE = re.compile(r"PASS [^:]+: (\d+) instances")
+
+
+class TestVerifyBoundsFuzz:
+    """Any family bounds and node cap given to `verify` pass every suite
+    asked for or stop at one clean error line; no suite fails."""
+
+    @settings(deadline=None, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(VERIFY_BOUNDS)
+    @example(("all", 4, 5, 2, None))
+    @example(("all", 4, 5, 2, 1))
+    @example(("dissection", 3, 3, 1, 3))
+    def test_passes_or_one_error_line(self, capsys, monkeypatch, bounds):
+        monkeypatch.setenv("FLOWPOLY_WORKERS", "1")
+        suite, vertices, edges, entries, cap = bounds
+        argv = ["verify", "--suite", suite, f"--max-vertices={vertices}", f"--max-edges={edges}",
+                f"--max-netflow={entries}"] + ([] if cap is None else [f"--node-cap={cap}"])
+        code, out, err = run(capsys, argv)
+        suites = len(SUITES) if suite == "all" else 1
+        lines = out.splitlines()
+        passes = [PASS_LINE.fullmatch(line) for line in lines[:suites]]
+        if code == 0:
+            assert err == "" and all(passes) and len(passes) == suites, argv
+            warning = ["warning: 0 instances in the selected family bounds"]
+            assert lines[suites:] == (warning if not sum(int(m[1]) for m in passes) else []), argv
+        else:
+            assert code == 1, argv
+            assert err.startswith("error: ") and err.count("\n") == 1, argv
+            # the suites before the one that stopped passed
+            assert len(lines) < suites and all(passes), argv
 
 
 # c lists for `reduce --c` and `lidskii --mode c-form`: the dissection's

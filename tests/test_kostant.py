@@ -226,18 +226,19 @@ class TestWideNetflows:
 
 
 @st.composite
-def forward_instances(draw):
+def forward_instances(draw, low=-2, high=3):
     """A forward multigraph on 1-5 vertices, numbered from 0 or 1, with up
     to five vertex pairs joined by 1-3 parallel edges, in any order; a
-    non-sink vertex may have no out-edge.  The netflow may have negative
-    interior entries and negative prefix sums."""
+    non-sink vertex may have no out-edge.  The netflow's non-sink entries
+    lie in low..high, so it may have negative interior entries and negative
+    prefix sums."""
     nv = draw(st.integers(1, 5))
     first = draw(st.sampled_from((0, 1)))
     pairs = [(i + first, j + first) for i in range(nv) for j in range(i + 1, nv)]
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=5, unique=True)) if pairs else []
     edges = [pair for pair in chosen for _ in range(draw(st.integers(1, 3)))]
     graph = DirectedMultigraph(nv, tuple(draw(st.permutations(edges))), first_vertex=first)
-    head = draw(st.lists(st.integers(-2, 3), min_size=nv - 1, max_size=nv - 1))
+    head = draw(st.lists(st.integers(low, high), min_size=nv - 1, max_size=nv - 1))
     return FlowInstance(graph, NetflowVector.completing(head))
 
 
@@ -422,6 +423,53 @@ class TestEhrhart:
         assert digest == "592c4f2582b42a4e7ceba6b0e22bde6030cd7a31e31fad18693422081c80fd20"
 
 
+class TestDifferenceTable:
+    """The one table of forward differences that ehrhart_polynomial and
+    both volume oracles read, a netflow being its one-point box."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(forward_instances(-3, 5))
+    def test_point_row_is_differences_of_dilated_counts(self, instance):
+        graph, a = instance.graph, instance.netflow
+        point = [(h,) for h in a.entries[:-1]]
+        if not graph.is_connected():
+            with pytest.raises(ValueError, match="connected"):
+                kostant._difference_table(FlowCounter(graph), point)
+            return
+        counter = FlowCounter(graph)
+        bound = graph.edge_count - graph.vertex_count + 1
+        expected = []
+        if counter.count(a):
+            expected = kostant._differences([counter.count(a.dilate(t)) for t in range(bound + 1)])
+        assert kostant._difference_table(FlowCounter(graph), point) == [expected]
+
+    def test_wide_negative_heads(self):
+        # a head far below minus the sum of the positive ones sets the slot width
+        g = DirectedMultigraph(3, ((1, 2), (1, 3), (1, 3), (2, 3), (2, 3), (2, 3)))
+        for head in ((50000, -7), (7, -50000), (-50000, 7), (-3, -40000)):
+            expected = [[count_flows(inst(g, (t * head[0], t * head[1], -t * sum(head))))] for t in (1, 2)]
+            assert FlowCounter(g)._count_dilates([(h,) for h in head], (1, 2)) == expected, head
+
+    def test_negative_head_gives_zero_polynomial(self):
+        assert ehrhart_polynomial(inst(path_graph(3), (0, -1, 1))).coefficients == ()
+
+    def test_one_dilate_table_per_oracle(self, monkeypatch):
+        calls = []
+        real = FlowCounter._count_dilates
+
+        def spy(self, box, dilations):
+            calls.append("_count_dilates")
+            return real(self, box, dilations)
+
+        monkeypatch.setattr(FlowCounter, "_count_dilates", spy)
+        monkeypatch.setattr(FlowCounter, "count", lambda self, netflow: calls.append("count"))
+        instance = inst(complete_graph(4), (1, 1, 0, -2))
+        assert ehrhart_polynomial(instance).value_at(1) == 7
+        assert calls == ["_count_dilates"]
+        assert normalized_volume_oracle(instance) == 4
+        assert calls == ["_count_dilates"] * 2
+
+
 class TestNormalizedVolume:
     def test_k4_unit(self):
         assert normalized_volume_oracle(inst(complete_graph(4), (1, 0, 0, -1))) == 1
@@ -437,7 +485,7 @@ class TestNormalizedVolume:
         assert normalized_volume_oracle(inst(path_graph(3), (0, -1, 1))) == 0
 
     def test_negative_top_difference_raises(self, monkeypatch):
-        monkeypatch.setattr(kostant, "_count_differences", lambda inst: [1, -2, 0])
+        monkeypatch.setattr(kostant, "_difference_table", lambda counter, box: [[1, -2, 0]])
         with pytest.raises(ArithmeticError, match="nonnegative"):
             normalized_volume_oracle(inst(complete_graph(4), (1, 0, 0, -1)))
 

@@ -52,6 +52,13 @@ class TestMultisetCoeff:
         with pytest.raises(ValueError):
             multiset_coeff(2, -1)
 
+    def test_rising_product_grid(self):
+        for n in range(-30, 31):
+            for k in range(31):
+                rising = prod(range(n, n + k))  # n(n+1)...(n+k-1), 1 at k = 0
+                assert rising % factorial(k) == 0
+                assert multiset_coeff(n, k) == rising // factorial(k), (n, k)
+
 
 class TestRisingFactorial:
     # rising factorial c(c+1)...(c+j-1) / j!, read through multiset_coeff

@@ -31,6 +31,7 @@ from flowpoly.reduction import (
     dissection_cell_counts,
     dot_lines,
     enumerate_noncrossing_trees,
+    iter_dissection_cells,
     iter_reduction_leaves,
     leaf_census,
     phi_map,
@@ -430,13 +431,18 @@ class TestPhiMap:
     def test_root_is_identity(self):
         node = ProvenancedGraph.as_root(complete_graph(4))
         units = [tuple(int(i == j) for j in range(6)) for i in range(6)]
-        assert [phi_map(node).apply(u) for u in units] == units
+        assert [phi_map(node, u) for u in units] == units
 
     def test_golden_coordinate_image(self):
         node = ProvenancedGraph.as_root(worked_example_root())
         tree = NoncrossingTree(2, 2, ((1, 1), (1, 2), (2, 2)))
         child = reduce_at_vertex(node, 2, (2,), (3, 4), tree)
-        assert phi_map(child).apply((0, 1, 0, 1, 1, 1)) == (0, 1, 1, 0, 2, 1)
+        assert phi_map(child, (0, 1, 0, 1, 1, 1)) == (0, 1, 1, 0, 2, 1)
+
+    def test_wrong_length_refused(self):
+        node = ProvenancedGraph.as_root(complete_graph(4))
+        with pytest.raises(ValueError, match="vector has 5 coordinates, node has 6 edges"):
+            phi_map(node, (1,) * 5)
 
     def test_composition_along_tree_path(self):
         k4 = complete_graph(4)
@@ -452,7 +458,7 @@ class TestPhiMap:
         size = deep.graph.edge_count
         for e in range(size):
             unit = tuple(int(k == e) for k in range(size))
-            assert phi_map(deep).apply(unit) == phi_map(mid).apply(phi_map(relative).apply(unit))
+            assert phi_map(deep, unit) == phi_map(mid, phi_map(relative, unit))
 
     def test_maps_flows_to_root_flows(self):
         from flowpoly.multigraph import apply_incidence
@@ -461,9 +467,8 @@ class TestPhiMap:
         a = NetflowVector((2, 1, 0, -3))
         tree = canonical_reduction_tree(k4)
         for node in tree.nodes():
-            pm = phi_map(node.graph)
             for f in enumerate_flows(FlowInstance(node.graph.graph, a)):
-                image = pm.apply(f)
+                image = phi_map(node.graph, f)
                 assert apply_incidence(k4, image) == a.entries
 
 
@@ -802,7 +807,7 @@ def zero_entry_levels(root, n):
 
 def terminal_cells(terminals):
     """Each terminal's path indicator flows through its coordinate map."""
-    return [tuple(phi_map(t).apply(v) for v in path_flow_vertices(t)) for t in terminals]
+    return [tuple(phi_map(t, v) for v in path_flow_vertices(t)) for t in terminals]
 
 
 def shape_plain(j):
@@ -1066,6 +1071,13 @@ class TestDissectionBudget:
         with pytest.raises(NodeCapExceeded):
             dissection_cell_counts(complete_graph(5), (1, 1, 1, 1), node_cap=3)
 
+    def test_cells_cap_raises_before_first_cell(self):
+        # the whole budget is spent before the first leaf, not leaf by leaf
+        g, c = complete_graph(4), (3, 2, 2)
+        with pytest.raises(NodeCapExceeded):
+            next(iter_dissection_cells(g, c, node_cap=63))
+        assert len(list(iter_dissection_cells(g, c, node_cap=64))) == 22
+
 
 class TestDotExport:
     def test_contains_nodes_and_arcs(self):
@@ -1149,7 +1161,6 @@ def test_reduction_preserves_flow_counts(data):
     union = set()
     for tree in enumerate_noncrossing_trees(len(inc) + 1, len(out)):
         child = reduce_at_vertex(node, vertex, inc, out, tree)
-        pm = phi_map(child)
         for f in enumerate_flows(FlowInstance(child.graph, a)):
-            union.add(pm.apply(f))
+            union.add(phi_map(child, f))
     assert union == parent_flows
