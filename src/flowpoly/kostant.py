@@ -21,7 +21,9 @@ group at a time, a group being the parallel edges to one head; its state is
 taken from the netflow's size), and it prunes any split that would leave
 negative flow across a cut.  It finishes the last two non-sink vertices in
 closed form, a binomial and a Newton forward sum, whatever the netflow's
-size.  Both must agree, which the tests check.
+size.  Both must agree, which the tests check.  Outside its box path the
+packed state has one reader (FlowCounter._reader), which count, the Lidskii
+sum and source_split_volumes build, and the memo is the one store of counts.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import comb, factorial, prod
 from operator import add, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .multigraph import DirectedMultigraph, NetflowVector, checked_box, degree_stats, integers
 
@@ -120,18 +121,16 @@ class FlowCounter:
     def count(self, netflow) -> int:
         # ints before the packing: an entry of 1.0 would pack into a float state
         key = netflow.entries if isinstance(netflow, NetflowVector) else integers(netflow, "netflow")
-        if not key or sum(key):
+        prefix = list(accumulate(key))
+        if not prefix or prefix[-1]:
             NetflowVector(key)  # raises: a netflow is nonempty and sums to zero
         if len(key) != self.graph.vertex_count:
             raise ValueError("netflow length does not match the graph")
-        prefix = list(accumulate(key))
         if min(prefix) < 0:
             # a cut would carry negative flow
             return 0
-        # a residual never exceeds the largest prefix sum, nor falls below
-        # the smallest entry
-        recursion, base, steps = self._packing(max(max(prefix), -min(key)))
-        return recursion(0, 0, base + sum(map(mul, key, steps)))
+        # residuals lie within the smallest entry..the largest prefix sum p, and no entry is below -p
+        return self._reader(max(prefix))(key)
 
     def count_box(self, box) -> list[int]:
         """The counts at (h, -sum(h)) for every h in product(*box), in that
@@ -153,6 +152,15 @@ class FlowCounter:
         for r, step in zip(box, steps):  # sum_k h_k * step_k, in product order
             sums = [s + h * step for s in sums for h in r]
         return [[recursion(0, 0, base + t * s) for s in sums] for t in dilations]
+
+    def _reader(self, bound: int, origin: Sequence[int] = ()) -> Callable[[Iterable[int]], int]:
+        """The count at (o + h, -sum(o + h)) for heads h and o = origin,
+        each cut or padded with zeros to the non-sink vertices; unchecked,
+        valid while every residual lies within -bound..bound.  One per
+        caller: a wider packing drops its memo."""
+        recursion, base, steps = self._packing(bound)
+        base += sum(map(mul, origin, steps)) if origin else 0
+        return lambda heads: recursion(0, 0, base + sum(map(mul, heads, steps)))
 
     def _packing(self, bound: int):
         """The recursion for residuals within -bound..bound, the packed state
@@ -394,7 +402,7 @@ def _difference_table(counter: FlowCounter, box: list[Sequence[int]]) -> list[li
     empty polytope.  A netflow is the one-point box of its non-sink entries."""
     graph = counter.graph
     if not graph.is_connected():
-        raise ValueError("ehrhart_polynomial requires a connected graph")
+        raise ValueError("graph must be connected")
     bound = graph.edge_count - graph.vertex_count + 1
     # L(1) is counted even for a tree: 0 there means an empty polytope
     dilates = counter._count_dilates(box, range(max(bound, 1) + 1))
@@ -501,18 +509,19 @@ def source_split_volumes(counter: FlowCounter, sources: Iterable[Sequence[int]])
     # every y with sum(y) <= extra: extra units over the n vertices and a slack
     splits = [tuple(map(multiset.count, range(n)))
               for multiset in (combinations_with_replacement(range(n + 1), extra) if extra >= 0 else ())]
-    # K at the netflow with these non-sink entries
-    count = lru_cache(maxsize=None)(lambda heads: counter.count((*heads, -sum(heads))))
-    units = [count(tuple(int(i == k) for i in range(n - 1))) for k in range(n - 1)] + [1]
+    unit = counter._reader(1)
+    units = [unit(int(i == k) for i in range(n - 1)) for k in range(n - 1)] + [1]
     for m in sources:
         # y units go over m_i parallel edges in C(y + m_i - 1, y) ways, over none only if y = 0
         ways = [[comb(y + mi - 1, y) if mi else int(not y) for y in range(extra + 1)] for mi in m]
         base = list(map(add, m, shift))  # no sink entry: units sent to the sink change none
+        # K at heads base + y: residuals lie within sum|base| + sum(y)
+        count = counter._reader(sum(map(abs, base)) + extra, base)
         interior = [0] * (extra + 1)
         for y in splits:
             w = prod(map(list.__getitem__, ways, y))
             if w:
-                interior[sum(y)] += w * count(tuple(map(add, base, y)))
+                interior[sum(y)] += w * count(y)
         # L(0) = 1, L(-k) = 0 for 0 < k < sum(m), and L(-k) = (-1)^D L°(k)
         # above.  The backward difference of L at 0 of order j is
         # sum_k (-1)^k C(j, k) L(-k): the D-th is the volume, and those of

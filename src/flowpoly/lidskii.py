@@ -6,8 +6,8 @@ The composition set depends only on the graph: the weak compositions j of
 |E| - n (n the number of non-sink vertices) whose prefix sums dominate the
 shifted outdegree vector.  Each term is a weight times the flow count K_j
 at the shifted netflow (j - out, 0), which also depends only on the graph.
-LidskiiTerms checks the graph once and keeps each K_j, read from the
-counter's packed state the first time a term needs it.  Every weight
+LidskiiTerms checks the graph once; each evaluation reads its K_j through
+one reader of the counter, whose memo keeps them.  Every weight
 vanishes from some part on, so an evaluation lists only the compositions
 under those caps (one at the unit netflow).  The formulas differ only in
 the weight:
@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import accumulate, product, repeat
 from math import comb, prod
-from operator import add, getitem, mul, sub
+from operator import add, getitem, sub
 from typing import Callable, Sequence
 
 from .kostant import FlowCounter
@@ -116,11 +116,11 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
 
 class LidskiiTerms:
     """The part of the three formulas that depends only on the graph: its
-    dominant compositions and the flow count at each shifted netflow
-    (j - out, 0), counted the first time a nonzero weight needs it and kept
-    for the object's life.  Build one per graph and evaluate any number of
-    netflows, c vectors or boxes of them on it, with its own counter or one
-    passed in on the same graph."""
+    dominant compositions and its counter, whose memo keeps the flow count
+    at each shifted netflow (j - out, 0) once a nonzero weight has needed
+    it.  Build one per graph and evaluate any number of netflows, c vectors
+    or boxes of them on it, with its own counter or one passed in on the
+    same graph."""
 
     def __init__(self, graph: DirectedMultigraph, counter: FlowCounter | None = None):
         stats = checked_degree_stats(graph)
@@ -131,7 +131,6 @@ class LidskiiTerms:
         self.in_shift = stats.in_shift
         self.out_shift = stats.out_shift
         self.excess = graph.edge_count - (graph.vertex_count - 1)
-        self._shifted: dict[tuple[int, ...], int] = {}
 
     @property
     def compositions(self) -> list[tuple[int, ...]]:
@@ -140,8 +139,7 @@ class LidskiiTerms:
 
     def shifted_count(self, j: tuple[int, ...]) -> int:
         """Flow count at netflow (j - out, 0), through the counter's checks."""
-        k = self._shifted.get(j)
-        return self.counter.count((*map(sub, j, self.out_shift), 0)) if k is None else k
+        return self.counter.count((*map(sub, j, self.out_shift), 0))
 
     def _sum(self, box: Sequence[Sequence[int]], weight: Callable[[int, int], int],
              scale: Callable[[tuple[int, ...]], int] | None = None) -> list[int]:
@@ -168,18 +166,11 @@ class LidskiiTerms:
         caps = [len(row) - 1 for row in rows]
         compositions = dominant_compositions(self.excess, self.out_shift,
                                              caps if caps != tops[:-1] else None)
-        # K_j is the recursion at the state of (-out, 0) plus sum_i j_i * step_i:
-        # a dominant j needs none of count's checks, and its residuals lie
-        # within -max(out)..excess
-        recursion, base, steps = self.counter._packing(max(self.excess, *self.out_shift, 0))
-        root = base - sum(map(mul, self.out_shift, steps))
-        shifted = self._shifted
+        # K_j needs no check for a dominant j: (j - out, 0) has residuals in -max(out)..excess
+        shifted = self.counter._reader(max(self.excess, *self.out_shift, 0), [-o for o in self.out_shift])
         totals = [0] * points
         for j in compositions:
-            k = shifted.get(j)
-            if k is None:
-                k = shifted[j] = recursion(0, 0, root + sum(map(mul, j, steps)))
-            if k:
+            if k := shifted(j):
                 if scale:
                     k *= scale(j)
                 cols = map(getitem, rows, j)

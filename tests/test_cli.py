@@ -133,7 +133,7 @@ class TestEhrhart:
         f = tmp_path / "disc.graph"
         f.write_text("4\n1 2\n3 4\n")
         assert run(capsys, ["ehrhart", "--graph", str(f), "--netflow", "1,-1,1"]) == (
-            1, "", "error: ehrhart_polynomial requires a connected graph\n")
+            1, "", "error: graph must be connected\n")
 
 
 class TestLidskii:

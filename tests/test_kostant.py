@@ -2,8 +2,9 @@
 
 import hashlib
 from fractions import Fraction
-from itertools import product
+from itertools import product, zip_longest
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -620,15 +621,48 @@ class TestReciprocityVolume:
     def test_counter_off_by_one_at_one_raises(self, monkeypatch):
         # L(1) on K4 with a source in front sums the counts on K4 from each
         # vertex to the sink; the one from vertex 1 is spoiled
-        real = FlowCounter.count
+        real = FlowCounter._reader
 
-        def off_at_unit(self, netflow):
-            value = real(self, netflow)
-            return value + 1 if NetflowVector.coerce(netflow).entries == (1, 0, 0, -1) else value
+        def off_at_unit(self, bound, origin=()):
+            read = real(self, bound, origin)
 
-        monkeypatch.setattr(kostant.FlowCounter, "count", off_at_unit)
+            def spoiled(heads):
+                heads = tuple(heads)
+                return read(heads) + (not origin and heads == (1, 0, 0))
+
+            return spoiled
+
+        monkeypatch.setattr(kostant.FlowCounter, "_reader", off_at_unit)
         with pytest.raises(ArithmeticError, match="L\\(1\\)"):
             reciprocity_volume(attach_source(complete_graph(4), (1, 1, 1)))
+
+    @pytest.mark.parametrize("graph, sources", [
+        (complete_graph(4), [(130, 0, 1, 0), (1, 1, 1, 0), (200, 3, 150, 2)]),
+        (DirectedMultigraph(3, ((1, 2), (1, 2), (2, 3), (1, 3))), [(128, 0, 0), (1, 300, 1)]),
+    ])
+    def test_wide_sources_match_checked_counts(self, graph, sources):
+        # entries of 128 or more push the reader past 8-bit slots; the same
+        # sum with a checked count per head on another counter is the reference
+        volumes = list(source_split_volumes(FlowCounter(graph), sources))
+        checked, reference = FlowCounter(graph), FlowCounter(graph)
+        n = graph.vertex_count - 1
+
+        def checked_reader(bound, origin=()):
+            def read(heads):
+                h = [a + b for a, b in zip_longest(origin, heads, fillvalue=0)][:n]
+                return reference.count((*h, -sum(h)))
+
+            return read
+
+        checked._reader = checked_reader
+        assert volumes == list(source_split_volumes(checked, sources))
+
+
+def test_packed_state_stays_in_kostant():
+    # the counter's packed format has one owner; every other module reads
+    # counts through FlowCounter.count, count_box or the reader
+    src = Path(kostant.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "_packing" in p.read_text()] == ["kostant.py"]
 
 
 def test_eq2_family_counts_match_enumeration():

@@ -247,8 +247,8 @@ class TestCForm:
 
 
 class _SpyCounter(FlowCounter):
-    """Records the packed root state of every count, whether it comes
-    through count or from the packing that LidskiiTerms reads K_j with."""
+    """Records the packed root state of every count read through the
+    counter's reader, which count and LidskiiTerms both build."""
 
     def __init__(self, graph):
         super().__init__(graph)
@@ -322,15 +322,33 @@ class TestLidskiiTerms:
         assert LidskiiTerms(k4, FlowCounter(complete_graph(4))).volume((1, 1, 1, -3)) == 4
 
     def test_shifted_counts_are_kept(self):
+        # the counter's memo keeps every K_j: a second evaluation asks only
+        # root states that the first one asked, and gives the same value
         g = complete_graph(5)
         spy = _SpyCounter(g)
         terms = LidskiiTerms(g, spy)
         first = terms.volume((1, 1, 1, 1, -4))
-        asked = len(spy.asked)
-        assert asked == len(terms.compositions)
+        asked = set(spy.asked)
+        assert len(spy.asked) == len(asked) == len(terms.compositions)
         assert terms.volume((1, 1, 1, 1, -4)) == first
         terms.count((1, 1, 1, 1, -4))
-        assert len(spy.asked) == asked
+        assert set(spy.asked) == asked
+        assert spy.asked[:len(asked)] == spy.asked[len(asked):2 * len(asked)]
+
+    def test_counter_widened_between_evaluations(self):
+        # a head of 200 needs 16-bit slots, so the count_box between the two
+        # evaluations drops the memo that the first one filled
+        g = complete_graph(4)
+        terms = LidskiiTerms(g)
+        heads, cs = [range(3)] * 3, [range(1, 3)] * 3
+
+        def evaluate(t):
+            return t.volumes(heads), t.counts(heads), t.c_form_counts(cs)
+
+        first = evaluate(terms)
+        assert terms.counter.count_box([(200,), (0,), (0,)]) == [comb(203, 3)]
+        fresh = LidskiiTerms(g)
+        assert evaluate(terms) == evaluate(fresh) == first
 
     def test_per_call_checks(self):
         terms = LidskiiTerms(complete_graph(4))
