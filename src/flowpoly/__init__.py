@@ -45,7 +45,6 @@ from .geometry import (
     VerificationReport,
     contains_flow,
     is_unimodular,
-    path_flow_vertices,
     unit_source_sink_netflow,
     verify_dissection,
     verify_in_vector_bijection,

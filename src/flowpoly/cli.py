@@ -11,9 +11,9 @@ Subcommands:
 Netflows may be given in full or without the sink entry, which is then
 inferred as minus the sum.  All output is exact: integers in decimal,
 rationals as p/q.  A library error (bad input, a node cap, the recursion
-limit, a failed fork) prints one `error: ...` line on stderr and exits with
-code 1; a reader that closes the output early ends the command quietly
-with code 1.
+limit, a failed fork, a verify worker that dies) prints one `error: ...`
+line on stderr and exits with code 1; a reader that closes the output early
+ends the command quietly with code 1.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ def _netflow_for(graph: DirectedMultigraph, text: str) -> NetflowVector:
     entries = _parse_int_list(text, "netflow")
     nv = graph.vertex_count
     if len(entries) == nv:
-        if sum(entries) != 0:
-            raise ValueError(f"netflow {entries} does not sum to zero")
         return NetflowVector(entries)
     if len(entries) == nv - 1:
         return NetflowVector.completing(entries)

@@ -1,7 +1,6 @@
-"""Geometric validation: simplex vertices from source-sink paths,
-unimodularity certificates against the affine-span lattice, exact polytope
-membership, and the verification reports that tie the dissection pipeline
-back to the brute-force counts.
+"""Geometric validation: unimodularity certificates against the
+affine-span lattice, exact polytope membership, and the verification
+reports that tie the dissection pipeline back to the brute-force counts.
 
 The affine span of a flow polytope is a coset of the integer kernel of the
 incidence matrix.  That matrix is totally unimodular, so the fundamental
@@ -40,24 +39,6 @@ from .multigraph import (
 )
 from .lidskii import in_plus_c_netflow
 from .reduction import DEFAULT_NODE_CAP, SimplexCell
-
-
-# --- simplex vertices -------------------------------------------------------
-
-
-def path_flow_vertices(node) -> list[tuple[int, ...]]:
-    """Indicator flows of the directed first-to-last-vertex paths of a
-    graph, one 0/1 vector per path.  For unit source/sink netflow these are
-    exactly the polytope's vertices.  Accepts a graph or any object with a
-    .graph attribute."""
-    graph: DirectedMultigraph = getattr(node, "graph", node)
-    vectors = []
-    for path in graph.paths():
-        vec = [0] * graph.edge_count
-        for e in path:
-            vec[e] = 1
-        vectors.append(tuple(vec))
-    return vectors
 
 
 # --- integer linear algebra -------------------------------------------------

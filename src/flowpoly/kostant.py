@@ -375,10 +375,6 @@ class EhrhartPolynomial:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def __call__(self, t) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coefficients):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import index
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class GraphFormatError(ValueError):
@@ -111,36 +111,6 @@ class DirectedMultigraph:
             else:
                 root[ra] = rb
         return tuple(cotree)
-
-    def paths(self) -> Iterator[tuple[int, ...]]:
-        """The directed first-to-last-vertex paths, each as the tuple of its
-        edge indices from first to last, depth first with out-edges in index
-        order.  The walk keeps its own stack, so a path may be longer than
-        the interpreter's recursion limit."""
-        edges = self.edges
-        out_edges: list[list[int]] = [[] for _ in self.vertices]
-        for k, (a, _) in enumerate(edges):
-            out_edges[a - self.first_vertex].append(k)
-        target = self.last_vertex
-        if self.first_vertex == target:
-            yield ()
-            return
-        used: list[int] = []
-        stack = [iter(out_edges[0])]
-        while stack:
-            e = next(stack[-1], None)
-            if e is None:
-                stack.pop()
-                if used:
-                    used.pop()
-                continue
-            head = edges[e][1]
-            used.append(e)
-            if head == target:
-                yield tuple(used)
-                used.pop()
-            else:
-                stack.append(iter(out_edges[head - self.first_vertex]))
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying undirected multigraph: its
@@ -265,13 +235,8 @@ def checked_box(box: Sequence[Sequence[int]], graph: DirectedMultigraph, low: in
     """The box product(*box) of netflow heads or c vectors as one range or
     tuple of ints per non-sink vertex, every entry an integer of at least
     low."""
-    try:
-        # a range holds ints already
-        ranges = [r if type(r) is range else tuple(map(index, r)) for r in box]
-    except TypeError:
-        for i, r in enumerate(box):
-            integers(r, f"{what} range {i}")
-        raise
+    # a range holds ints already
+    ranges = [r if type(r) is range else integers(r, f"{what} range {i}") for i, r in enumerate(box)]
     n = graph.vertex_count - 1
     if len(ranges) != n:
         raise ValueError(f"{what} box must have {n} ranges, one per non-sink vertex, got {len(ranges)}")

@@ -180,7 +180,7 @@ def _run_shares(graphs: list[DirectedMultigraph], workers: int, instances: Insta
             os.close(read_fd)
             del running[pid]
             if status != 0 or not data:
-                raise RuntimeError(
+                raise ChildProcessError(
                     f"verify worker exited with status {os.waitstatus_to_exitcode(status)} "
                     "without a result")
             # bytes a forked copy of this process wrote

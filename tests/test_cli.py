@@ -561,11 +561,13 @@ class TestWorkerErrors:
             NodeCapExceeded, "node cap 7 exceeded at graph 1",
             (1, "", "error: node cap 7 exceeded at graph 1\n"))
 
-    def test_worker_dying_without_a_result(self, monkeypatch, workers):
+    def test_worker_dying_without_a_result(self, capsys, monkeypatch, workers):
         workers(2)
         self.spoil(monkeypatch, {1: lambda: os._exit(3)})
-        with pytest.raises(RuntimeError, match="exited with status 3 without a result"):
+        with pytest.raises(ChildProcessError, match="exited with status 3 without a result"):
             run_in_vector_suite(3, 4, 1)
+        assert run(capsys, self.ARGV) == (
+            1, "", "error: verify worker exited with status 3 without a result\n")
 
     def test_interrupt_kills_the_workers(self, monkeypatch, workers):
         def interrupt():
@@ -639,6 +641,7 @@ class TestErrors:
          "could not parse netflow '1,,0,-1'; expected comma-separated integers"),
         (["kostant", "--netflow", "1,0,0,-1,"],
          "could not parse netflow '1,0,0,-1,'; expected comma-separated integers"),
+        (["kostant", "--netflow", "1,0,0,0"], "netflow entries must sum to zero, got sum 1"),
         (["dissect", "--c", "1,,1"], "could not parse c '1,,1'; expected comma-separated integers"),
         (["lidskii", "--mode", "c-form", "--c", "1,1,1,"],
          "could not parse c '1,1,1,'; expected comma-separated integers"),
@@ -650,8 +653,8 @@ class TestErrors:
          "--node-cap='-5' is not a positive integer"),
         (["verify", "--node-cap", "x"], "--node-cap='x' is not a positive integer"),
     ], ids=["netflow not integers", "netflow empty token", "netflow trailing comma",
-            "c empty token", "c trailing comma", "c leading comma", "volume outside the chamber",
-            "cap zero", "cap negative", "cap not an integer"])
+            "netflow sum not zero", "c empty token", "c trailing comma", "c leading comma",
+            "volume outside the chamber", "cap zero", "cap negative", "cap not an integer"])
     def test_bad_input(self, capsys, k4_file, argv, message):
         if argv[0] != "verify":
             argv = [argv[0], "--graph", k4_file, *argv[1:]]

@@ -17,7 +17,6 @@ from flowpoly.geometry import (
     SimplexCell,
     contains_flow,
     is_unimodular,
-    path_flow_vertices,
     unit_source_sink_netflow,
     verify_dissection,
     verify_in_vector_bijection,
@@ -89,34 +88,6 @@ def fundamental_cycle_basis(graph):
             vec[edge] -= sign
         vectors.append(tuple(vec))
     return vectors
-
-
-class TestPathFlowVertices:
-    def test_single_edge(self):
-        g = DirectedMultigraph(2, ((1, 2),))
-        assert path_flow_vertices(g) == [(1,)]
-
-    def test_k4(self):
-        verts = path_flow_vertices(complete_graph(4))
-        assert len(verts) == 4
-        inst = FlowInstance(complete_graph(4), NetflowVector((1, 0, 0, -1)))
-        for v in verts:
-            assert contains_flow(inst, v)
-
-    def test_no_path(self):
-        g = DirectedMultigraph(3, ((2, 3),))
-        assert path_flow_vertices(g) == []
-
-    def test_accepts_provenanced(self):
-        node = ProvenancedGraph.as_root(path_graph(3))
-        assert path_flow_vertices(node) == [(1, 1)]
-
-    def test_depth_first_in_edge_index_order(self):
-        g = DirectedMultigraph(3, ((2, 3), (1, 3), (1, 2), (2, 3)))
-        assert path_flow_vertices(g) == [(0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1)]
-
-    def test_path_longer_than_the_recursion_limit(self):
-        assert path_flow_vertices(path_graph(3000)) == [(1,) * 2999]
 
 
 DOUBLED_PATH = DirectedMultigraph(3, ((1, 2), (1, 2), (2, 3), (2, 3)))

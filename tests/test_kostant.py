@@ -356,6 +356,15 @@ class TestEnumerateFlows:
         expected = {frozenset(i for i, v in enumerate(f) if v) for f in flows}
         assert expected == set(source_sink_paths(k4))
         assert all(set(f) <= {0, 1} for f in flows)
+        # reversed, the unit flows are the paths in the reference's depth-first
+        # order, the order in which the dissection tests read cell vertices
+        out_of_order = DirectedMultigraph(3, ((2, 3), (1, 3), (1, 2), (2, 3)))
+        for graph, unit in ((k4, (1, 0, 0, -1)), (out_of_order, (1, 0, -1))):
+            reversed_flows = enumerate_flows(inst(graph, unit))[::-1]
+            edge_sets = [frozenset(i for i, v in enumerate(f) if v) for f in reversed_flows]
+            assert edge_sets == source_sink_paths(graph)
+        pin = [(0, 1, 0, 0), (1, 0, 1, 0), (0, 0, 1, 1)]
+        assert enumerate_flows(inst(out_of_order, (1, 0, -1)))[::-1] == pin
 
     def test_zero_flow(self):
         k4 = complete_graph(4)

@@ -10,7 +10,7 @@ from conftest import augmented_levels
 from hypothesis import given, settings, strategies as st
 
 from flowpoly import reduction
-from flowpoly.geometry import SimplexCell, path_flow_vertices, verify_dissection
+from flowpoly.geometry import SimplexCell, unit_source_sink_netflow, verify_dissection
 from flowpoly.kostant import FlowInstance, count_flows, enumerate_flows
 from flowpoly.lidskii import LidskiiTerms, multiset_coeff
 from flowpoly.multigraph import (
@@ -806,8 +806,14 @@ def zero_entry_levels(root, n):
 
 
 def terminal_cells(terminals):
-    """Each terminal's path indicator flows through its coordinate map."""
-    return [tuple(phi_map(t, v) for v in path_flow_vertices(t)) for t in terminals]
+    """Each terminal's path indicator flows through its coordinate map: its
+    unit source-to-sink flows, in the reverse of the order iter_flows
+    yields them, are its paths depth first with out-edges in index order."""
+    return [
+        tuple(phi_map(t, v)
+              for v in reversed(enumerate_flows(FlowInstance(t.graph, unit_source_sink_netflow(t.graph)))))
+        for t in terminals
+    ]
 
 
 def shape_plain(j):
