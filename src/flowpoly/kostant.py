@@ -23,7 +23,9 @@ negative flow across a cut.  It finishes the last two non-sink vertices in
 closed form, a binomial and a Newton forward sum, whatever the netflow's
 size.  Both must agree, which the tests check.  Outside its box path the
 packed state has one reader (FlowCounter._reader), which count, the Lidskii
-sum and source_split_volumes build, and the memo is the one store of counts.
+sum and source_split_volumes build: the state at zero heads, the step per
+unit of each head and one recursion call; the Lidskii walk steps the state
+itself.  The memo is the one store of counts.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, combinations_with_replacement
 from math import comb, factorial, prod
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .multigraph import DirectedMultigraph, NetflowVector, checked_box, degree_stats, integers
 
@@ -53,6 +56,20 @@ class FlowInstance:
 
     def dilate(self, t: int) -> "FlowInstance":
         return FlowInstance(self.graph, self.netflow.dilate(t))
+
+
+class _Reader(NamedTuple):
+    """A reader of a counter's packed state: the state at heads h = 0, the
+    step that adds one unit to h_k, per non-sink vertex k, and read, the
+    count at a state, one recursion call.  A caller that walks many heads
+    steps the state; called on heads, it sums the steps itself."""
+
+    start: int
+    steps: list[int]
+    read: Callable[[int], int]
+
+    def __call__(self, heads: Iterable[int]) -> int:
+        return self.read(self.start + sum(map(mul, heads, self.steps)))
 
 
 class FlowCounter:
@@ -88,6 +105,11 @@ class FlowCounter:
     recursion enters the vertex, and every cut once at the root.  A pruned
     branch always has a cut carrying negative flow, so the prune is exact on
     any forward graph.
+
+    Memo reads in the split loops: the loops over the units x sent to a
+    head (the tail's two, and the one down a vertex's chain of groups) look
+    the next state up in its memo table and call the recursion only on a
+    miss, so a state met again costs a dictionary read, not a call.
 
     Slot width: a residual never exceeds the largest prefix sum of the
     netflow and never falls below its smallest entry, so each call takes
@@ -153,14 +175,14 @@ class FlowCounter:
             sums = [s + h * step for s in sums for h in r]
         return [[recursion(0, 0, base + t * s) for s in sums] for t in dilations]
 
-    def _reader(self, bound: int, origin: Sequence[int] = ()) -> Callable[[Iterable[int]], int]:
-        """The count at (o + h, -sum(o + h)) for heads h and o = origin,
+    def _reader(self, bound: int, origin: Sequence[int] = ()) -> _Reader:
+        """The counts at (o + h, -sum(o + h)) for heads h and o = origin,
         each cut or padded with zeros to the non-sink vertices; unchecked,
         valid while every residual lies within -bound..bound.  One per
         caller: a wider packing drops its memo."""
         recursion, base, steps = self._packing(bound)
         base += sum(map(mul, origin, steps)) if origin else 0
-        return lambda heads: recursion(0, 0, base + sum(map(mul, heads, steps)))
+        return _Reader(base, steps, partial(recursion, 0, 0))
 
     def _packing(self, bound: int):
         """The recursion for residuals within -bound..bound, the packed state
@@ -277,25 +299,33 @@ class FlowCounter:
             if tail and pos + 1 == last:
                 total = tail_sum(m, m2, b, low, ((packed >> width) & mask) - off)
             elif tail:
-                # the next group is the last one and takes the rest
+                # the next group is the last one and takes the rest; a state
+                # already in the next vertex's memo is read there, not counted
                 sh, sh2 = width * d, width * d2
                 nxt = packed - b + (low << sh) + ((b - low) << sh2)
                 step = (1 << sh) - (1 << sh2)
+                hits = memo_at[pos + 1][0]
                 if m == m2 == 1:
                     for _ in range(low, b + 1):
-                        total += count(pos + 1, 0, nxt >> width)
+                        sub = hits.get(child := nxt >> width)
+                        total += count(pos + 1, 0, child) if sub is None else sub
                         nxt += step
                 else:
                     for x in range(low, b + 1):
-                        sub = count(pos + 1, 0, nxt >> width)
+                        sub = hits.get(child := nxt >> width)
+                        if sub is None:
+                            sub = count(pos + 1, 0, child)
                         if sub:
                             total += sub * comb(x + m - 1, m - 1) * comb(b - x + m2 - 1, m2 - 1)
                         nxt += step
             else:
                 step = (1 << width * d) - 1
                 child = packed + low * step
+                hits = memo_at[pos][g + 1]
                 for x in range(low, b + 1):
-                    sub = count(pos, g + 1, child)
+                    sub = hits.get(child)
+                    if sub is None:
+                        sub = count(pos, g + 1, child)
                     if sub:
                         total += sub * comb(x + m - 1, m - 1) if m > 1 else sub
                     child += step
@@ -516,7 +546,9 @@ def source_split_volumes(counter: FlowCounter, sources: Iterable[Sequence[int]])
         interior = [0] * (extra + 1)
         for y in splits:
             w = prod(map(list.__getitem__, ways, y))
-            if w:
+            # K is 0 where a prefix sum of the heads base + y is negative, as
+            # in count: read only the others, which leaves no memo state behind
+            if w and min(accumulate(map(add, base, y)), default=0) >= 0:
                 interior[sum(y)] += w * count(y)
         # L(0) = 1, L(-k) = 0 for 0 < k < sum(m), and L(-k) = (-1)^D L°(k)
         # above.  The backward difference of L at 0 of order j is

@@ -6,11 +6,11 @@ The composition set depends only on the graph: the weak compositions j of
 |E| - n (n the number of non-sink vertices) whose prefix sums dominate the
 shifted outdegree vector.  Each term is a weight times the flow count K_j
 at the shifted netflow (j - out, 0), which also depends only on the graph.
-LidskiiTerms checks the graph once; each evaluation reads its K_j through
-one reader of the counter, whose memo keeps them.  Every weight
-vanishes from some part on, so an evaluation lists only the compositions
-under those caps (one at the unit netflow).  The formulas differ only in
-the weight:
+LidskiiTerms checks the graph once; each evaluation walks the compositions
+depth first and reads each K_j from one reader of the counter, whose memo
+keeps them.  Every weight vanishes from some part on, so an evaluation
+walks only the compositions under those caps (one at the unit netflow).
+The formulas differ only in the weight:
 
   volume        multinomial(|E|-n; j) * prod a_i^{j_i}
   count         prod multiset_coeff(a_i - in(i), j_i)
@@ -19,10 +19,12 @@ the weight:
 The sum is taken over a box at once: one range of netflow heads or c
 values per non-sink vertex, whose product lists the points (volumes,
 counts, c_form_counts).  Each vertex gets a row of weights over its range
-per part, built once, and a composition adds K_j times the outer product
-of its rows, so K_j is looked up once per box rather than once per point.
+per part, built once.  Each level of the walk fixes one part and carries
+down the outer product of the rows so far, the volume's multinomial factor
+and the counter's state, so a composition shares what its prefix built,
+and K_j is read once per box rather than once per point.
 volume, count and count_c_form are the same sum over a one-point box,
-whose rows hold numbers, multiplied per composition.
+whose rows hold numbers, multiplied per part.
 lidskii_volume, lidskii_count and lidskii_count_c_form evaluate one
 netflow or c vector on a fresh LidskiiTerms; a caller with many on one
 graph keeps one.  The shifted counts come from the brute-force counter,
@@ -31,10 +33,9 @@ and multiset_coeff is one binomial, signed for n <= 0.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import accumulate, product, repeat
+from itertools import accumulate, repeat
 from math import comb, prod
-from operator import add, getitem, sub
+from operator import add, mul, sub
 from typing import Callable, Sequence
 
 from .kostant import FlowCounter
@@ -105,6 +106,11 @@ def dominant_compositions(total: int, lower: Sequence[int],
     return out
 
 
+def _outer(p: list[int], w: Sequence[int]) -> list[int]:
+    """The outer product of p and w, flattened with w's index fastest."""
+    return [a * b for a in p for b in w]
+
+
 def multinomial(total: int, parts: Sequence[int]) -> int:
     result = 1
     remaining = total
@@ -142,42 +148,77 @@ class LidskiiTerms:
         return self.counter.count((*map(sub, j, self.out_shift), 0))
 
     def _sum(self, box: Sequence[Sequence[int]], weight: Callable[[int, int], int],
-             scale: Callable[[tuple[int, ...]], int] | None = None) -> list[int]:
-        """sum_j scale(j) * K_j * prod_i weight(v_i, j_i) at every point v of
-        product(*box), in that order, K_j being the shifted count.  Each
-        vertex gets a row of weights over its range per part, up to the
-        last part at which some weight is nonzero: both weights vanish from
-        some part on, so that part caps the vertex's part, and only the
-        compositions under the caps are listed.  A composition adds K_j
-        times the outer product of its rows, which has a nonzero entry."""
+             scaled: bool = False) -> list[int]:
+        """sum_j K_j * prod_i weight(v_i, j_i) at every point v of
+        product(*box), in that order, each term times multinomial(|E| - n;
+        j) if scaled, K_j being the shifted count.  Each vertex gets a row of
+        weights over its range per part, up to the last part at which some
+        weight is nonzero: both weights vanish from some part on, so that
+        part caps the vertex's part.  One depth-first walk takes the
+        compositions under the caps in the order dominant_compositions lists
+        them.  Each level carries down the product of the rows so far (an
+        outer product over the box, a number at one point), the
+        multinomial's comb(left, v) per part and the counter's state; the
+        last part is what is left, so the level before it loops over both.
+        A composition with K_j != 0 adds K_j times that product."""
         points = prod(map(len, box))
         if not points:
             return []
+        excess, out = self.excess, self.out_shift
         # a vertex's part is at most the excess less what those before it take
-        tops = list(accumulate(self.out_shift, sub, initial=self.excess))
+        tops = list(accumulate(out, sub, initial=excess))
         rows = []
         for r, top in zip(box, tops):
             rows.append(row := [])
             for k in range(top + 1):
                 if not any(w := tuple(map(weight, r, repeat(k)))):
                     break
-                # one point: numbers, a product per composition, not an outer one
+                # one point: numbers, multiplied per part, not outer products
                 row.append(w if points > 1 else w[0])
         caps = [len(row) - 1 for row in rows]
-        compositions = dominant_compositions(self.excess, self.out_shift,
-                                             caps if caps != tops[:-1] else None)
         # K_j needs no check for a dominant j: (j - out, 0) has residuals in -max(out)..excess
-        shifted = self.counter._reader(max(self.excess, *self.out_shift, 0), [-o for o in self.out_shift])
+        start, steps, read = self.counter._reader(max(excess, *out, 0), [-o for o in out])
+        last = len(rows) - 1
+        if last < 1:
+            # one composition at most: (excess,) under its cap, or () on one vertex
+            if rows and caps[0] < excess:
+                return [0] * points
+            k = read(start + excess * sum(steps))
+            return [k * w for w in rows[0][excess]] if points > 1 else [k * prod(r[excess] for r in rows)]
+        # the prefix sums a dominant j reaches, and the most the parts after k can take
+        lower = list(accumulate(out))
+        room = list(accumulate(reversed(caps), initial=0))[-2::-1]
+        outer = mul if points == 1 else _outer
         totals = [0] * points
-        for j in compositions:
-            if k := shifted(j):
-                if scale:
-                    k *= scale(j)
-                cols = map(getitem, rows, j)
-                if points == 1:
-                    totals[0] += k * prod(cols)
-                else:
-                    totals = list(map(add, totals, map(k.__mul__, map(prod, product(*cols)))))
+
+        def walk(k: int, left: int, state: int, p, scale: int):
+            """Adds the compositions whose parts before k sum to excess -
+            left: p is the product of their rows, scale their multinomial
+            factors and state their counter state, all so far."""
+            row, step = rows[k], steps[k]
+            low = max(0, lower[k] - excess + left, left - room[k])
+            state += low * step
+            if k + 1 < last:
+                for v in range(low, min(caps[k], left) + 1):
+                    walk(k + 1, left - v, state, outer(p, row[v]),
+                         scale * comb(left, v) if scaled else scale)
+                    state += step
+                return
+            # the last part takes the rest, left - v
+            end, end_step = rows[last], steps[last]
+            state += (left - low) * end_step
+            step -= end_step
+            for v in range(low, min(caps[k], left) + 1):
+                if kj := read(state):
+                    kj *= scale * comb(left, v) if scaled else scale
+                    term = outer(outer(p, row[v]), end[left - v])
+                    if points == 1:
+                        totals[0] += kj * term
+                    else:
+                        totals[:] = map(add, totals, map(kj.__mul__, term))
+                state += step
+
+        walk(0, excess, start, 1 if points == 1 else [1], 1)
         return totals
 
     def _nice_point(self, netflow) -> list[tuple[int]]:
@@ -206,8 +247,7 @@ class LidskiiTerms:
     def volumes(self, box: Sequence[Sequence[int]]) -> list[int]:
         """volume at (h, -sum(h)) for every h in product(*box), in that
         order; box holds a range of nonnegative integers per non-sink vertex."""
-        return self._sum(checked_box(box, self.graph, 0, "netflow"), pow,
-                         partial(multinomial, self.excess))
+        return self._sum(checked_box(box, self.graph, 0, "netflow"), pow, scaled=True)
 
     def counts(self, box: Sequence[Sequence[int]]) -> list[int]:
         """count at (h, -sum(h)) for every h in product(*box), in that

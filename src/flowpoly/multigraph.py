@@ -190,8 +190,13 @@ def degree_stats(graph: DirectedMultigraph) -> DegreeStats:
 
 def checked_degree_stats(graph: DirectedMultigraph) -> DegreeStats:
     """degree_stats of a graph that the closed formulas and the reductions
-    accept: connected, with an out-edge at every non-sink vertex."""
-    if not graph.is_connected():
+    accept: connected, with an out-edge at every non-sink vertex.  Every
+    edge runs from a lower vertex to a higher one, so when every non-sink
+    vertex has an out-edge, each vertex reaches the sink and the graph is
+    connected; the spanning forest is grown only when one has none, to
+    tell the two errors apart."""
+    # the tails are the non-sink vertices with an out-edge
+    if len({a for a, _ in graph.edges}) < graph.vertex_count - 1 and not graph.is_connected():
         raise ValueError("graph must be connected")
     stats = degree_stats(graph)
     for v, d in zip(stats.vertices[:-1], stats.outdeg[:-1]):

@@ -3,12 +3,31 @@ import os
 import pytest
 
 import flowpoly.verify
+from flowpoly.kostant import FlowCounter
 from flowpoly.lidskii import LidskiiTerms
 from flowpoly.multigraph import attach_source
 from flowpoly.reduction import ProvenancedGraph, enumerate_noncrossing_trees, reduce_at_vertex
 
 # the LidskiiTerms box method that gives the formula side of each Lidskii suite
 FORMULA_SIDES = {"eq2": "counts", "eq1": "volumes", "thm41": "c_form_counts"}
+
+
+class SpyCounter(FlowCounter):
+    """Records the packed root state of every count read through the
+    counter's reader, which count and LidskiiTerms both build."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.asked = []
+
+    def _packing(self, bound):
+        recursion, base, steps = super()._packing(bound)
+
+        def spy(pos, g, packed):
+            self.asked.append(packed)
+            return recursion(pos, g, packed)
+
+        return spy, base, steps
 
 
 @pytest.fixture()

@@ -15,6 +15,7 @@ import pytest
 import flowpoly
 import flowpoly.cli
 import flowpoly.verify
+from conftest import SpyCounter
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -72,11 +73,17 @@ def test_worker_names_exist():
 @pytest.mark.parametrize("name, netflow", [("lidskii_count", (1, 1, 1, -3)),
                                            ("lidskii_volume", (1, 0, 0, -1))])
 def test_one_evaluation_lists_compositions_once(monkeypatch, name, netflow):
-    # the benchmark's tracer reads lidskii.dominant_compositions through the
-    # module and counts one call per lidskii_count
-    calls = []
-    real = flowpoly.lidskii.dominant_compositions
-    monkeypatch.setattr(flowpoly.lidskii, "dominant_compositions",
-                        lambda *args: calls.append(args) or real(*args))
+    # one evaluation walks K4's compositions (2, 1, 0) and (3, 0, 0) once
+    # and reads the K_j of those with a nonzero weight once each, in order;
+    # the volume's weight at (1, 0, 0, -1) is zero at (2, 1, 0)
+    listed = {"lidskii_count": [(2, 1, 0), (3, 0, 0)], "lidskii_volume": [(3, 0, 0)]}[name]
+    counters = []
+    monkeypatch.setattr(flowpoly.lidskii, "FlowCounter",
+                        lambda graph: counters.append(SpyCounter(graph)) or counters[-1])
     getattr(flowpoly.lidskii, name)(flowpoly.complete_graph(4), netflow)
-    assert len(calls) == 1
+    (spy,) = counters
+    evaluated = spy.asked[:]
+    terms = flowpoly.LidskiiTerms(spy.graph, spy)
+    for j in listed:
+        terms.shifted_count(j)
+    assert spy.asked == evaluated * 2

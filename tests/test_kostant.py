@@ -1,9 +1,10 @@
 """Brute-force counting oracle, Ehrhart polynomial, normalized volume."""
 
 import hashlib
+import sys
 from fractions import Fraction
-from itertools import product, zip_longest
-from math import comb, prod
+from itertools import accumulate, product, zip_longest
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from flowpoly.kostant import (
     reciprocity_volume,
     source_split_volumes,
 )
+from flowpoly.lidskii import LidskiiTerms
 from flowpoly.multigraph import (
     DirectedMultigraph,
     NetflowVector,
@@ -645,6 +647,28 @@ class TestReciprocityVolume:
         with pytest.raises(ArithmeticError, match="L\\(1\\)"):
             reciprocity_volume(attach_source(complete_graph(4), (1, 1, 1)))
 
+    def test_heads_with_a_negative_prefix_sum_are_not_read(self, monkeypatch):
+        # a cut with negative flow has no flows: those heads of K4 are
+        # answered 0 before a read, as count answers them
+        real = FlowCounter._reader
+        read = []
+
+        def recording(self, bound, origin=()):
+            reader = real(self, bound, origin)
+
+            def record(heads):
+                heads = tuple(heads)
+                read.append([a + b for a, b in zip_longest(origin, heads, fillvalue=0)][:3])
+                return reader(heads)
+
+            return record
+
+        monkeypatch.setattr(kostant.FlowCounter, "_reader", recording)
+        box = list(product((1, 2, 3), (1, 2), (2, 1)))
+        volumes = list(source_split_volumes(FlowCounter(complete_graph(4)), ((*c, 0) for c in box)))
+        assert volumes[box.index((3, 2, 2))] == 22
+        assert len(read) == 63 and min(min(accumulate(h)) for h in read) == 0
+
     @pytest.mark.parametrize("graph, sources", [
         (complete_graph(4), [(130, 0, 1, 0), (1, 1, 1, 0), (200, 3, 150, 2)]),
         (DirectedMultigraph(3, ((1, 2), (1, 2), (2, 3), (1, 3))), [(128, 0, 0), (1, 300, 1)]),
@@ -665,6 +689,32 @@ class TestReciprocityVolume:
 
         checked._reader = checked_reader
         assert volumes == list(source_split_volumes(checked, sources))
+
+
+@pytest.mark.parametrize("graph, evaluate, value, calls", [
+    # Tesler K7's volume hits in the group chains, K5's box in the tail loops
+    (complete_graph(7), lambda c: LidskiiTerms(c.graph, c).volume((1,) * 6 + (-6,)),
+     factorial(15) * 2**15 // prod(map(factorial, range(1, 7))), 703),
+    (complete_graph(5), lambda c: sum(c.count_box([range(4)] * 4)), 65984, 1803),
+])
+def test_split_loops_read_memo_hits_without_a_call(graph, evaluate, value, calls):
+    # the tail loops and the group chain look each next state up in its
+    # memo table before they recurse: 1,557 and 4,392 calls when every
+    # next state is a call
+    counter = FlowCounter(graph)
+    code = counter._packing(15)[0].__code__  # 8-bit slots, as both evaluations read
+    made = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            made.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        assert evaluate(counter) == value
+    finally:
+        sys.setprofile(None)
+    assert len(made) == calls
 
 
 def test_packed_state_stays_in_kostant():

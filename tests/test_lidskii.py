@@ -1,13 +1,14 @@
 """Closed-form evaluators, coefficients, dominance-constrained compositions."""
 
-from itertools import product
+from functools import partial
+from itertools import accumulate, product, repeat
 from math import comb, factorial, prod
-from operator import le
+from operator import add, getitem, le, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowpoly import lidskii
+from conftest import SpyCounter
 from flowpoly.kostant import FlowCounter, FlowInstance, count_flows
 from flowpoly.lidskii import (
     LidskiiTerms,
@@ -19,7 +20,13 @@ from flowpoly.lidskii import (
     multinomial,
     multiset_coeff,
 )
-from flowpoly.multigraph import DirectedMultigraph, NetflowVector, complete_graph, path_graph
+from flowpoly.multigraph import (
+    DirectedMultigraph,
+    NetflowVector,
+    complete_graph,
+    degree_stats,
+    path_graph,
+)
 from flowpoly.verify import iter_family
 
 
@@ -246,24 +253,6 @@ class TestCForm:
                 assert LidskiiTerms(g, counter).count_c_form(c) == LidskiiTerms(g, counter).count(a)
 
 
-class _SpyCounter(FlowCounter):
-    """Records the packed root state of every count read through the
-    counter's reader, which count and LidskiiTerms both build."""
-
-    def __init__(self, graph):
-        super().__init__(graph)
-        self.asked = []
-
-    def _packing(self, bound):
-        recursion, base, steps = super()._packing(bound)
-
-        def spy(pos, g, packed):
-            self.asked.append(packed)
-            return recursion(pos, g, packed)
-
-        return spy, base, steps
-
-
 class TestLidskiiTerms:
     def test_agrees_with_wrappers_and_counter(self):
         # one object per graph across every netflow and c vector, so a
@@ -296,19 +285,37 @@ class TestLidskiiTerms:
         assert terms.shifted_count((0, 0, 3)) == 0
 
     @pytest.mark.parametrize("nv", range(5, 9))
-    def test_zero_weights_are_never_counted(self, nv, monkeypatch):
+    def test_zero_weights_are_never_counted(self, nv):
         # at the unit netflow only the composition (|E|-n, 0, ..., 0) has a
-        # nonzero volume weight, and it is the only one listed
-        listed = []
-        real = lidskii.dominant_compositions
-        monkeypatch.setattr(lidskii, "dominant_compositions",
-                            lambda *args: listed.append(real(*args)) or listed[-1])
+        # nonzero volume weight, and its K_j is the only one read
         g = complete_graph(nv)
-        spy = _SpyCounter(g)
+        spy = SpyCounter(g)
+        terms = LidskiiTerms(g, spy)
         a = (1,) + (0,) * (nv - 2) + (-1,)
-        assert LidskiiTerms(g, spy).volume(a) == prod(catalan(i) for i in range(1, nv - 2))
+        assert terms.volume(a) == prod(catalan(i) for i in range(1, nv - 2))
         assert len(spy.asked) == 1
-        assert listed == [[(comb(nv - 1, 2),) + (0,) * (nv - 2)]]
+        terms.shifted_count((comb(nv - 1, 2),) + (0,) * (nv - 2))
+        assert spy.asked[1] == spy.asked[0]
+
+    @pytest.mark.parametrize("graph, evaluate, caps", [
+        # a zero head caps its vertex's volume part at 0, a c of 0 or -1
+        # the count's at 0 or 1
+        (complete_graph(6), lambda t: t.volume((2, 0, 1, 0, 0, -3)), (10, 0, 10, 0, 0)),
+        (complete_graph(5), lambda t: t.c_form_counts([range(1, 3)] * 4), None),
+        (complete_graph(5), lambda t: t.counts([range(2), (0,), range(3), (1,)]), (6, 0, 6, 1)),
+    ])
+    def test_reads_the_listed_compositions_in_order(self, graph, evaluate, caps):
+        # one evaluation reads K_j once per composition that
+        # dominant_compositions lists under the caps, in its order
+        spy = SpyCounter(graph)
+        terms = LidskiiTerms(graph, spy)
+        evaluate(terms)
+        read = len(spy.asked)
+        listed = dominant_compositions(terms.excess, terms.out_shift, caps)
+        for j in listed:
+            terms.shifted_count(j)
+        assert read == len(listed) > 1
+        assert spy.asked[:read] == spy.asked[read:]
 
     def test_counter_on_another_graph_refused(self):
         # the doubled graph has K4's vertex count, so no length check sees
@@ -325,7 +332,7 @@ class TestLidskiiTerms:
         # the counter's memo keeps every K_j: a second evaluation asks only
         # root states that the first one asked, and gives the same value
         g = complete_graph(5)
-        spy = _SpyCounter(g)
+        spy = SpyCounter(g)
         terms = LidskiiTerms(g, spy)
         first = terms.volume((1, 1, 1, 1, -4))
         asked = set(spy.asked)
@@ -398,7 +405,7 @@ class TestLidskiiBoxes:
         # over heads (h, 0, ..., 0) only the composition (|E|-n, 0, ..., 0)
         # has a nonzero volume weight at any point
         g = complete_graph(6)
-        spy = _SpyCounter(g)
+        spy = SpyCounter(g)
         volumes = LidskiiTerms(g, spy).volumes([range(1, 4)] + [(0,)] * 4)
         assert volumes == [prod(catalan(i) for i in range(1, 4)) * h ** 10 for h in range(1, 4)]
         assert len(spy.asked) == 1
@@ -413,6 +420,86 @@ class TestLidskiiBoxes:
     def test_bad_boxes_refused(self, method, box, message):
         with pytest.raises(ValueError, match=message):
             getattr(LidskiiTerms(complete_graph(4)), method)(box)
+
+
+def listed_sum(graph, box, weight, scale=None):
+    """The composition sum of LidskiiTerms as one list and one loop, the
+    reference for its walk: every dominant composition j under the caps is
+    listed first, then each term is rebuilt from scratch, K_j read through
+    a reader of a fresh counter, times scale(j) and the outer product of
+    the rows at j."""
+    points = prod(map(len, box))
+    if not points:
+        return []
+    out = degree_stats(graph).out_shift
+    excess = graph.edge_count - (graph.vertex_count - 1)
+    tops = list(accumulate(out, sub, initial=excess))
+    rows = []
+    for r, top in zip(box, tops):
+        rows.append(row := [])
+        for k in range(top + 1):
+            if not any(w := tuple(map(weight, r, repeat(k)))):
+                break
+            row.append(w)
+    caps = [len(row) - 1 for row in rows]
+    shifted = FlowCounter(graph)._reader(max(excess, *out, 0), [-o for o in out])
+    totals = [0] * points
+    for j in dominant_compositions(excess, out, caps):
+        if k := shifted(j):
+            if scale:
+                k *= scale(j)
+            totals = list(map(add, totals, map(k.__mul__, map(prod, product(*map(getitem, rows, j))))))
+    return totals
+
+
+class TestWalkAgainstListedSum:
+    """The walk of LidskiiTerms against listed_sum, over boxes and their
+    one-point forms."""
+
+    @staticmethod
+    def assert_same(graph, heads, cs):
+        terms = LidskiiTerms(graph)
+        excess = graph.edge_count - (graph.vertex_count - 1)
+        shift = degree_stats(graph).in_shift
+        for box in [heads] + [[(h,) for h in point] for point in product(*heads)]:
+            assert terms.volumes(box) == listed_sum(graph, box, pow, partial(multinomial, excess))
+            shifted = [[h - s for h in r] for r, s in zip(box, shift)]
+            assert terms.counts(box) == listed_sum(graph, shifted, multiset_coeff)
+        for box in [cs] + [[(c,) for c in point] for point in product(*cs)]:
+            assert terms.c_form_counts(box) == listed_sum(graph, box, multiset_coeff)
+
+    def test_family(self):
+        graphs = 0
+        for g in iter_family(4, 6):
+            n = g.vertex_count - 1
+            self.assert_same(g, [range(3)] * n, [range(1, 3)] * n)
+            graphs += 1
+        assert graphs == 194
+
+    @pytest.mark.parametrize("nv", range(4, 8))
+    def test_complete_graphs(self, nv):
+        # the Chan-Robbins-Yuen and Tesler netflows, and the box they span
+        n = nv - 1
+        g = complete_graph(nv)
+        self.assert_same(g, [(1,)] + [range(2)] * (n - 1), [range(1, 3)] + [(1,)] * (n - 1))
+
+    def test_one_vertex(self):
+        # the empty composition: a point, whose one flow is the zero flow
+        terms = LidskiiTerms(DirectedMultigraph(1, ()))
+        assert terms.volume((0,)) == terms.count((0,)) == 1
+        assert terms.volumes([]) == terms.counts([]) == terms.c_form_counts([]) == [1]
+
+    def test_one_edge_group(self):
+        # three parallel edges 1 -> 2: the one composition (2,), flows at
+        # (3, -3) being the C(5, 2) splits of 3 units and the volume 3^2
+        terms = LidskiiTerms(DirectedMultigraph(2, ((1, 2),) * 3))
+        assert terms.volume((3, -3)) == 9
+        assert terms.count((3, -3)) == 10
+        # at head 0 the volume's weight 0^2 caps the one part below it
+        assert terms.volumes([range(4)]) == [0, 1, 4, 9]
+        assert terms.volume((0, 0)) == 0
+        assert terms.counts([range(4)]) == [1, 3, 6, 10]
+        assert terms.c_form_counts([range(1, 4)]) == [1, 3, 6]
 
 
 @settings(deadline=None, max_examples=30)

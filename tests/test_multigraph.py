@@ -1,6 +1,7 @@
 """Graph representations, degree statistics, constructions, file format."""
 
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -15,6 +16,7 @@ from flowpoly.multigraph import (
     apply_incidence,
     attach_source,
     build_gm,
+    checked_degree_stats,
     complete_graph,
     degree_stats,
     format_graph,
@@ -191,6 +193,36 @@ class TestDegreeStats:
         for g in (complete_graph(4), build_gm((2, 2)), path_graph(5)):
             n = g.vertex_count - 1
             assert sum(degree_stats(g).out_shift) == g.edge_count - n
+
+
+def connectivity_first(graph):
+    """The error checked_degree_stats gave before it read the out-degrees
+    first: connectivity by the spanning forest, then the first non-sink
+    vertex without an out-edge; None for an accepted graph."""
+    if not graph.is_connected():
+        return "graph must be connected"
+    stats = degree_stats(graph)
+    return next((f"vertex {v} has no outgoing edge"
+                 for v, d in zip(stats.vertices[:-1], stats.outdeg[:-1]) if not d), None)
+
+
+class TestCheckedDegreeStats:
+    def test_same_errors_as_connectivity_first(self):
+        # every graph on 1..4 vertices with 0..2 edges per vertex pair
+        seen = Counter()
+        for nv in range(1, 5):
+            pairs = list(combinations(range(nv), 2))
+            for mult, lo in product(product(range(3), repeat=len(pairs)), (0, 1)):
+                edges = tuple((a + lo, b + lo) for (a, b), m in zip(pairs, mult) for _ in range(m))
+                graph = DirectedMultigraph(nv, edges, lo)
+                expected = connectivity_first(graph)
+                if expected is None:
+                    assert checked_degree_stats(graph) == degree_stats(graph)
+                else:
+                    with pytest.raises(ValueError, match=f"^{expected}$"):
+                        checked_degree_stats(graph)
+                seen[expected and expected.split()[-1]] += 1
+        assert seen == {None: 870, "connected": 226, "edge": 424}
 
 
 class TestBuildGm:
