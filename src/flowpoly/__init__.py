@@ -37,7 +37,6 @@ from .lidskii import (
     lidskii_count,
     lidskii_count_c_form,
     lidskii_volume,
-    multinomial,
     multiset_coeff,
 )
 from .geometry import (

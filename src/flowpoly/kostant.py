@@ -97,14 +97,18 @@ class FlowCounter:
     state costs O(deg^2), not O(b); with no sink edge only x = -r counts.
 
     Cut pruning: the flow across the cut in front of a vertex is the sum
-    of all residuals before it, so it must never be negative.  Sending x
-    units to a head leaves the cuts past that head unchanged.  The cuts
-    between that head and the next one are still crossed by the b - x units
-    the vertex has left to send, so x >= b - (the smallest of their prefix
-    sums).  The cuts in front of a vertex's first head are checked when the
-    recursion enters the vertex, and every cut once at the root.  A pruned
-    branch always has a cut carrying negative flow, so the prune is exact on
-    any forward graph.
+    of all residuals before it, so it must never be negative.  Each state
+    scans the prefix sums of slots 1, 2, ... once, up to its next head, or
+    up to its only head when the vertex has one group.  The b units the
+    vertex still holds all go to the current head or past it, so a negative
+    sum in front of that head stays negative and the state counts 0.
+    Sending x units to the head leaves the cuts past it unchanged; the cuts
+    between it and the next head are still crossed by the b - x units left,
+    so x >= b - (the smallest of their prefix sums).  At a later group the
+    earlier groups' bounds already keep the front cuts nonnegative, so the
+    scan needs no group test.  Every cut is checked once at the root.  A
+    pruned branch always has a cut carrying negative flow, so the prune is
+    exact on any forward graph.
 
     Memo reads in the split loops: the loops over the units x sent to a
     head (the tail's two, and the one down a vertex's chain of groups) look
@@ -240,16 +244,6 @@ class FlowCounter:
                                   for x in range(low, low + min(span, m + m2 + sink_m - 2))])
             return sum(dk * comb(span, k) for k, dk in enumerate(diffs, 1))
 
-        def cuts_hold(packed: int, d: int) -> bool:
-            """Whether slots 1..d-1 have nonnegative prefix sums."""
-            acc = 0
-            for _ in range(d - 1):
-                packed >>= width
-                acc += (packed & mask) - off
-                if acc < 0:
-                    return False
-            return True
-
         def count(pos: int, g: int, packed: int) -> int:
             """Flows that send the units left at the vertex at pos (slot 0)
             into its groups g, g + 1, ..., and finish every later vertex."""
@@ -270,12 +264,24 @@ class FlowCounter:
                 memo[packed] = total
                 return total
             d, m, d2, m2, tail = groups[g]
-            if not g:
-                top = top_at[d]
-                if packed & top != top and not cuts_hold(packed, d):
-                    # a cut in front of the first head is crossed by all of b
-                    memo[packed] = 0
-                    return 0
+            # one scan of the cuts up to the next head, or the only one: none
+            # in front of head d may be negative, and one between d and d2 is
+            # crossed by the b - x units left: x >= -(sum of slots 1..c-1) at cut c
+            low = 0
+            end = d2 or d
+            top = top_at[end]
+            if packed & top != top:
+                rest = packed
+                acc = 0
+                for j in range(1, end):
+                    rest >>= width
+                    acc += (rest & mask) - off
+                    if acc < 0:
+                        if j < d:
+                            memo[packed] = 0
+                            return 0
+                        if -acc > low:
+                            low = -acc
             if not d2:
                 # a single group takes everything
                 total = count(pos + 1, 0, (packed + (b << width * d)) >> width)
@@ -283,18 +289,6 @@ class FlowCounter:
                     total *= comb(b + m - 1, m - 1)
                 memo[packed] = total
                 return total
-            # the cuts between this head and the next are crossed by the b - x
-            # units still to be sent: x >= -(sum of slots 1..c-1) at each cut c
-            low = 0
-            top = top_at[d2]
-            if packed & top != top:
-                rest = packed
-                acc = 0
-                for j in range(1, d2):
-                    rest >>= width
-                    acc += (rest & mask) - off
-                    if j >= d and -acc > low:
-                        low = -acc
             total = 0
             if tail and pos + 1 == last:
                 total = tail_sum(m, m2, b, low, ((packed >> width) & mask) - off)

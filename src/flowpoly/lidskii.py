@@ -67,11 +67,9 @@ def multiset_coeff(n: int, k: int) -> int:
     return (-1) ** k * comb(-n, k)
 
 
-def dominant_compositions(total: int, lower: Sequence[int],
-                          upper: Sequence[int] | None = None) -> list[tuple[int, ...]]:
+def dominant_compositions(total: int, lower: Sequence[int]) -> list[tuple[int, ...]]:
     """All weak compositions of `total` into len(lower) parts that dominate
-    `lower`, in ascending lexicographic order; with `upper`, only those whose
-    i-th part is at most upper[i]."""
+    `lower`, in ascending lexicographic order."""
     (total,) = integers((total,), "total")
     lower = integers(lower, "lower")
     if total < 0:
@@ -79,24 +77,17 @@ def dominant_compositions(total: int, lower: Sequence[int],
     if sum(lower) != total:
         raise ValueError(f"lower bounds sum to {sum(lower)}, expected {total}")
     n = len(lower)
-    upper = (total,) * n if upper is None else integers(upper, "upper")
-    if len(upper) != n or min(upper, default=0) < 0:
-        raise ValueError(f"upper must hold {n} nonnegative caps, got {upper}")
     prefix_lower = list(accumulate(lower))
-    # room[k]: the most that parts k+1, k+2, ... can take together
-    room = list(accumulate(reversed(upper), initial=0))[-2::-1]
     out: list[tuple[int, ...]] = []
     parts = [0] * n
 
     def rec(k: int, assigned: int):
         left = total - assigned
         if k == n - 1:
-            if left <= upper[k]:
-                parts[k] = left
-                out.append(tuple(parts))
+            parts[k] = left
+            out.append(tuple(parts))
             return
-        low = max(0, prefix_lower[k] - assigned, left - room[k])
-        for v in range(low, min(upper[k], left) + 1):
+        for v in range(max(0, prefix_lower[k] - assigned), left + 1):
             parts[k] = v
             rec(k + 1, assigned + v)
 
@@ -109,15 +100,6 @@ def dominant_compositions(total: int, lower: Sequence[int],
 def _outer(p: list[int], w: Sequence[int]) -> list[int]:
     """The outer product of p and w, flattened with w's index fastest."""
     return [a * b for a in p for b in w]
-
-
-def multinomial(total: int, parts: Sequence[int]) -> int:
-    result = 1
-    remaining = total
-    for p in parts:
-        result *= comb(remaining, p)
-        remaining -= p
-    return result
 
 
 class LidskiiTerms:
@@ -154,12 +136,13 @@ class LidskiiTerms:
         j) if scaled, K_j being the shifted count.  Each vertex gets a row of
         weights over its range per part, up to the last part at which some
         weight is nonzero: both weights vanish from some part on, so that
-        part caps the vertex's part.  One depth-first walk takes the
-        compositions under the caps in the order dominant_compositions lists
-        them.  Each level carries down the product of the rows so far (an
-        outer product over the box, a number at one point), the
-        multinomial's comb(left, v) per part and the counter's state; the
-        last part is what is left, so the level before it loops over both.
+        part caps the vertex's part.  The caps apply here alone: one
+        depth-first walk takes the compositions dominant_compositions lists,
+        in its order, less those with a part above its cap.  Each level
+        carries down the product of the rows so far (an outer product over
+        the box, a number at one point), the multinomial as one comb(left,
+        v) per part and the counter's state; the last part is what is left,
+        so the level before it loops over both.
         A composition with K_j != 0 adds K_j times that product."""
         points = prod(map(len, box))
         if not points:

@@ -269,6 +269,21 @@ class TestCutPruneExact:
             a = NetflowVector.completing(head)
             assert FlowCounter(g).count(a) == naive_count(FlowInstance(g, a)) == 0
 
+    @pytest.mark.parametrize("edges, netflow, expected", [
+        # vertex 1 owes a unit that vertex 0, whose only head is 3, cannot send
+        (((0, 3), (1, 2), (2, 3)), (2, -1, 1, -2), 0),
+        # the same in front of the first of vertex 0's heads 2 and 3
+        (((0, 2), (0, 3), (1, 3), (2, 3)), (2, -1, 1, -2), 0),
+        # between vertex 0's heads 1 and 3, from head 1 on: it takes 1 or 2 units
+        (((0, 1), (0, 3), (1, 2), (2, 3)), (2, -1, 0, -1), 2),
+        # in front of vertex 0's head 2, and again between heads 2 and 4
+        (((0, 2), (0, 4), (1, 4), (2, 3), (3, 4)), (3, -1, 0, -1, -1), 0),
+    ])
+    def test_each_branch_of_the_cut_scan(self, edges, netflow, expected):
+        g = DirectedMultigraph(len(netflow), edges, first_vertex=0)
+        a = NetflowVector(netflow)
+        assert FlowCounter(g).count(a) == naive_count(FlowInstance(g, a)) == expected
+
 
 def forward_multigraphs(nv):
     """Every forward multigraph on vertices 1..nv with 0-2 parallel edges

@@ -1,6 +1,5 @@
 """Closed-form evaluators, coefficients, dominance-constrained compositions."""
 
-from functools import partial
 from itertools import accumulate, product, repeat
 from math import comb, factorial, prod
 from operator import add, getitem, le, sub
@@ -17,7 +16,6 @@ from flowpoly.lidskii import (
     lidskii_count,
     lidskii_count_c_form,
     lidskii_volume,
-    multinomial,
     multiset_coeff,
 )
 from flowpoly.multigraph import (
@@ -112,35 +110,6 @@ class TestDominantCompositions:
     def test_lexicographic_order(self):
         got = dominant_compositions(4, (2, 1, 1))
         assert got == sorted(got)
-
-    def test_caps_filter_the_uncapped_list(self):
-        # the capped list is the uncapped one, in its order, less every
-        # composition with a part above its cap
-        for n in range(1, 4):
-            for lower in product(range(3), repeat=n):
-                total = sum(lower)
-                every = dominant_compositions(total, lower)
-                for upper in product(range(total + 2), repeat=n):
-                    kept = [j for j in every if all(map(le, j, upper))]
-                    assert dominant_compositions(total, lower, upper) == kept, (lower, upper)
-        assert dominant_compositions(4, (2, 1, 1), None) == dominant_compositions(4, (2, 1, 1))
-
-    @pytest.mark.parametrize("upper, message", [
-        ((2, 2), r"upper must hold 3 nonnegative caps, got \(2, 2\)"),
-        ((2, 2, 2, 2), r"upper must hold 3 nonnegative caps, got \(2, 2, 2, 2\)"),
-        ((2, -1, 2), r"upper must hold 3 nonnegative caps, got \(2, -1, 2\)"),
-        ((2, 1.5, 2), r"upper entry 1 = 1\.5 is not an integer"),
-    ])
-    def test_bad_caps_refused(self, upper, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            dominant_compositions(4, (2, 1, 1), upper)
-
-
-class TestMultinomial:
-    def test_values(self):
-        assert multinomial(3, (2, 1, 0)) == 3
-        assert multinomial(3, (3, 0, 0)) == 1
-        assert multinomial(4, (2, 2)) == 6
 
 
 class TestLidskiiVolume:
@@ -305,17 +274,17 @@ class TestLidskiiTerms:
         (complete_graph(5), lambda t: t.counts([range(2), (0,), range(3), (1,)]), (6, 0, 6, 1)),
     ])
     def test_reads_the_listed_compositions_in_order(self, graph, evaluate, caps):
-        # one evaluation reads K_j once per composition that
-        # dominant_compositions lists under the caps, in its order
-        spy = SpyCounter(graph)
-        terms = LidskiiTerms(graph, spy)
-        evaluate(terms)
-        read = len(spy.asked)
-        listed = dominant_compositions(terms.excess, terms.out_shift, caps)
-        for j in listed:
-            terms.shifted_count(j)
-        assert read == len(listed) > 1
-        assert spy.asked[:read] == spy.asked[read:]
+        assert listed_reads(graph, evaluate, caps) > 1
+
+    def test_reads_every_listed_composition_on_family(self):
+        # at the netflow whose heads are all 1 no volume weight vanishes, so
+        # no cap applies
+        graphs = compositions = 0
+        for g in iter_family(5, 7):
+            n = g.vertex_count - 1
+            compositions += listed_reads(g, lambda t: t.volume((1,) * n + (-n,)))
+            graphs += 1
+        assert (graphs, compositions) == (2560, 11353)
 
     def test_counter_on_another_graph_refused(self):
         # the doubled graph has K4's vertex count, so no length check sees
@@ -422,12 +391,30 @@ class TestLidskiiBoxes:
             getattr(LidskiiTerms(complete_graph(4)), method)(box)
 
 
+def listed_reads(graph, evaluate, caps=None):
+    """How many K_j one evaluate(terms) reads on a spied counter, checked to
+    be one read per composition dominant_compositions lists, less those with
+    a part above its cap, in its order."""
+    spy = SpyCounter(graph)
+    terms = LidskiiTerms(graph, spy)
+    evaluate(terms)
+    read = len(spy.asked)
+    listed = dominant_compositions(terms.excess, terms.out_shift)
+    if caps:
+        listed = [j for j in listed if all(map(le, j, caps))]
+    for j in listed:
+        terms.shifted_count(j)
+    assert read == len(listed)
+    assert spy.asked[:read] == spy.asked[read:]
+    return read
+
+
 def listed_sum(graph, box, weight, scale=None):
     """The composition sum of LidskiiTerms as one list and one loop, the
-    reference for its walk: every dominant composition j under the caps is
-    listed first, then each term is rebuilt from scratch, K_j read through
-    a reader of a fresh counter, times scale(j) and the outer product of
-    the rows at j."""
+    reference for its walk: every dominant composition j is listed first
+    and those with a part above its cap are dropped, then each term is
+    rebuilt from scratch, K_j read through a reader of a fresh counter,
+    times scale(j) and the outer product of the rows at j."""
     points = prod(map(len, box))
     if not points:
         return []
@@ -444,8 +431,8 @@ def listed_sum(graph, box, weight, scale=None):
     caps = [len(row) - 1 for row in rows]
     shifted = FlowCounter(graph)._reader(max(excess, *out, 0), [-o for o in out])
     totals = [0] * points
-    for j in dominant_compositions(excess, out, caps):
-        if k := shifted(j):
+    for j in dominant_compositions(excess, out):
+        if all(map(le, j, caps)) and (k := shifted(j)):
             if scale:
                 k *= scale(j)
             totals = list(map(add, totals, map(k.__mul__, map(prod, product(*map(getitem, rows, j))))))
@@ -459,10 +446,14 @@ class TestWalkAgainstListedSum:
     @staticmethod
     def assert_same(graph, heads, cs):
         terms = LidskiiTerms(graph)
-        excess = graph.edge_count - (graph.vertex_count - 1)
         shift = degree_stats(graph).in_shift
+
+        def multinomial(j):
+            # multinomial(sum(j); j), one binomial per part
+            return prod(comb(sum(j[k:]), jk) for k, jk in enumerate(j))
+
         for box in [heads] + [[(h,) for h in point] for point in product(*heads)]:
-            assert terms.volumes(box) == listed_sum(graph, box, pow, partial(multinomial, excess))
+            assert terms.volumes(box) == listed_sum(graph, box, pow, multinomial)
             shifted = [[h - s for h in r] for r, s in zip(box, shift)]
             assert terms.counts(box) == listed_sum(graph, shifted, multiset_coeff)
         for box in [cs] + [[(c,) for c in point] for point in product(*cs)]:
