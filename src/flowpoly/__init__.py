@@ -10,12 +10,10 @@ from .multigraph import (
     NetflowVector,
     apply_incidence,
     attach_source,
-    build_gm,
     complete_graph,
     degree_stats,
     format_graph,
     parse_graph,
-    path_graph,
     read_graph,
     write_graph,
 )
@@ -47,7 +45,6 @@ from .geometry import (
     unit_source_sink_netflow,
     verify_dissection,
     verify_in_vector_bijection,
-    verify_integral_equivalence,
 )
 from .reduction import (
     DEFAULT_NODE_CAP,
@@ -63,7 +60,6 @@ from .reduction import (
     enumerate_noncrossing_trees,
     iter_reduction_leaves,
     leaf_census,
-    phi_map,
     reduce_at_vertex,
     tree_census,
     unimodular_dissection,

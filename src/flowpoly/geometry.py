@@ -356,26 +356,3 @@ def verify_in_vector_bijection(graph: DirectedMultigraph, c: Sequence[int]) -> V
                missing=sorted(small_flows - set(restricted))[:3],
                extra=sorted(set(restricted) - small_flows)[:3])
     return report
-
-
-def verify_integral_equivalence(node, netflow) -> VerificationReport:
-    """Check that the node's coordinate map into the root is a
-    count-preserving injection on lattice points: node flows map to distinct
-    root flows, at the netflow and at twice the netflow."""
-    a = NetflowVector.coerce(netflow)
-    root = node.root
-    report = VerificationReport("integral equivalence")
-    for t in (1, 2):
-        scaled = a.dilate(t)
-        node_flows = enumerate_flows(FlowInstance(node.graph, scaled))
-        images = {reduction.phi_map(node, f) for f in node_flows}
-        root_inst = FlowInstance(root, scaled)
-        in_root = sum(1 for v in images if contains_flow(root_inst, v))
-        report.add(
-            f"phi_injects_flows_t={t}",
-            len(node_flows) == len(images) == in_root,
-            node_count=len(node_flows),
-            distinct_images=len(images),
-            images_in_root=in_root,
-        )
-    return report

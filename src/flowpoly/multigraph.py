@@ -84,9 +84,6 @@ class DirectedMultigraph:
     def out_edges_at(self, v: int) -> tuple[int, ...]:
         return tuple(k for k, (a, _) in enumerate(self.edges) if a == v)
 
-    def in_edges_at(self, v: int) -> tuple[int, ...]:
-        return tuple(k for k, (_, b) in enumerate(self.edges) if b == v)
-
     def edge_multiset(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.edges))
 
@@ -203,23 +200,6 @@ def checked_degree_stats(graph: DirectedMultigraph) -> DegreeStats:
         if d == 0:
             raise ValueError(f"vertex {v} has no outgoing edge")
     return stats
-
-
-def build_gm(m: Sequence[int]) -> DirectedMultigraph:
-    """Graph on vertices 1..n+1 with m[i] parallel edges from vertex i+1 to
-    the sink n+1."""
-    m = integers(m, "m")
-    if not m:
-        raise ValueError("multiplicity vector cannot be empty")
-    for i, mi in enumerate(m):
-        if mi < 1:
-            raise ValueError(f"multiplicity m[{i}] = {mi} must be positive")
-    n = len(m)
-    sink = n + 1
-    edges = []
-    for i, mi in enumerate(m, start=1):
-        edges.extend([(i, sink)] * mi)
-    return DirectedMultigraph(n + 1, tuple(edges))
 
 
 def _checked_c(c: Sequence[int], graph: DirectedMultigraph) -> tuple[int, ...]:
@@ -361,9 +341,4 @@ def write_graph(graph: DirectedMultigraph, path) -> None:
 def complete_graph(nv: int) -> DirectedMultigraph:
     """All pairs (i, j), i < j, on vertices 1..nv."""
     edges = tuple((i, j) for i in range(1, nv + 1) for j in range(i + 1, nv + 1))
-    return DirectedMultigraph(nv, edges)
-
-
-def path_graph(nv: int) -> DirectedMultigraph:
-    edges = tuple((i, i + 1) for i in range(1, nv))
     return DirectedMultigraph(nv, edges)

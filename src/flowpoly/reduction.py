@@ -7,9 +7,9 @@ A reduction at vertex i replaces ordered sub-multisets I (incoming) and O
 (outgoing) of edges at i by, for every noncrossing tree T on left vertices
 I + [i] and right vertices O, the edge set {tail(I_p) -> head(O_q)} over
 tree edges, where the appended left vertex maps an out-edge to itself.
-Every derived edge remembers the set s(e) of root edges it sums, so
-phi_map takes a vector at any node back into root coordinates (c_d = sum
-over e with d in s(e)).
+Every derived edge remembers the set s(e) of root edges it sums, so a
+vector at any node maps back into root coordinates (c_d = sum over e with
+d in s(e)); the tests' phi_map in tests/conftest.py is that map.
 
 Noncrossing trees on ordered parts of sizes (l, r) are exactly the
 staircases: left vertex p covers a contiguous interval of right vertices,
@@ -168,19 +168,6 @@ class ProvenancedGraph:
     @staticmethod
     def as_root(graph: DirectedMultigraph) -> "ProvenancedGraph":
         return ProvenancedGraph(graph, tuple(frozenset((e,)) for e in range(graph.edge_count)), graph)
-
-
-def phi_map(node: ProvenancedGraph, vector: Sequence) -> tuple:
-    """The image of a vector in the node's edge coordinates in the root's:
-    each node coordinate is summed into all the root edges it covers."""
-    if len(vector) != node.graph.edge_count:
-        raise ValueError(f"vector has {len(vector)} coordinates, node has {node.graph.edge_count} edges")
-    out = [0] * node.root.edge_count
-    for v, s in zip(vector, node.provenance):
-        if v:
-            for d in s:
-                out[d] += v
-    return tuple(out)
 
 
 class _Expansion:

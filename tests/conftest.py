@@ -3,13 +3,59 @@ import os
 import pytest
 
 import flowpoly.verify
-from flowpoly.kostant import FlowCounter
+from flowpoly.geometry import contains_flow
+from flowpoly.kostant import FlowCounter, FlowInstance, enumerate_flows
 from flowpoly.lidskii import LidskiiTerms
-from flowpoly.multigraph import attach_source
+from flowpoly.multigraph import DirectedMultigraph, NetflowVector, attach_source
 from flowpoly.reduction import ProvenancedGraph, enumerate_noncrossing_trees, reduce_at_vertex
 
 # the LidskiiTerms box method that gives the formula side of each Lidskii suite
 FORMULA_SIDES = {"eq2": "counts", "eq1": "volumes", "thm41": "c_form_counts"}
+
+
+def build_gm(m):
+    """Graph on vertices 1..n+1 with m[i] parallel edges from vertex i+1 to
+    the sink n+1."""
+    sink = len(m) + 1
+    return DirectedMultigraph(sink, tuple((i, sink) for i, mi in enumerate(m, 1) for _ in range(mi)))
+
+
+def path_graph(nv):
+    """Edges (i, i + 1) on vertices 1..nv."""
+    return DirectedMultigraph(nv, tuple((i, i + 1) for i in range(1, nv)))
+
+
+def in_edges_at(graph, v):
+    """Indices of the edges into v, in edge order."""
+    return tuple(k for k, (_, b) in enumerate(graph.edges) if b == v)
+
+
+def phi_map(node, vector):
+    """The image of a vector in a ProvenancedGraph's edge coordinates in the
+    root's: each node coordinate is summed into all the root edges it
+    covers."""
+    if len(vector) != node.graph.edge_count:
+        raise ValueError(f"vector has {len(vector)} coordinates, node has {node.graph.edge_count} edges")
+    out = [0] * node.root.edge_count
+    for v, s in zip(vector, node.provenance):
+        for d in s:
+            out[d] += v
+    return tuple(out)
+
+
+def verify_integral_equivalence(node, netflow):
+    """Whether phi_map is a count-preserving injection on the node's lattice
+    points: at the netflow and at twice it, the node's flows have as many
+    distinct images, and each is a flow of the root."""
+    a = NetflowVector.coerce(netflow)
+    for t in (1, 2):
+        scaled = a.dilate(t)
+        node_flows = enumerate_flows(FlowInstance(node.graph, scaled))
+        images = {phi_map(node, f) for f in node_flows}
+        root = FlowInstance(node.root, scaled)
+        if not len(node_flows) == len(images) == sum(contains_flow(root, v) for v in images):
+            return False
+    return True
 
 
 class SpyCounter(FlowCounter):

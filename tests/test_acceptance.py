@@ -6,9 +6,8 @@ dissection family."""
 import time
 from math import comb
 
-from conftest import augmented_levels
+from conftest import augmented_levels, phi_map, verify_integral_equivalence
 
-from flowpoly.geometry import verify_integral_equivalence
 from flowpoly.multigraph import DirectedMultigraph, complete_graph
 from flowpoly.reduction import (
     NoncrossingTree,
@@ -16,7 +15,6 @@ from flowpoly.reduction import (
     canonical_reduction_tree,
     enumerate_noncrossing_trees,
     leaf_census,
-    phi_map,
     reduce_at_vertex,
 )
 from flowpoly.verify import (
@@ -183,11 +181,11 @@ def test_criterion_8_phi_lattice_fidelity():
     k4 = complete_graph(4)
     ok = True
     for node in canonical_reduction_tree(k4).nodes():
-        if not verify_integral_equivalence(node.graph, (1, 1, 1, -3)).passed:
+        if not verify_integral_equivalence(node.graph, (1, 1, 1, -3)):
             ok = False
     for level in augmented_levels(k4, (3, 2, 2)):
         for node in level:
-            if not verify_integral_equivalence(node, (1, 0, 0, 0, -1)).passed:
+            if not verify_integral_equivalence(node, (1, 0, 0, 0, -1)):
                 ok = False
 
     # golden coordinate-map value, reproduced bit-exactly
@@ -200,7 +198,7 @@ def test_criterion_8_phi_lattice_fidelity():
         NoncrossingTree(2, 2, ((1, 1), (1, 2), (2, 2))),
     )
     golden = phi_map(node, (0, 1, 0, 1, 1, 1)) == (0, 1, 1, 0, 2, 1)
-    if not verify_integral_equivalence(node, (2, 1, 0, -3)).passed:
+    if not verify_integral_equivalence(node, (2, 1, 0, -3)):
         ok = False
     _report(
         "criterion 8 (coordinate-map lattice fidelity and golden value)",

@@ -20,6 +20,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import path_graph
+
 import flowpoly.cli
 import flowpoly.geometry
 import flowpoly.verify
@@ -30,7 +32,6 @@ from flowpoly.multigraph import (
     complete_graph,
     format_graph,
     parse_graph,
-    path_graph,
     write_graph,
 )
 from flowpoly import reduction

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import build_gm, path_graph
 from flowpoly import kostant
 from flowpoly.kostant import (
     FlowCounter,
@@ -28,10 +29,8 @@ from flowpoly.multigraph import (
     DirectedMultigraph,
     NetflowVector,
     attach_source,
-    build_gm,
     complete_graph,
     degree_stats,
-    path_graph,
 )
 from flowpoly.verify import iter_family
 

@@ -7,7 +7,7 @@ from operator import add, getitem, le, sub
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import SpyCounter
+from conftest import SpyCounter, path_graph
 from flowpoly.kostant import FlowCounter, FlowInstance, count_flows
 from flowpoly.lidskii import (
     LidskiiTerms,
@@ -23,7 +23,6 @@ from flowpoly.multigraph import (
     NetflowVector,
     complete_graph,
     degree_stats,
-    path_graph,
 )
 from flowpoly.verify import iter_family
 

@@ -6,7 +6,7 @@ from itertools import chain, product
 from math import comb, prod
 
 import pytest
-from conftest import augmented_levels
+from conftest import augmented_levels, build_gm, in_edges_at, path_graph, phi_map
 from hypothesis import given, settings, strategies as st
 
 from flowpoly import reduction
@@ -17,9 +17,7 @@ from flowpoly.multigraph import (
     DirectedMultigraph,
     NetflowVector,
     attach_source,
-    build_gm,
     complete_graph,
-    path_graph,
 )
 from flowpoly.reduction import (
     LeafShapeError,
@@ -34,7 +32,6 @@ from flowpoly.reduction import (
     iter_dissection_cells,
     iter_reduction_leaves,
     leaf_census,
-    phi_map,
     reduce_at_vertex,
     tree_census,
     unimodular_dissection,
@@ -295,7 +292,7 @@ class TestChildrenFromCheckedParts:
 
     def test_children_share_parent_parts(self):
         node = ProvenancedGraph.as_root(complete_graph(4))
-        inc, out = node.graph.in_edges_at(3), node.graph.out_edges_at(3)
+        inc, out = in_edges_at(node.graph, 3), node.graph.out_edges_at(3)
         (tree, *_) = enumerate_noncrossing_trees(len(inc) + 1, len(out))
         child = reduce_at_vertex(node, 3, inc, out, tree)
         for k in set(range(node.graph.edge_count)) - set(inc) - set(out):
@@ -320,7 +317,7 @@ class TestSharedExpansion:
                 continue
             g = parent.graph.graph
             vertex = parent.children[0].vertex
-            inc, out = by_length(g, g.in_edges_at(vertex)), by_length(g, g.out_edges_at(vertex))
+            inc, out = by_length(g, in_edges_at(g, vertex)), by_length(g, g.out_edges_at(vertex))
             trees, children = zip(*reduction._expansions(parent.graph, vertex))
             assert list(trees) == list(enumerate_noncrossing_trees(len(inc) + 1, len(out)))
             assert list(children) == [
@@ -339,7 +336,7 @@ class TestSharedExpansion:
             levels = zero_entry_levels(shape_root(c, composition), n)
             for vertex, level in enumerate(levels[:n], 1):
                 for node in level:
-                    inc = by_length(node.graph, node.graph.in_edges_at(vertex))
+                    inc = by_length(node.graph, in_edges_at(node.graph, vertex))
                     out = by_length(node.graph, node.graph.out_edges_at(vertex))
                     appended = len(inc) + 1
                     assert zero_vertex_dissection_children(node, vertex) == [
@@ -1156,7 +1153,7 @@ def test_reduction_preserves_flow_counts(data):
     g = data.draw(st.sampled_from(graphs))
     node = ProvenancedGraph.as_root(g)
     vertex = data.draw(st.sampled_from(range(2, g.last_vertex)))
-    inc = tuple(g.in_edges_at(vertex))
+    inc = tuple(in_edges_at(g, vertex))
     out = tuple(g.out_edges_at(vertex))
     if not out:
         return
